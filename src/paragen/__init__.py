@@ -15,7 +15,7 @@ from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceR
                     align, build_index, ingest, query_similar, segment)
 from .model import (AttentionParams, DecoderState, EncoderStates, LSTMCellParams,
                     ModelDims, ModelParams, ProjectionParams, attend, decoder_step,
-                    encode, lstm_cell_step, project_vocab)
+                    encode, project_vocab)
 from .pointer import (GateParams, StepDistribution, copy_distribution, full_step,
                       generation_gate, mix)
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,

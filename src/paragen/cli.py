@@ -9,25 +9,46 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields
 
 from .decoding import BeamConfig, beam_decode
 from .errors import NumericalError, ValidationError
-from .metrics import bleu
+from .metrics import bleu, token_hits
 from .miner import (DEFAULT_ABBREVIATIONS, MineConfig, align, load_abbreviations,
                     load_documents, write_pairs)
 from .training import (CheckpointError, TrainConfig, load_checkpoint, load_pairs_tsv,
-                       train)
+                       pairs_vocab, train)
 from .vocab import Vocabulary, tokenize
 
-MINE_DEFAULTS = {"k": 3, "min_sim": 0.5, "max_sim": 0.95, "min_tokens": 4,
-                 "max_tokens": 60, "stoplist": None, "threads": 1, "seed": 0}
-TRAIN_DEFAULTS = {"epochs": 10, "lr": 1e-3, "clip": 2.0, "vocab_size": 10000,
-                  "min_count": 1, "d_emb": 64, "d_h": 64, "d_s": 64, "d_a": 64,
-                  "max_source_len": 50, "max_target_len": 50,
-                  "checkpoint_interval": 10, "seed": 0}
-GENERATE_DEFAULTS = {"beam": 4, "max_len": 50, "length_norm": 0.7,
-                     "greedy": False, "plain": False, "force_p_gen": None, "seed": 0}
-EVAL_DEFAULTS = {"smooth": False, "threads": 1, "seed": 0}
+
+def _field_defaults(config, drop=(), **renamed):
+    """Key -> default for each field of ``config`` that has one; a key is the
+    field's name unless ``renamed`` maps that name to another."""
+    return {renamed.get(f.name, f.name): f.default for f in fields(config)
+            if f.default is not MISSING and f.name not in drop}
+
+
+SEED = 0
+MINE_DEFAULTS = {**_field_defaults(MineConfig, drop=("abbreviations",)),
+                 "stoplist": None, "threads": 1, "seed": SEED}
+TRAIN_DEFAULTS = {**_field_defaults(TrainConfig), "seed": SEED}
+GENERATE_DEFAULTS = {**_field_defaults(BeamConfig, beam_width="beam"),
+                     "greedy": False, "plain": False, "force_p_gen": None, "seed": SEED}
+EVAL_DEFAULTS = {"smooth": False, "seed": SEED}
+# value type of the keys whose default is None; every other key takes its default's type
+NONE_DEFAULT_TYPES = {"stoplist": str, "force_p_gen": float}
+
+
+def _options(parser, defaults, **helps):
+    """A --flag for each key of ``helps``, typed and documented from its
+    default: a False default makes a switch, a None default means off."""
+    for key, help in helps.items():
+        default = defaults[key]
+        kind = ({"action": "store_true"} if default is False
+                else {"type": NONE_DEFAULT_TYPES.get(key, type(default))})
+        shown = "off" if default is False or default is None else default
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                            help=f"{help} (default: {shown})", **kind)
 
 
 def build_parser():
@@ -38,7 +59,7 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags given explicitly win (default: none)")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for anything stochastic (default: 0)")
+                        help=f"seed for anything stochastic (default: {SEED})")
     parser.add_argument("--verbose", action="store_true",
                         help="log progress and echo the effective config (default: off)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,20 +67,12 @@ def build_parser():
     mine = sub.add_parser("mine", help="mine aligned sentence pairs from documents")
     mine.add_argument("--docs", required=True, help="directory of JSON document files")
     mine.add_argument("--out", required=True, help="output TSV path (sidecar: <out>.jsonl)")
-    mine.add_argument("--k", type=int, default=argparse.SUPPRESS,
-                      help="neighbours per sentence (default: 3)")
-    mine.add_argument("--min-sim", dest="min_sim", type=float, default=argparse.SUPPRESS,
-                      help="similarity band lower bound (default: 0.5)")
-    mine.add_argument("--max-sim", dest="max_sim", type=float, default=argparse.SUPPRESS,
-                      help="similarity band upper bound (default: 0.95)")
-    mine.add_argument("--min-tokens", dest="min_tokens", type=int, default=argparse.SUPPRESS,
-                      help="shortest sentence kept (default: 4)")
-    mine.add_argument("--max-tokens", dest="max_tokens", type=int, default=argparse.SUPPRESS,
-                      help="longest sentence kept (default: 60)")
-    mine.add_argument("--stoplist", default=argparse.SUPPRESS,
-                      help="file of abbreviations that never end a sentence (default: built-in)")
-    mine.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                      help="parallel query workers; output is identical (default: 1)")
+    _options(mine, MINE_DEFAULTS, k="neighbours per sentence",
+             min_sim="similarity band lower bound", max_sim="similarity band upper bound",
+             min_tokens="shortest sentence kept", max_tokens="longest sentence kept",
+             stoplist="file of abbreviations that never end a sentence; off means the "
+                      "built-in list",
+             threads="parallel query workers; output is identical")
     mine.set_defaults(func=cmd_mine, defaults=MINE_DEFAULTS)
 
     tr = sub.add_parser("train", help="train a model on a pair-per-line TSV")
@@ -68,30 +81,15 @@ def build_parser():
                     help="checkpoint path (vocab: <out>.vocab, log: <out>.log)")
     tr.add_argument("--vocab", default=None,
                     help="load a fixed vocabulary file instead of building one")
-    tr.add_argument("--epochs", type=int, default=argparse.SUPPRESS,
-                    help="training epochs (default: 10)")
-    tr.add_argument("--lr", type=float, default=argparse.SUPPRESS,
-                    help="Adam learning rate (default: 0.001)")
-    tr.add_argument("--clip", type=float, default=argparse.SUPPRESS,
-                    help="global gradient-norm clip (default: 2.0)")
-    tr.add_argument("--vocab-size", dest="vocab_size", type=int, default=argparse.SUPPRESS,
-                    help="max vocabulary size including reserved ids (default: 10000)")
-    tr.add_argument("--min-count", dest="min_count", type=int, default=argparse.SUPPRESS,
-                    help="min token frequency for the vocabulary (default: 1)")
-    tr.add_argument("--d-emb", dest="d_emb", type=int, default=argparse.SUPPRESS,
-                    help="embedding width (default: 64)")
-    tr.add_argument("--d-h", dest="d_h", type=int, default=argparse.SUPPRESS,
-                    help="encoder width per direction (default: 64)")
-    tr.add_argument("--d-s", dest="d_s", type=int, default=argparse.SUPPRESS,
-                    help="decoder state width (default: 64)")
-    tr.add_argument("--d-a", dest="d_a", type=int, default=argparse.SUPPRESS,
-                    help="attention width (default: 64)")
-    tr.add_argument("--max-source-len", dest="max_source_len", type=int,
-                    default=argparse.SUPPRESS, help="source truncation length (default: 50)")
-    tr.add_argument("--max-target-len", dest="max_target_len", type=int,
-                    default=argparse.SUPPRESS, help="target truncation length (default: 50)")
-    tr.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=int,
-                    default=argparse.SUPPRESS, help="epochs between checkpoints (default: 10)")
+    _options(tr, TRAIN_DEFAULTS, epochs="training epochs", lr="Adam learning rate",
+             clip="global gradient-norm clip",
+             vocab_size="max vocabulary size including reserved ids",
+             min_count="min token frequency for the vocabulary",
+             d_emb="embedding width", d_h="encoder width per direction",
+             d_s="decoder state width", d_a="attention width",
+             max_source_len="source truncation length",
+             max_target_len="target truncation length",
+             checkpoint_interval="epochs between checkpoints")
     tr.set_defaults(func=cmd_train, defaults=TRAIN_DEFAULTS)
 
     gen = sub.add_parser("generate", help="decode paraphrases for a file of sentences")
@@ -100,31 +98,29 @@ def build_parser():
                      help="vocabulary file (default: <checkpoint>.vocab)")
     gen.add_argument("--input", required=True, help="file with one source sentence per line")
     gen.add_argument("--out", required=True, help="output TSV of rank, score, hypothesis")
-    gen.add_argument("--beam", type=int, default=argparse.SUPPRESS,
-                     help="beam width (default: 4)")
-    gen.add_argument("--greedy", action="store_true", default=argparse.SUPPRESS,
-                     help="greedy decoding, same as --beam 1 (default: off)")
-    gen.add_argument("--max-len", dest="max_len", type=int, default=argparse.SUPPRESS,
-                     help="max decode length (default: 50)")
-    gen.add_argument("--length-norm", dest="length_norm", type=float,
-                     default=argparse.SUPPRESS,
-                     help="length normalization exponent in [0,1] (default: 0.7)")
-    gen.add_argument("--plain", action="store_true", default=argparse.SUPPRESS,
-                     help="write only the best hypothesis text per line (default: off)")
-    gen.add_argument("--force-p-gen", dest="force_p_gen", type=float,
-                     default=argparse.SUPPRESS,
-                     help="override the copy gate at inference, for ablations (default: off)")
+    _options(gen, GENERATE_DEFAULTS, beam="beam width",
+             greedy="greedy decoding, same as --beam 1", max_len="max decode length",
+             length_norm="length normalization exponent in [0,1]",
+             plain="write only the best hypothesis text per line",
+             force_p_gen="override the copy gate at inference, for ablations")
     gen.set_defaults(func=cmd_generate, defaults=GENERATE_DEFAULTS)
 
     ev = sub.add_parser("eval", help="BLEU of a hypothesis file against a reference file")
     ev.add_argument("--hyp", required=True, help="hypothesis sentences, one per line")
     ev.add_argument("--ref", required=True, help="reference sentences, one per line")
-    ev.add_argument("--smooth", action="store_true", default=argparse.SUPPRESS,
-                    help="add-one smoothing of n-gram precisions (default: off)")
-    ev.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                    help="accepted for symmetry; evaluation is one cheap pass (default: 1)")
+    _options(ev, EVAL_DEFAULTS, smooth="add-one smoothing of n-gram precisions")
     ev.set_defaults(func=cmd_eval, defaults=EVAL_DEFAULTS)
     return parser
+
+
+def _check_type(path, key, value, default):
+    """Reject a config-file value of the wrong type; an int may stand for a float."""
+    if value is None and default is None:
+        return
+    want = NONE_DEFAULT_TYPES.get(key, type(default))
+    allowed = (int, float) if want is float else want
+    if not isinstance(value, allowed) or (isinstance(value, bool) and want is not bool):
+        raise ValidationError(f"{path}: {key} must be {want.__name__}, got {json.dumps(value)}")
 
 
 def _effective(args):
@@ -136,8 +132,12 @@ def _effective(args):
         if not isinstance(raw, dict):
             raise ValidationError(f"{args.config}: config root must be a JSON object")
         section = raw.get(args.command, raw)
-        merged.update({k: v for k, v in section.items()
-                       if k in merged and not isinstance(v, dict)})
+        if not isinstance(section, dict):
+            raise ValidationError(f"{args.config}: {args.command} must be a JSON object")
+        for key, value in section.items():
+            if key in merged and not isinstance(value, dict):
+                _check_type(args.config, key, value, args.defaults[key])
+                merged[key] = value
     merged.update({k: v for k, v in vars(args).items() if k in merged})
     if args.verbose:
         print("config: " + json.dumps({"command": args.command, **merged}, sort_keys=True),
@@ -145,13 +145,17 @@ def _effective(args):
     return merged
 
 
+def _build(config, values, **given):
+    """``config`` from the effective values of its fields, plus ``given``."""
+    return config(**{f.name: values[f.name] for f in fields(config) if f.name not in given},
+                  **given)
+
+
 def cmd_mine(args):
     cfg_map = _effective(args)
     abbrev = (load_abbreviations(cfg_map["stoplist"]) if cfg_map["stoplist"]
               else DEFAULT_ABBREVIATIONS)
-    cfg = MineConfig(k=cfg_map["k"], min_sim=cfg_map["min_sim"], max_sim=cfg_map["max_sim"],
-                     min_tokens=cfg_map["min_tokens"], max_tokens=cfg_map["max_tokens"],
-                     abbreviations=abbrev)
+    cfg = _build(MineConfig, cfg_map, abbreviations=abbrev)
     docs = load_documents(args.docs)
     pairs = align(docs, cfg, threads=cfg_map["threads"])
     write_pairs(pairs, args.out, args.out + ".jsonl")
@@ -160,19 +164,9 @@ def cmd_mine(args):
 
 
 def cmd_train(args):
-    cfg_map = _effective(args)
-    cfg = TrainConfig(seed=cfg_map["seed"], epochs=cfg_map["epochs"], lr=cfg_map["lr"],
-                      clip=cfg_map["clip"], max_source_len=cfg_map["max_source_len"],
-                      max_target_len=cfg_map["max_target_len"],
-                      vocab_size=cfg_map["vocab_size"], min_count=cfg_map["min_count"],
-                      d_emb=cfg_map["d_emb"], d_h=cfg_map["d_h"], d_s=cfg_map["d_s"],
-                      d_a=cfg_map["d_a"], checkpoint_interval=cfg_map["checkpoint_interval"])
+    cfg = _build(TrainConfig, _effective(args))
     pairs = load_pairs_tsv(args.data)
-    vocab = Vocabulary.load(args.vocab) if args.vocab else None
-    if vocab is None:
-        from .vocab import build_vocab
-        corpus = [tokenize(x) for x, _ in pairs] + [tokenize(y) for _, y in pairs]
-        vocab = build_vocab(corpus, max_size=cfg.vocab_size, min_count=cfg.min_count)
+    vocab = Vocabulary.load(args.vocab) if args.vocab else pairs_vocab(pairs, cfg)
     vocab.save(args.out + ".vocab")
     _, report = train(pairs, cfg, vocab=vocab,
                       checkpoint_path=args.out, log_path=args.out + ".log")
@@ -186,8 +180,7 @@ def cmd_generate(args):
     vocab = Vocabulary.load(vocab_path)
     params, _ = load_checkpoint(args.checkpoint, expected_vocab=vocab)
     width = 1 if cfg_map["greedy"] else cfg_map["beam"]
-    cfg = BeamConfig(beam_width=width, max_len=cfg_map["max_len"],
-                     length_norm=cfg_map["length_norm"])
+    cfg = _build(BeamConfig, cfg_map, beam_width=width)
     with open(args.input, encoding="utf-8") as fh:
         sources = [line for line in fh.read().splitlines() if line.strip()]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -211,8 +204,7 @@ def cmd_eval(args):
     with open(args.ref, encoding="utf-8") as fh:
         refs = [tokenize(line) for line in fh.read().splitlines()]
     report = bleu(hyps, refs, smooth=cfg_map["smooth"])
-    hits = sum(1 for h, r in zip(hyps, refs)
-               for i, g in enumerate(r) if i < len(h) and h[i] == g)
+    hits = sum(token_hits(h, r) for h, r in zip(hyps, refs))
     total = sum(len(r) for r in refs)
     out = report.as_dict()
     out["token_accuracy"] = hits / max(total, 1)

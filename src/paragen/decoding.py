@@ -1,7 +1,8 @@
-"""Greedy and beam-search generation over the extended vocabulary.
+"""Beam-search generation over the extended vocabulary.
 
-Copied OOV words are rendered back to their original source surface forms.
-All ties break toward the lowest id so decoding is deterministic.
+Greedy decoding is beam search of width 1. Copied OOV words are rendered
+back to their original source surface forms. All ties break toward the
+lowest id so decoding is deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -10,8 +11,8 @@ import numpy as np
 
 from .autograd import LOG_FLOOR
 from .errors import ValidationError
-from .pointer import full_step
-from .vocab import BOS, EOS, PAD, encode_source, tokenize
+from .pointer import full_step, prepare_source
+from .vocab import BOS, EOS, PAD, tokenize
 
 
 @dataclass
@@ -54,29 +55,10 @@ def render(ids, ev):
     return out
 
 
-def _prepare(source, params, vocab):
-    tokens = tokenize(source)
-    if not tokens:
-        raise ValidationError("decode: empty source")
-    src_ids, ev = encode_source(tokens, vocab)
-    states = params.encode_source_ids(src_ids)
-    state = params.initial_decoder_state(states)
-    return ev, states, state
-
-
-def greedy_decode(source, params, vocab, max_len=50, force_p_gen=None):
+def greedy_decode(source, params, vocab, max_len=BeamConfig.max_len, force_p_gen=None):
     """Argmax decoding; stops at EOS or max_len. Returns surface tokens."""
-    ev, states, state = _prepare(source, params, vocab)
-    out = []
-    prev = BOS
-    for _ in range(max_len):
-        dist, state = full_step(prev, ev, states, state, params, force_p_gen=force_p_gen)
-        nxt = int(np.argmax(dist.p.data))
-        out.append(nxt)
-        if nxt == EOS:
-            break
-        prev = nxt
-    return render(out, ev)
+    cfg = BeamConfig(beam_width=1, max_len=max_len)
+    return beam_decode(source, params, vocab, cfg, force_p_gen=force_p_gen)[0].surface
 
 
 def beam_decode(source, params, vocab, cfg, force_p_gen=None):
@@ -84,10 +66,9 @@ def beam_decode(source, params, vocab, cfg, force_p_gen=None):
 
     Finished hypotheses (ending in EOS) retire to a pool; search stops once
     the pool holds beam_width hypotheses or max_len is reached, at which
-    point live hypotheses join the pool unfinished. Width 1 reproduces
-    greedy decoding token for token.
+    point live hypotheses join the pool unfinished. Width 1 is greedy decoding.
     """
-    ev, states, state = _prepare(source, params, vocab)
+    ev, states, state = prepare_source(tokenize(source), params, vocab)
     B = cfg.beam_width
     live = [Hypothesis(ids=(), log_prob=0.0, state=state, finished=False)]
     pool = []
@@ -129,7 +110,7 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     The decoder consumes the sequence's own tokens as previous words, exactly
     as beam search did when it produced them.
     """
-    ev, states, state = _prepare(source, params, vocab)
+    ev, states, state = prepare_source(tokenize(source), params, vocab)
     total = 0.0
     prev = BOS
     for idx in ids:

@@ -69,11 +69,15 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
     return BleuReport(score, precisions, bp, hyp_len, ref_len)
 
 
+def token_hits(hyp_ids, gold_ids):
+    """Number of gold positions the hypothesis matches position by position."""
+    return sum(1 for i, g in enumerate(gold_ids) if i < len(hyp_ids) and hyp_ids[i] == g)
+
+
 def token_accuracy(hyp_ids, gold_ids):
     """Fraction of gold positions the hypothesis matches; padding misses.
 
     The hypothesis is compared position by position against the gold
     sequence; extra hypothesis tokens are ignored, missing ones count wrong.
     """
-    hits = sum(1 for i, g in enumerate(gold_ids) if i < len(hyp_ids) and hyp_ids[i] == g)
-    return hits / max(len(gold_ids), 1)
+    return token_hits(hyp_ids, gold_ids) / max(len(gold_ids), 1)

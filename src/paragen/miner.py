@@ -93,7 +93,8 @@ def load_abbreviations(path):
         return frozenset(line.strip().lower() for line in fh if line.strip())
 
 
-def segment(doc, min_tokens=4, max_tokens=60, abbreviations=DEFAULT_ABBREVIATIONS):
+def segment(doc, min_tokens=MineConfig.min_tokens, max_tokens=MineConfig.max_tokens,
+            abbreviations=DEFAULT_ABBREVIATIONS):
     """Split a document body into sentences.
 
     A sentence ends at . ! or ? followed by whitespace and an uppercase

@@ -58,11 +58,6 @@ class EncoderStates:
         self.n = n
 
 
-def lstm_cell_step(cell, x, state):
-    """Single cell update; thin name for the fused op, kept for composition."""
-    return lstm_step(cell, x, state)
-
-
 def encode(embeddings, fwd, bwd):
     """Run both encoder directions over a source embedding matrix (N x d_emb).
 
@@ -155,6 +150,14 @@ class ModelDims:
     d_h: int = 64
     d_s: int = 64
     d_a: int = 64
+
+    def parameter_count(self):
+        """Float64 values in ModelParams(self), known without building it."""
+        v, e, h, s, a = self.vocab_size, self.d_emb, self.d_h, self.d_s, self.d_a
+        lstm = lambda d_in, d_out: 4 * d_out * (d_in + d_out + 1)  # noqa: E731
+        # embedding, encoders, decoder, attention, projection, copy gate, bridges
+        return (v * e + 2 * lstm(e, h) + lstm(e + 2 * h, s) + a * (2 * h + s + 2)
+                + v * (s + 2 * h + 1) + e + s + 2 * h + 1 + 4 * s * h)
 
 
 class ModelParams:

@@ -15,6 +15,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ValidationError
 from .model import attend, decoder_step, project_vocab
+from .vocab import encode_source
 
 
 class GateParams:
@@ -73,6 +74,14 @@ class StepDistribution:
     p_copy: Tensor
     p_gen: Tensor
     p: Tensor
+
+
+def prepare_source(tokens, params, vocab):
+    """Everything a decoder needs before its first step for source ``tokens``:
+    returns (ExtendedVocab, EncoderStates, initial DecoderState)."""
+    src_ids, ev = encode_source(tokens, vocab)
+    states = params.encode_source_ids(src_ids)
+    return ev, states, params.initial_decoder_state(states)
 
 
 def full_step(prev_id, ev, states, state, params, force_p_gen=None):

@@ -17,8 +17,8 @@ from . import autograd as ag
 from .autograd import Tensor, backward
 from .errors import NumericalError, ValidationError
 from .model import ModelDims, ModelParams
-from .pointer import full_step
-from .vocab import BOS, EOS, build_vocab, encode_source, encode_target, tokenize
+from .pointer import full_step, prepare_source
+from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +56,10 @@ class TrainConfig:
     max_target_len: int = 50
     vocab_size: int = 10000
     min_count: int = 1
-    d_emb: int = 64
-    d_h: int = 64
-    d_s: int = 64
-    d_a: int = 64
+    d_emb: int = ModelDims.d_emb
+    d_h: int = ModelDims.d_h
+    d_s: int = ModelDims.d_s
+    d_a: int = ModelDims.d_a
     checkpoint_interval: int = 10
 
     def __post_init__(self):
@@ -121,10 +121,8 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
         log.warning("target truncated from %d to %d tokens", len(tgt), max_target_len)
         tgt = tgt[:max_target_len]
 
-    src_ids, ev = encode_source(src, vocab)
+    ev, states, state = prepare_source(src, params, vocab)
     gold = encode_target(tgt, ev) + [EOS]
-    states = params.encode_source_ids(src_ids)
-    state = params.initial_decoder_state(states)
 
     prev = BOS
     total = None
@@ -140,7 +138,8 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
     return loss, correct, len(gold)
 
 
-def sequence_loss(pair, params, vocab, max_source_len=50, max_target_len=50):
+def sequence_loss(pair, params, vocab, max_source_len=TrainConfig.max_source_len,
+                  max_target_len=TrainConfig.max_target_len):
     """Teacher-forced mean negative log-likelihood of one sentence pair."""
     loss, _, _ = _teacher_forced(pair, params, vocab, max_source_len, max_target_len)
     return loss
@@ -168,7 +167,7 @@ def clip_gradients(named_params, clip):
 class Adam:
     """Adam with bias correction; one slot pair per parameter tensor."""
 
-    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(named_params)
         self.lr = lr
         self.beta1 = beta1
@@ -194,18 +193,25 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def pairs_vocab(pairs, cfg):
+    """Vocabulary over both sides of text pairs, under cfg.vocab_size and cfg.min_count."""
+    corpus = [tokenize(x) for x, _ in pairs] + [tokenize(y) for _, y in pairs]
+    return build_vocab(corpus, max_size=cfg.vocab_size, min_count=cfg.min_count)
+
+
 def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     """Train a fresh model on (source, target) text pairs.
 
     Returns (ModelParams, TrainReport). When ``vocab`` is None one is built
-    from both sides of the dataset under cfg.vocab_size / cfg.min_count.
+    by ``pairs_vocab``. A run rewrites ``log_path``, one JSON line per epoch.
     """
     if not dataset:
         raise ValidationError("train: empty dataset")
     pairs = [_pair_texts(p) for p in dataset]
     if vocab is None:
-        corpus = [tokenize(x) for x, _ in pairs] + [tokenize(y) for _, y in pairs]
-        vocab = build_vocab(corpus, max_size=cfg.vocab_size, min_count=cfg.min_count)
+        vocab = pairs_vocab(pairs, cfg)
+    if log_path is not None:
+        open(log_path, "w", encoding="utf-8").close()
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
     opt = Adam(params.named_parameters(), lr=cfg.lr)
@@ -315,16 +321,16 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     if len(payload) != payload_len:
         raise CorruptCheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares {payload_len}")
+    # checked before ModelParams allocates what a corrupt width may make enormous
+    if 8 * dims.parameter_count() != payload_len:
+        raise CorruptCheckpointError(
+            f"{path}: widths {dims} need {8 * dims.parameter_count()} payload bytes, "
+            f"header declares {payload_len}")
 
     params = ModelParams(dims, seed=0)
     offset = 0
-    for name, p in params.named_parameters():
-        n = p.data.size
-        end = offset + 8 * n
-        if end > len(payload):
-            raise CorruptCheckpointError(f"{path}: truncated while reading {name}")
+    for _, p in params.named_parameters():
+        end = offset + 8 * p.data.size
         p.data[...] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(p.data.shape)
         offset = end
-    if offset != len(payload):
-        raise CorruptCheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
     return params, fingerprint

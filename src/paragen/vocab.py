@@ -87,7 +87,7 @@ class Vocabulary:
         return h.digest()
 
 
-def build_vocab(corpus, max_size=10000, min_count=1):
+def build_vocab(corpus, max_size, min_count=1):
     """Keep the most frequent tokens, ties broken lexicographically.
 
     corpus: iterable of token lists. max_size counts the reserved ids too.

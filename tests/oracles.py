@@ -154,19 +154,26 @@ def straight_line_step(w, H, source_ids, ext_size, prev_emb, s_h, s_c):
             "p_vocab": p_vocab, "p_copy": p_copy, "p_gen": p_gen, "p": p_final}
 
 
-def straight_line_sequence_nll(params, vocab, src_tokens, tgt_tokens):
-    """Full teacher-forced mean NLL transcription, encoder included."""
-    from paragen.vocab import BOS, EOS, UNK, encode_source, encode_target
+def _straight_line_start(params, vocab, src_tokens):
+    """Weights, extended source ids and vocabulary, encoder states H and the
+    bridged initial decoder state."""
+    from paragen.vocab import UNK, encode_source
 
     w = model_arrays(params)
-    d_h = params.dims.d_h
     src_ids, ev = encode_source(src_tokens, vocab)
-    gold = encode_target(tgt_tokens, ev) + [EOS]
     emb_ids = [i if i < vocab.size else UNK for i in src_ids]
-    H, h_final = straight_line_encode(w, emb_ids, d_h)
+    H, h_final = straight_line_encode(w, emb_ids, params.dims.d_h)
     s_h = np.tanh(w["bridge_hidden"] @ h_final)
     s_c = np.tanh(w["bridge_cell"] @ h_final)
+    return w, src_ids, ev, H, s_h, s_c
 
+
+def straight_line_sequence_nll(params, vocab, src_tokens, tgt_tokens):
+    """Full teacher-forced mean NLL transcription, encoder included."""
+    from paragen.vocab import BOS, EOS, UNK, encode_target
+
+    w, src_ids, ev, H, s_h, s_c = _straight_line_start(params, vocab, src_tokens)
+    gold = encode_target(tgt_tokens, ev) + [EOS]
     prev = BOS
     total = 0.0
     for gold_id in gold:
@@ -176,6 +183,26 @@ def straight_line_sequence_nll(params, vocab, src_tokens, tgt_tokens):
         s_h, s_c = out["h"], out["c"]
         prev = gold_id
     return total / len(gold)
+
+
+def straight_line_greedy(params, vocab, src_tokens, max_len):
+    """Argmax decoding transcription: feed back the most probable extended id
+    (lowest id on ties) until EOS or max_len steps; returns the surface tokens
+    with the reserved ids dropped."""
+    from paragen.vocab import BOS, EOS, PAD, UNK
+
+    w, src_ids, ev, H, s_h, s_c = _straight_line_start(params, vocab, src_tokens)
+    out = []
+    prev = BOS
+    for _ in range(max_len):
+        prev_emb = w["embedding"][prev if prev < vocab.size else UNK]
+        step = straight_line_step(w, H, src_ids, ev.size, prev_emb, s_h, s_c)
+        prev = int(np.argmax(step["p"]))
+        if prev == EOS:
+            break
+        out.append(prev)
+        s_h, s_c = step["h"], step["c"]
+    return [ev.token(i) for i in out if i not in (PAD, BOS)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from paragen.vocab import BOS, EOS, Vocabulary, encode_source, tokenize
 from conftest import (copy_task_corpus, copy_task_vocab, planted_paraphrase_docs,
                       random_sentence_docs, tiny_model, write_doc_fixture)
 from oracles import brute_force_neighbours, enumerate_best_sequence, model_arrays, \
-    straight_line_step
+    straight_line_greedy, straight_line_step
 from test_miner import planted_recall
 
 
@@ -197,9 +197,10 @@ def test_c6_beam_sanity():
         if rng.uniform() < 0.5:
             tokens[int(rng.integers(0, n))] = f"oov{trial}"
         source = " ".join(tokens)
-        greedy = greedy_decode(source, params, vocab, max_len=8)
+        argmax = straight_line_greedy(params, vocab, tokenize(source), max_len=8)
         top = beam_decode(source, params, vocab, BeamConfig(beam_width=1, max_len=8))[0]
-        assert top.surface == greedy
+        assert top.surface == argmax
+        assert greedy_decode(source, params, vocab, max_len=8) == argmax
 
     # exhaustive enumeration on a 2-step toy: V_fixed 6 + 2 OOVs = 8 ids
     matched = 0

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
 from paragen.cli import main
+from paragen.decoding import BeamConfig
+from paragen.miner import MineConfig
+from paragen.training import TrainConfig
 
 from conftest import copy_task_corpus, three_source_docs, write_doc_fixture
 
@@ -154,6 +159,10 @@ def test_train_rejects_threads_flag(tmp_path):
     assert run_cli("train", "--data", "x", "--out", "y", "--threads", "2") == 2
 
 
+def test_eval_rejects_threads_flag(tmp_path):
+    assert run_cli("eval", "--hyp", "x", "--ref", "y", "--threads", "2") == 2
+
+
 def test_mine_accepts_threads_flag(tmp_path, three_source_docs):
     doc_dir = write_doc_fixture(tmp_path, three_source_docs)
     out = tmp_path / "pairs.tsv"
@@ -186,6 +195,66 @@ def test_config_file_and_flag_override(tmp_path, three_source_docs, capsys):
     echoed = capsys.readouterr().err
     assert code == 0
     assert '"k": 5' in echoed
+
+
+# (subcommand, arguments it requires, config dataclass, field -> flag and config key)
+CONFIG_BACKED = [
+    ("mine", ["--docs", "d", "--out", "o"], MineConfig, {}),
+    ("train", ["--data", "d", "--out", "o"], TrainConfig, {}),
+    ("generate", ["--checkpoint", "c", "--input", "i", "--out", "o"], BeamConfig,
+     {"beam_width": "beam"}),
+]
+CONFIG_FLAGS = [(cmd, required, f, renamed.get(f.name, f.name))
+                for cmd, required, config, renamed in CONFIG_BACKED
+                for f in dataclasses.fields(config)
+                if f.default is not dataclasses.MISSING and f.name != "abbreviations"]
+
+
+@pytest.mark.parametrize("cmd,required,field,key", CONFIG_FLAGS,
+                         ids=[f"{c[0]}-{c[3]}" for c in CONFIG_FLAGS])
+def test_flag_defaults_come_from_config_dataclass(cmd, required, field, key, tmp_path,
+                                                  capsys):
+    assert type(field.default) is field.type  # the CLI types a key by its default
+    assert run_cli(cmd, "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    flag = "--" + key.replace("_", "-")
+    entry = re.search(rf"{flag} {key.upper()} [^()]*\(default: ([^)]*)\)", help_text)
+    assert entry and entry.group(1) == str(field.default), help_text
+
+    # the echo comes before any input is read, so the missing files only end the run
+    run_cli("--verbose", cmd, *[str(tmp_path / a) if not a.startswith("--") else a
+                                for a in required])
+    echoed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("config: ")]
+    assert json.loads(echoed[0][len("config: "):])[key] == field.default
+
+
+@pytest.mark.parametrize("section,expected", [
+    ({"mine": {"k": "3"}}, "k"),
+    ({"mine": {"min_sim": True}}, "min_sim"),
+    ({"mine": {"threads": 1.5}}, "threads"),
+    ({"mine": {"stoplist": 7}}, "stoplist"),
+    ({"train": {"epochs": "2"}}, "epochs"),
+    ({"train": {"d_h": True}}, "d_h"),
+    ({"generate": {"greedy": "yes"}}, "greedy"),
+    ({"mine": 5}, "mine"),
+])
+def test_config_file_value_of_wrong_type_exit_2(section, expected, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section), encoding="utf-8")
+    cmd = next(iter(section))
+    required = {c: r for c, r, _, _ in CONFIG_BACKED}[cmd]
+    assert run_cli("--config", str(cfg), cmd, *required) == 2
+    assert f"{expected} must be" in capsys.readouterr().err
+
+
+def test_config_file_int_accepted_for_float(tmp_path, three_source_docs, capsys):
+    doc_dir = write_doc_fixture(tmp_path, three_source_docs)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mine": {"max_sim": 1, "min_sim": 0}}), encoding="utf-8")
+    assert run_cli("--config", str(cfg), "--verbose", "mine", "--docs", str(doc_dir),
+                   "--out", str(tmp_path / "p.tsv")) == 0
+    assert '"max_sim": 1,' in capsys.readouterr().err
 
 
 def test_generate_missing_checkpoint_exit_2(tmp_path):

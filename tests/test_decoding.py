@@ -8,9 +8,10 @@ from paragen.decoding import (BeamConfig, Hypothesis, beam_decode, greedy_decode
 from paragen.errors import ValidationError
 from paragen.pointer import StepDistribution
 from paragen.training import TrainConfig, train
-from paragen.vocab import BOS, EOS, PAD, UNK, encode_source
+from paragen.vocab import BOS, EOS, PAD, UNK, encode_source, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model
+from oracles import straight_line_greedy
 
 
 def test_render_mixed_ids():
@@ -110,10 +111,11 @@ def test_beam_width_one_equals_greedy():
         if rng.uniform() < 0.5:
             tokens[int(rng.integers(0, n))] = f"oov{trial}"
         source = " ".join(tokens)
-        greedy = greedy_decode(source, params, vocab, max_len=8)
+        argmax = straight_line_greedy(params, vocab, tokenize(source), max_len=8)
         beam = beam_decode(source, params, vocab,
                            BeamConfig(beam_width=1, max_len=8))
-        assert beam[0].surface == greedy, f"trial {trial}: {beam[0].surface} != {greedy}"
+        assert beam[0].surface == argmax, f"trial {trial}: {beam[0].surface} != {argmax}"
+        assert greedy_decode(source, params, vocab, max_len=8) == argmax
 
 
 def test_beam_scores_replayable():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import paragen.autograd as ag
-from paragen.autograd import Tensor
+from paragen.autograd import Tensor, lstm_step
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.model import (AttentionParams, DecoderState, LSTMCellParams,
                            ProjectionParams, attend, decoder_step, encode,
-                           lstm_cell_step, project_vocab)
+                           project_vocab)
 
 from conftest import tiny_model
 from oracles import cell_arrays, lstm_step_scalar, softmax_highprec
@@ -23,7 +23,7 @@ def _zero_cell(d_in, d_h):
 
 def test_lstm_zero_everything():
     cell = _zero_cell(3, 4)
-    h, c = lstm_cell_step(cell, Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
+    h, c = lstm_step(cell, Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
     assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
 
@@ -32,7 +32,7 @@ def test_lstm_saturated_forget_preserves_cell():
     cell.b_f.data[...] = 40.0   # forget gate pinned at 1
     cell.b_i.data[...] = -40.0  # input gate pinned at 0
     c0 = np.array([0.3, -1.2, 0.7, 2.0])
-    h, c = lstm_cell_step(cell, Tensor(np.ones(3)), (Tensor(np.zeros(4)), Tensor(c0)))
+    h, c = lstm_step(cell, Tensor(np.ones(3)), (Tensor(np.zeros(4)), Tensor(c0)))
     np.testing.assert_array_equal(c.data, c0)
 
 
@@ -42,7 +42,7 @@ def test_lstm_matches_scalar_loop_oracle():
     x = rng.normal(size=3)
     h0 = rng.normal(size=5)
     c0 = rng.normal(size=5)
-    h, c = lstm_cell_step(cell, Tensor(x), (Tensor(h0), Tensor(c0)))
+    h, c = lstm_step(cell, Tensor(x), (Tensor(h0), Tensor(c0)))
     oh, oc = lstm_step_scalar(cell_arrays(cell), list(x), list(h0), list(c0))
     np.testing.assert_allclose(h.data, oh, atol=1e-12, rtol=0)
     np.testing.assert_allclose(c.data, oc, atol=1e-12, rtol=0)
@@ -51,7 +51,7 @@ def test_lstm_matches_scalar_loop_oracle():
 def test_lstm_shape_validation():
     cell = LSTMCellParams(3, 4, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        lstm_cell_step(cell, Tensor(np.zeros(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
+        lstm_step(cell, Tensor(np.zeros(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
 
 
 def test_encode_single_token():
@@ -87,13 +87,13 @@ def test_encode_matches_unrolled_cells():
     c = Tensor(np.zeros(3))
     fwd_states = []
     for i in range(3):
-        h, c = lstm_cell_step(fwd, Tensor(emb[i]), (h, c))
+        h, c = lstm_step(fwd, Tensor(emb[i]), (h, c))
         fwd_states.append(h.data)
     h = Tensor(np.zeros(3))
     c = Tensor(np.zeros(3))
     bwd_states = {}
     for i in (2, 1, 0):
-        h, c = lstm_cell_step(bwd, Tensor(emb[i]), (h, c))
+        h, c = lstm_step(bwd, Tensor(emb[i]), (h, c))
         bwd_states[i] = h.data
     for i in range(3):
         np.testing.assert_array_equal(states.H.data[i, :3], fwd_states[i])
@@ -180,7 +180,7 @@ def test_decoder_step_is_cell_on_concat():
     ctx = Tensor(rng.normal(size=4))
     state = DecoderState(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)))
     out = decoder_step(w, ctx, state, cell)
-    h2, c2 = lstm_cell_step(cell, ag.concat(w, ctx), (state.hidden, state.cell))
+    h2, c2 = lstm_step(cell, ag.concat(w, ctx), (state.hidden, state.cell))
     np.testing.assert_array_equal(out.hidden.data, h2.data)
     np.testing.assert_array_equal(out.cell.data, c2.data)
 

@@ -159,6 +159,35 @@ def test_checkpoint_truncated_is_corrupt(tmp_path):
         load_checkpoint(path)
 
 
+def test_parameter_count_matches_model():
+    for dims in [ModelDims(vocab_size=9, d_emb=2, d_h=3, d_s=5, d_a=7),
+                 ModelDims(vocab_size=60, d_emb=8, d_h=4, d_s=8, d_a=1)]:
+        params = ModelParams(dims, seed=0)
+        assert dims.parameter_count() == sum(p.data.size for _, p in params.named_parameters())
+
+
+@pytest.mark.parametrize("field", range(5))
+def test_checkpoint_corrupt_width_rejected_before_allocation(field, tmp_path, monkeypatch):
+    params, vocab = tiny_model(seed=9)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    blob = path.read_bytes()
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("ModelParams built from a corrupt header")
+
+    monkeypatch.setattr("paragen.training.ModelParams", spy)
+    for byte in range(4):
+        corrupt = bytearray(blob)
+        corrupt[6 + 4 * field + byte] ^= 0xFF
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+    assert built == []
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -224,6 +253,7 @@ def test_train_writes_log_and_interval_checkpoints(tmp_path):
                       checkpoint_interval=2)
     ckpt = tmp_path / "m.ckpt"
     log = tmp_path / "m.log"
+    log.write_text("a line from an earlier run\n", encoding="utf-8")
     train(pairs, cfg, vocab=copy_task_vocab(), checkpoint_path=ckpt, log_path=log)
     assert ckpt.exists()
     lines = log.read_text().splitlines()
