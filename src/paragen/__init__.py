@@ -13,15 +13,13 @@ from .gradcheck import grad_check
 from .metrics import BleuReport, bleu, token_accuracy
 from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceRecord,
                     align, build_index, ingest, query_similar, segment)
-from .model import (AttentionParams, DecoderState, EncoderStates, LSTMCellParams,
-                    ModelDims, ModelParams, ProjectionParams, attend, decoder_step,
-                    encode, project_vocab)
-from .pointer import (GateParams, StepDistribution, copy_distribution, full_step,
-                      generation_gate, mix)
+from .model import (DecoderState, EncoderStates, ModelDims, ModelParams, ParamGroup,
+                    attend, decoder_step, encode, parameter_layout, project_vocab)
+from .pointer import StepDistribution, copy_distribution, full_step, generation_gate, mix
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,
                        load_pairs_tsv, save_checkpoint, save_pairs_tsv, sequence_loss,
                        train)
-from .vocab import (BOS, EOS, PAD, UNK, EmbeddingTable, ExtendedVocab, Vocabulary,
-                    build_vocab, decode_ids, encode_source, encode_target, tokenize)
+from .vocab import (BOS, EOS, PAD, UNK, ExtendedVocab, Vocabulary, build_vocab, decode_ids,
+                    encode_source, encode_target, tokenize)
 
 __version__ = "0.1.0"

@@ -391,10 +391,11 @@ def lstm_step(cell, x, state):
     h_prev, c_prev = state
     if x.data.ndim != 1 or h_prev.data.ndim != 1:
         raise DimensionError("lstm_step: inputs must be vectors")
-    if x.data.shape[0] != cell.d_in or h_prev.data.shape[0] != cell.d_h:
+    d_h, d_z = cell.w_i.data.shape
+    if x.data.shape[0] + d_h != d_z or h_prev.data.shape[0] != d_h:
         raise DimensionError(
             f"lstm_step: input {x.data.shape}/state {h_prev.data.shape} do not match "
-            f"cell widths (d_in={cell.d_in}, d_h={cell.d_h})")
+            f"cell widths (d_in={d_z - d_h}, d_h={d_h})")
     z = concat(x, h_prev)
     zd, cd = z.data, c_prev.data
 

@@ -35,6 +35,8 @@ TRAIN_DEFAULTS = {**_field_defaults(TrainConfig), "seed": SEED}
 GENERATE_DEFAULTS = {**_field_defaults(BeamConfig, beam_width="beam"),
                      "greedy": False, "plain": False, "force_p_gen": None, "seed": SEED}
 EVAL_DEFAULTS = {"smooth": False, "seed": SEED}
+COMMAND_DEFAULTS = {"mine": MINE_DEFAULTS, "train": TRAIN_DEFAULTS,
+                    "generate": GENERATE_DEFAULTS, "eval": EVAL_DEFAULTS}
 # value type of the keys whose default is None; every other key takes its default's type
 NONE_DEFAULT_TYPES = {"stoplist": str, "force_p_gen": float}
 
@@ -73,7 +75,7 @@ def build_parser():
              stoplist="file of abbreviations that never end a sentence; off means the "
                       "built-in list",
              threads="parallel query workers; output is identical")
-    mine.set_defaults(func=cmd_mine, defaults=MINE_DEFAULTS)
+    mine.set_defaults(func=cmd_mine)
 
     tr = sub.add_parser("train", help="train a model on a pair-per-line TSV")
     tr.add_argument("--data", required=True, help="training TSV (source TAB target)")
@@ -90,7 +92,7 @@ def build_parser():
              max_source_len="source truncation length",
              max_target_len="target truncation length",
              checkpoint_interval="epochs between checkpoints")
-    tr.set_defaults(func=cmd_train, defaults=TRAIN_DEFAULTS)
+    tr.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("generate", help="decode paraphrases for a file of sentences")
     gen.add_argument("--checkpoint", required=True, help="trained checkpoint path")
@@ -103,13 +105,13 @@ def build_parser():
              length_norm="length normalization exponent in [0,1]",
              plain="write only the best hypothesis text per line",
              force_p_gen="override the copy gate at inference, for ablations")
-    gen.set_defaults(func=cmd_generate, defaults=GENERATE_DEFAULTS)
+    gen.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("eval", help="BLEU of a hypothesis file against a reference file")
     ev.add_argument("--hyp", required=True, help="hypothesis sentences, one per line")
     ev.add_argument("--ref", required=True, help="reference sentences, one per line")
     _options(ev, EVAL_DEFAULTS, smooth="add-one smoothing of n-gram precisions")
-    ev.set_defaults(func=cmd_eval, defaults=EVAL_DEFAULTS)
+    ev.set_defaults(func=cmd_eval)
     return parser
 
 
@@ -125,19 +127,25 @@ def _check_type(path, key, value, default):
 
 def _effective(args):
     """defaults < config file section < explicitly passed flags."""
-    merged = dict(args.defaults)
+    defaults = COMMAND_DEFAULTS[args.command]
+    merged = dict(defaults)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValidationError(f"{args.config}: config root must be a JSON object")
-        section = raw.get(args.command, raw)
+        flat = args.command not in raw
+        section = raw if flat else raw[args.command]
         if not isinstance(section, dict):
             raise ValidationError(f"{args.config}: {args.command} must be a JSON object")
+        # a flat root may also hold other commands' sections and keys
+        shared = set(COMMAND_DEFAULTS).union(*COMMAND_DEFAULTS.values()) if flat else ()
         for key, value in section.items():
-            if key in merged and not isinstance(value, dict):
-                _check_type(args.config, key, value, args.defaults[key])
+            if key in merged:
+                _check_type(args.config, key, value, defaults[key])
                 merged[key] = value
+            elif key not in shared:
+                raise ValidationError(f"{args.config}: unknown {args.command} key {key!r}")
     merged.update({k: v for k, v in vars(args).items() if k in merged})
     if args.verbose:
         print("config: " + json.dumps({"command": args.command, **merged}, sort_keys=True),

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .fileio import atomic_write
 from .vocab import tokenize
 
 log = logging.getLogger(__name__)
@@ -280,11 +281,11 @@ def align(docs, cfg=MineConfig(), threads=1):
 
 def write_pairs(pairs, tsv_path, sidecar_path=None):
     """Write the training TSV and a JSON-lines sidecar with provenance."""
-    with open(tsv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(tsv_path) as fh:
         for p in pairs:
             fh.write(f"{p.x}\t{p.y}\n")
     if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(sidecar_path) as fh:
             for p in pairs:
                 rec = {"similarity": p.similarity}
                 rec.update(p.provenance())

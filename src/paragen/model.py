@@ -5,36 +5,15 @@ direction (so encoder states are 2*d_h wide), d_s decoder state size, d_a
 attention size.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, lstm_step
-from .errors import DimensionError, ValidationError
-from .vocab import EmbeddingTable
-
-
-class LSTMCellParams:
-    """Gate weights for one LSTM cell; forget-gate bias starts at 1.0."""
-
-    GATES = ("i", "f", "g", "o")
-
-    def __init__(self, d_in, d_h, rng):
-        self.d_in = d_in
-        self.d_h = d_h
-        for gate in self.GATES:
-            w = Tensor(rng.uniform(-0.1, 0.1, size=(d_h, d_in + d_h)), requires_grad=True)
-            b = Tensor(np.full(d_h, 1.0 if gate == "f" else 0.0), requires_grad=True)
-            setattr(self, f"w_{gate}", w)
-            setattr(self, f"b_{gate}", b)
-
-    def named_parameters(self, prefix):
-        out = []
-        for gate in self.GATES:
-            out.append((f"{prefix}.w_{gate}", getattr(self, f"w_{gate}")))
-            out.append((f"{prefix}.b_{gate}", getattr(self, f"b_{gate}")))
-        return out
+from .errors import ValidationError
+from .vocab import UNK
 
 
 class DecoderState:
@@ -68,9 +47,9 @@ def encode(embeddings, fwd, bwd):
     n = embeddings.data.shape[0]
     if n < 1:
         raise ValidationError("encode: empty source")
-    d_h = fwd.d_h
 
     def run(cell, order):
+        d_h = cell.w_i.data.shape[0]
         h = Tensor(np.zeros(d_h))
         c = Tensor(np.zeros(d_h))
         states = [None] * n
@@ -86,22 +65,8 @@ def encode(embeddings, fwd, bwd):
     return EncoderStates(H, h_final, n)
 
 
-class AttentionParams:
-    """Additive attention: score_i = score_vec . tanh(W [h_i, s] + bias)."""
-
-    def __init__(self, d_enc, d_s, d_a, rng):
-        self.weight = Tensor(rng.uniform(-0.1, 0.1, size=(d_a, d_enc + d_s)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_a), requires_grad=True)
-        self.score = Tensor(rng.uniform(-0.1, 0.1, size=d_a), requires_grad=True)
-
-    def named_parameters(self, prefix="attention"):
-        return [(f"{prefix}.weight", self.weight),
-                (f"{prefix}.bias", self.bias),
-                (f"{prefix}.score", self.score)]
-
-
 def attend(states, s, ap):
-    """Score every encoder state against the decoder state.
+    """Additive attention: score_i = score . tanh(weight [h_i, s] + bias).
 
     Returns (scores, weights, context): raw scores e, their softmax a, and
     the attention-weighted sum of encoder states.
@@ -117,28 +82,12 @@ def attend(states, s, ap):
 
 def decoder_step(prev_emb, context, state, dec):
     """Advance the decoder LSTM on [previous word embedding, context]."""
-    if dec.d_in != prev_emb.data.shape[0] + context.data.shape[0]:
-        raise DimensionError(
-            f"decoder_step: cell expects d_in={dec.d_in}, got "
-            f"{prev_emb.data.shape[0]} + {context.data.shape[0]}")
     h, c = lstm_step(dec, ag.concat(prev_emb, context), (state.hidden, state.cell))
     return DecoderState(h, c)
 
 
-class ProjectionParams:
-    """Affine map from [decoder state, context] onto fixed-vocabulary logits."""
-
-    def __init__(self, vocab_size, d_s, d_enc, rng):
-        self.weight = Tensor(rng.uniform(-0.1, 0.1, size=(vocab_size, d_s + d_enc)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(vocab_size), requires_grad=True)
-
-    def named_parameters(self, prefix="projection"):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
-
-
 def project_vocab(state, context, pp):
-    """Softmax distribution over the fixed vocabulary."""
+    """Softmax distribution over the fixed vocabulary: weight [state, context] + bias."""
     z = ag.concat(state.hidden, context)
     return ag.softmax(ag.add(ag.matmul(pp.weight, z), pp.bias))
 
@@ -153,55 +102,92 @@ class ModelDims:
 
     def parameter_count(self):
         """Float64 values in ModelParams(self), known without building it."""
-        v, e, h, s, a = self.vocab_size, self.d_emb, self.d_h, self.d_s, self.d_a
-        lstm = lambda d_in, d_out: 4 * d_out * (d_in + d_out + 1)  # noqa: E731
-        # embedding, encoders, decoder, attention, projection, copy gate, bridges
-        return (v * e + 2 * lstm(e, h) + lstm(e + 2 * h, s) + a * (2 * h + s + 2)
-                + v * (s + 2 * h + 1) + e + s + 2 * h + 1 + 4 * s * h)
+        return sum(math.prod(shape) for shape, _ in parameter_layout(self).values())
+
+
+UNIFORM = "uniform"  # init drawn from uniform(-0.1, 0.1); any other init is a constant fill
+
+
+def parameter_layout(dims):
+    """name -> (shape, init) of every trainable tensor.
+
+    The order is the order of the random draws, of named_parameters() and of
+    the checkpoint payload. A name "group.leaf" is reached as params.group.leaf.
+    """
+    v, e, h, s, a = dims.vocab_size, dims.d_emb, dims.d_h, dims.d_s, dims.d_a
+    layout = {"embedding": ((v, e), UNIFORM)}
+    # LSTM cells: each gate maps [input, hidden] to hidden; forget bias starts at 1
+    for cell, d_in, d_out in (("encoder_fwd", e, h), ("encoder_bwd", e, h),
+                              ("decoder", e + 2 * h, s)):
+        for gate in "ifgo":
+            layout[f"{cell}.w_{gate}"] = ((d_out, d_in + d_out), UNIFORM)
+            layout[f"{cell}.b_{gate}"] = ((d_out,), 1.0 if gate == "f" else 0.0)
+    layout.update({
+        "attention.weight": ((a, 2 * h + s), UNIFORM),
+        "attention.bias": ((a,), 0.0),
+        "attention.score": ((a,), UNIFORM),
+        "projection.weight": ((v, s + 2 * h), UNIFORM),
+        "projection.bias": ((v,), 0.0),
+        # copy gate over [previous word embedding, decoder state, context]
+        "copy_gate.weight": ((e + s + 2 * h,), UNIFORM),
+        "copy_gate.bias": ((), 0.0),
+        # final encoder state -> initial decoder hidden and cell state
+        "bridge_hidden": ((s, 2 * h), UNIFORM),
+        "bridge_cell": ((s, 2 * h), UNIFORM),
+    })
+    return layout
+
+
+class ParamGroup:
+    """The tensors under one layout prefix as attributes: params.decoder.w_i
+    is the tensor named "decoder.w_i"."""
+
+    def __init__(self, named):
+        self._named = named
+        for name, tensor in named:
+            setattr(self, name.rpartition(".")[2], tensor)
+
+    def named_parameters(self):
+        return list(self._named)
 
 
 class ModelParams:
-    """Every trainable tensor of the model, in a fixed declaration order.
+    """Every trainable tensor of the model, built from parameter_layout(dims).
 
-    The order of named_parameters() is also the checkpoint payload order.
+    ``arrays`` (one per layout entry, in order) replaces the random draw.
     """
 
-    def __init__(self, dims, seed):
-        from .pointer import GateParams  # local import to avoid a cycle
-
+    def __init__(self, dims, seed, arrays=None):
         self.dims = dims
-        self.seed = seed
-        rng = np.random.default_rng(seed)
-        d = dims
-        self.embedding = EmbeddingTable(d.vocab_size, d.d_emb, rng)
-        self.encoder_fwd = LSTMCellParams(d.d_emb, d.d_h, rng)
-        self.encoder_bwd = LSTMCellParams(d.d_emb, d.d_h, rng)
-        self.decoder = LSTMCellParams(d.d_emb + 2 * d.d_h, d.d_s, rng)
-        self.attention = AttentionParams(2 * d.d_h, d.d_s, d.d_a, rng)
-        self.projection = ProjectionParams(d.vocab_size, d.d_s, 2 * d.d_h, rng)
-        self.copy_gate = GateParams(d.d_emb, d.d_s, 2 * d.d_h, rng)
-        self.bridge_hidden = Tensor(rng.uniform(-0.1, 0.1, size=(d.d_s, 2 * d.d_h)),
-                                    requires_grad=True)
-        self.bridge_cell = Tensor(rng.uniform(-0.1, 0.1, size=(d.d_s, 2 * d.d_h)),
-                                  requires_grad=True)
+        layout = parameter_layout(dims)
+        if arrays is None:
+            rng = np.random.default_rng(seed)
+            arrays = (rng.uniform(-0.1, 0.1, size=shape) if init == UNIFORM
+                      else np.full(shape, init) for shape, init in layout.values())
+        self._named = [(name, Tensor(data, requires_grad=True))
+                       for name, data in zip(layout, arrays)]
+        groups = {}
+        for name, tensor in self._named:
+            prefix, _, leaf = name.rpartition(".")
+            if prefix:
+                groups.setdefault(prefix, []).append((name, tensor))
+            else:
+                setattr(self, name, tensor)
+        for prefix, named in groups.items():
+            setattr(self, prefix, ParamGroup(named))
 
     def named_parameters(self):
-        out = [("embedding", self.embedding.table)]
-        out += self.encoder_fwd.named_parameters("encoder_fwd")
-        out += self.encoder_bwd.named_parameters("encoder_bwd")
-        out += self.decoder.named_parameters("decoder")
-        out += self.attention.named_parameters()
-        out += self.projection.named_parameters()
-        out += self.copy_gate.named_parameters()
-        out += [("bridge_hidden", self.bridge_hidden), ("bridge_cell", self.bridge_cell)]
-        return out
+        return list(self._named)
 
     def zero_grad(self):
-        for _, p in self.named_parameters():
+        for _, p in self._named:
             p.zero_grad()
 
     def embed(self, idx):
-        return self.embedding.lookup(idx)
+        """Embedding row of ``idx``; ids past the fixed vocabulary use the UNK row."""
+        if idx < 0:
+            raise ValidationError(f"embedding id {idx} negative")
+        return ag.row(self.embedding, idx if idx < self.dims.vocab_size else UNK)
 
     def initial_decoder_state(self, states):
         """Bridge the combined final encoder state into the decoder widths."""
@@ -211,8 +197,20 @@ class ModelParams:
 
     def encode_source_ids(self, source_ids):
         """Embed extended source ids (OOVs fall back to UNK) and run the encoder."""
-        from .vocab import UNK
-
         emb_ids = [i if i < self.dims.vocab_size else UNK for i in source_ids]
-        embs = ag.rows(self.embedding.table, emb_ids)
+        embs = ag.rows(self.embedding, emb_ids)
         return encode(embs, self.encoder_fwd, self.encoder_bwd)
+
+
+def params_from_payload(dims, payload):
+    """ModelParams read from little-endian float64 ``payload`` in layout order.
+
+    Draws nothing; the caller checks len(payload) == 8 * dims.parameter_count().
+    """
+    flat = np.frombuffer(payload, dtype="<f8")
+    arrays, offset = [], 0
+    for shape, _ in parameter_layout(dims).values():
+        size = math.prod(shape)
+        arrays.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return ModelParams(dims, seed=None, arrays=arrays)

@@ -18,18 +18,6 @@ from .model import attend, decoder_step, project_vocab
 from .vocab import encode_source
 
 
-class GateParams:
-    """Weights of the copy/generate gate over [prev word emb, state, context]."""
-
-    def __init__(self, d_emb, d_s, d_enc, rng):
-        self.weight = Tensor(rng.uniform(-0.1, 0.1, size=d_emb + d_s + d_enc),
-                             requires_grad=True)
-        self.bias = Tensor(0.0, requires_grad=True)
-
-    def named_parameters(self, prefix="copy_gate"):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
-
-
 def copy_distribution(attn_weights, source_ids, extended_size):
     """Scatter attention mass onto extended ids; repeats accumulate.
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, backward
 from .errors import NumericalError, ValidationError
-from .model import ModelDims, ModelParams
+from .fileio import atomic_write
+from .model import ModelDims, ModelParams, params_from_payload
 from .pointer import full_step, prepare_source
 from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
@@ -271,25 +272,25 @@ def load_pairs_tsv(path):
 
 
 def save_pairs_tsv(pairs, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for pair in pairs:
             x, y = _pair_texts(pair)
             fh.write(f"{x}\t{y}\n")
 
 
 def save_checkpoint(params, path, vocab):
-    """Binary checkpoint: magic, version, widths, vocab fingerprint, tensors."""
+    """Binary checkpoint: magic, version, widths, vocab fingerprint, then every
+    tensor as little-endian float64 in parameter_layout order."""
     d = params.dims
     header = CHECKPOINT_MAGIC
     header += struct.pack("<H", CHECKPOINT_VERSION)
     header += struct.pack("<5I", d.vocab_size, d.d_emb, d.d_h, d.d_s, d.d_a)
     header += vocab.fingerprint()
-    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-                       for _, p in params.named_parameters())
-    with open(path, "wb") as fh:
+    header += struct.pack("<Q", 8 * d.parameter_count())
+    with atomic_write(path, binary=True) as fh:
         fh.write(header)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
+        for _, p in params.named_parameters():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, expected_dims=None, expected_vocab=None):
@@ -321,16 +322,10 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     if len(payload) != payload_len:
         raise CorruptCheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares {payload_len}")
-    # checked before ModelParams allocates what a corrupt width may make enormous
+    # checked before any tensor is allocated, since a corrupt width may make one enormous
     if 8 * dims.parameter_count() != payload_len:
         raise CorruptCheckpointError(
             f"{path}: widths {dims} need {8 * dims.parameter_count()} payload bytes, "
             f"header declares {payload_len}")
 
-    params = ModelParams(dims, seed=0)
-    offset = 0
-    for _, p in params.named_parameters():
-        end = offset + 8 * p.data.size
-        p.data[...] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(p.data.shape)
-        offset = end
-    return params, fingerprint
+    return params_from_payload(dims, payload), fingerprint

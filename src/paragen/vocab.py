@@ -8,8 +8,8 @@ decoder output can be rendered back to the original surface form.
 import hashlib
 from collections import Counter
 
-from .autograd import Tensor, row
 from .errors import ValidationError
+from .fileio import atomic_write
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -68,7 +68,7 @@ class Vocabulary:
         return token in self.token_to_id
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             for tok in self.id_to_token[N_RESERVED:]:
                 fh.write(tok + "\n")
 
@@ -165,20 +165,3 @@ def encode_target(tokens, ev):
 
 def decode_ids(ids, ev):
     return [ev.token(i) for i in ids]
-
-
-class EmbeddingTable:
-    """Trainable token embeddings; ids outside the fixed range use the UNK row."""
-
-    def __init__(self, vocab_size, dim, rng):
-        self.dim = dim
-        self.vocab_size = vocab_size
-        self.table = Tensor(rng.uniform(-0.1, 0.1, size=(vocab_size, dim)),
-                            requires_grad=True)
-
-    def lookup(self, idx):
-        if idx < 0:
-            raise ValidationError(f"embedding id {idx} negative")
-        if idx >= self.vocab_size:
-            idx = UNK
-        return row(self.table, idx)

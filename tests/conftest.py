@@ -22,6 +22,12 @@ def tiny_model(seed=0, n_tokens=8, width=8):
     return ModelParams(dims, seed=seed), vocab
 
 
+def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
+    """One parameter group (or bare tensor) of a small model with these widths."""
+    dims = ModelDims(vocab_size=vocab_size, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a)
+    return getattr(ModelParams(dims, seed=seed), name)
+
+
 def zero_params(params):
     for _, p in params.named_parameters():
         p.data[...] = 0.0

@@ -5,8 +5,8 @@ import paragen.autograd as ag
 from paragen.autograd import Tensor, backward
 from paragen.errors import DimensionError, NumericalError
 from paragen.gradcheck import grad_check
-from paragen.model import LSTMCellParams
 
+from conftest import model_part
 from oracles import matmul_triple_loop, softmax_highprec
 
 
@@ -222,7 +222,7 @@ def test_every_op_gradient_matches_finite_differences():
 
 def test_lstm_step_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
-    cell = LSTMCellParams(3, 4, rng)
+    cell = model_part("encoder_fwd", seed=8, d_emb=3, d_h=4)
     x = Tensor(rng.normal(size=3), requires_grad=True)
     h0 = Tensor(rng.normal(size=4), requires_grad=True)
     c0 = Tensor(rng.normal(size=4), requires_grad=True)
@@ -233,7 +233,7 @@ def test_lstm_step_gradient_matches_finite_differences():
         h, c = ag.lstm_step(cell, x, (h0, c0))
         return ag.add(ag.mul(h, wh).sum(), ag.mul(c, wc).sum())
 
-    named = cell.named_parameters("cell") + [("x", x), ("h0", h0), ("c0", c0)]
+    named = cell.named_parameters() + [("x", x), ("h0", h0), ("c0", c0)]
     _check(f, named, tol=1e-6)
 
 

@@ -248,6 +248,32 @@ def test_config_file_value_of_wrong_type_exit_2(section, expected, tmp_path, cap
     assert f"{expected} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,cmd,key", [
+    ({"mine": {"min_sim": 0.3, "mn_sim": 0.1}}, "mine", "mn_sim"),
+    ({"mine": {"k": 2, "train": {"epochs": 1}}}, "mine", "train"),
+    ({"train": {"d_h": 4, "min_sim": 0.3}}, "train", "min_sim"),
+    ({"k": 2, "epochs": 1, "no_such_key": 1}, "mine", "no_such_key"),
+])
+def test_config_file_unknown_key_exit_2(config, cmd, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    required = {c: r for c, r, _, _ in CONFIG_BACKED}[cmd]
+    assert run_cli("--config", str(cfg), cmd, *required) == 2
+    err = capsys.readouterr().err
+    assert f"unknown {cmd} key {key!r}" in err
+
+
+def test_flat_config_accepts_other_commands_keys_and_sections(tmp_path, three_source_docs,
+                                                              capsys):
+    doc_dir = write_doc_fixture(tmp_path, three_source_docs)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"min_sim": 0.3, "epochs": 2, "beam": 3, "smooth": True,
+                               "train": {"epochs": 1}}), encoding="utf-8")
+    assert run_cli("--config", str(cfg), "--verbose", "mine", "--docs", str(doc_dir),
+                   "--out", str(tmp_path / "p.tsv")) == 0
+    assert '"min_sim": 0.3' in capsys.readouterr().err
+
+
 def test_config_file_int_accepted_for_float(tmp_path, three_source_docs, capsys):
     doc_dir = write_doc_fixture(tmp_path, three_source_docs)
     cfg = tmp_path / "cfg.json"

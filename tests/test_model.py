@@ -5,30 +5,28 @@ import paragen.autograd as ag
 from paragen.autograd import Tensor, lstm_step
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
-from paragen.model import (AttentionParams, DecoderState, LSTMCellParams,
-                           ProjectionParams, attend, decoder_step, encode,
-                           project_vocab)
+from paragen.model import (DecoderState, ModelDims, ModelParams, ParamGroup, attend,
+                           decoder_step, encode, parameter_layout, project_vocab)
 
-from conftest import tiny_model
+from conftest import model_part, tiny_model
 from oracles import cell_arrays, lstm_step_scalar, softmax_highprec
 
 
-def _zero_cell(d_in, d_h):
-    cell = LSTMCellParams(d_in, d_h, np.random.default_rng(0))
-    for gate in cell.GATES:
-        getattr(cell, f"w_{gate}").data[...] = 0.0
-        getattr(cell, f"b_{gate}").data[...] = 0.0
+def _zero_cell(name="encoder_fwd", **widths):
+    cell = model_part(name, **widths)
+    for _, p in cell.named_parameters():
+        p.data[...] = 0.0
     return cell
 
 
 def test_lstm_zero_everything():
-    cell = _zero_cell(3, 4)
+    cell = _zero_cell(d_emb=3, d_h=4)
     h, c = lstm_step(cell, Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
     assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
 
 def test_lstm_saturated_forget_preserves_cell():
-    cell = _zero_cell(3, 4)
+    cell = _zero_cell(d_emb=3, d_h=4)
     cell.b_f.data[...] = 40.0   # forget gate pinned at 1
     cell.b_i.data[...] = -40.0  # input gate pinned at 0
     c0 = np.array([0.3, -1.2, 0.7, 2.0])
@@ -38,7 +36,7 @@ def test_lstm_saturated_forget_preserves_cell():
 
 def test_lstm_matches_scalar_loop_oracle():
     rng = np.random.default_rng(3)
-    cell = LSTMCellParams(3, 5, rng)
+    cell = model_part("encoder_fwd", seed=3, d_emb=3, d_h=5)
     x = rng.normal(size=3)
     h0 = rng.normal(size=5)
     c0 = rng.normal(size=5)
@@ -49,15 +47,15 @@ def test_lstm_matches_scalar_loop_oracle():
 
 
 def test_lstm_shape_validation():
-    cell = LSTMCellParams(3, 4, np.random.default_rng(0))
+    cell = model_part("encoder_fwd", d_emb=3, d_h=4)
     with pytest.raises(DimensionError):
         lstm_step(cell, Tensor(np.zeros(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
 
 
 def test_encode_single_token():
     rng = np.random.default_rng(4)
-    fwd = LSTMCellParams(4, 3, rng)
-    bwd = LSTMCellParams(4, 3, rng)
+    fwd = model_part("encoder_fwd", seed=4, d_emb=4, d_h=3)
+    bwd = model_part("encoder_bwd", seed=4, d_emb=4, d_h=3)
     states = encode(Tensor(rng.normal(size=(1, 4))), fwd, bwd)
     assert states.n == 1
     np.testing.assert_array_equal(states.H.data[0], states.h_final.data)
@@ -65,7 +63,7 @@ def test_encode_single_token():
 
 def test_encode_palindrome_symmetry():
     rng = np.random.default_rng(5)
-    shared = LSTMCellParams(4, 3, rng)
+    shared = model_part("encoder_fwd", seed=5, d_emb=4, d_h=3)
     emb = rng.normal(size=(5, 4))
     emb[3] = emb[1]
     emb[4] = emb[0]  # palindrome rows
@@ -78,8 +76,8 @@ def test_encode_palindrome_symmetry():
 
 def test_encode_matches_unrolled_cells():
     rng = np.random.default_rng(6)
-    fwd = LSTMCellParams(4, 3, rng)
-    bwd = LSTMCellParams(4, 3, rng)
+    fwd = model_part("encoder_fwd", seed=6, d_emb=4, d_h=3)
+    bwd = model_part("encoder_bwd", seed=6, d_emb=4, d_h=3)
     emb = rng.normal(size=(3, 4))
     states = encode(Tensor(emb), fwd, bwd)
 
@@ -115,7 +113,7 @@ def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3):
     states = EncoderStates(H, ag.row(H, n - 1), n)
     s = DecoderState(Tensor(rng.normal(size=d_s), requires_grad=True),
                      Tensor(rng.normal(size=d_s), requires_grad=True))
-    ap = AttentionParams(2 * d_h, d_s, d_a, rng)
+    ap = model_part("attention", seed=seed, d_h=d_h, d_s=d_s, d_a=d_a)
     return states, s, ap
 
 
@@ -167,7 +165,7 @@ def test_attend_gradients():
 
 
 def test_decoder_step_zero_weights():
-    cell = _zero_cell(7, 4)
+    cell = _zero_cell("decoder", d_emb=3, d_h=2, d_s=4)  # 7 inputs, 4 outputs
     state = DecoderState(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     out = decoder_step(Tensor(np.ones(3)), Tensor(np.ones(4)), state, cell)
     assert np.all(out.hidden.data == 0.0) and np.all(out.cell.data == 0.0)
@@ -175,7 +173,7 @@ def test_decoder_step_zero_weights():
 
 def test_decoder_step_is_cell_on_concat():
     rng = np.random.default_rng(9)
-    cell = LSTMCellParams(7, 4, rng)
+    cell = model_part("decoder", seed=9, d_emb=3, d_h=2, d_s=4)
     w = Tensor(rng.normal(size=3))
     ctx = Tensor(rng.normal(size=4))
     state = DecoderState(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)))
@@ -186,14 +184,14 @@ def test_decoder_step_is_cell_on_concat():
 
 
 def test_decoder_step_width_check():
-    cell = LSTMCellParams(7, 4, np.random.default_rng(0))
+    cell = model_part("decoder", d_emb=3, d_h=2, d_s=4)
     state = DecoderState(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     with pytest.raises(DimensionError):
         decoder_step(Tensor(np.zeros(2)), Tensor(np.zeros(4)), state, cell)
 
 
 def test_project_vocab_uniform_when_zero():
-    pp = ProjectionParams(6, 3, 4, np.random.default_rng(0))
+    pp = model_part("projection", vocab_size=6, d_s=3, d_h=2)
     pp.weight.data[...] = 0.0
     pp.bias.data[...] = 0.0
     state = DecoderState(Tensor(np.ones(3)), Tensor(np.ones(3)))
@@ -202,7 +200,7 @@ def test_project_vocab_uniform_when_zero():
 
 
 def test_project_vocab_huge_bias_saturates_without_overflow():
-    pp = ProjectionParams(6, 3, 4, np.random.default_rng(0))
+    pp = model_part("projection", vocab_size=6, d_s=3, d_h=2)
     pp.weight.data[...] = 0.0
     pp.bias.data[...] = 0.0
     pp.bias.data[2] = 1e6
@@ -214,7 +212,7 @@ def test_project_vocab_huge_bias_saturates_without_overflow():
 
 def test_project_vocab_matches_highprec_softmax():
     rng = np.random.default_rng(11)
-    pp = ProjectionParams(7, 3, 4, rng)
+    pp = model_part("projection", seed=11, vocab_size=7, d_s=3, d_h=2)
     state = DecoderState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
     ctx = Tensor(rng.normal(size=4))
     p = project_vocab(state, ctx, pp)
@@ -239,6 +237,25 @@ def test_model_params_inventory_and_order():
     # forget bias initialized to one
     assert np.all(params.decoder.b_f.data == 1.0)
     assert np.all(params.decoder.b_i.data == 0.0)
+
+
+def test_named_parameters_follow_layout_and_groups():
+    dims = ModelDims(vocab_size=7, d_emb=2, d_h=3, d_s=4, d_a=5)
+    params = ModelParams(dims, seed=0)
+    layout = parameter_layout(dims)
+    assert [n for n, _ in params.named_parameters()] == list(layout)
+    for name, p in params.named_parameters():
+        shape, init = layout[name]
+        assert p.data.shape == shape and p.requires_grad, name
+        if isinstance(init, float):
+            assert np.all(p.data == init), name
+        else:
+            assert np.all(np.abs(p.data) <= 0.1) and np.unique(p.data).size == p.data.size
+        prefix, _, leaf = name.rpartition(".")
+        assert getattr(getattr(params, prefix) if prefix else params, leaf) is p, name
+    assert isinstance(params.decoder, ParamGroup)
+    assert params.decoder.named_parameters() == [
+        (n, p) for n, p in params.named_parameters() if n.startswith("decoder.")]
 
 
 def test_bridge_shapes_and_tanh_range():

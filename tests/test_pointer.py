@@ -4,11 +4,10 @@ import pytest
 from paragen.autograd import Tensor
 from paragen.errors import ValidationError
 from paragen.model import DecoderState
-from paragen.pointer import (GateParams, copy_distribution, full_step, generation_gate,
-                             mix)
+from paragen.pointer import copy_distribution, full_step, generation_gate, mix
 from paragen.vocab import BOS, encode_source
 
-from conftest import tiny_model
+from conftest import model_part, tiny_model
 from oracles import model_arrays, sigmoid_scalar, straight_line_step
 
 
@@ -44,7 +43,7 @@ def test_copy_distribution_range_check():
 
 
 def test_generation_gate_zero_is_half():
-    gp = GateParams(2, 3, 4, np.random.default_rng(0))
+    gp = model_part("copy_gate", d_emb=2, d_s=3, d_h=2)
     gp.weight.data[...] = 0.0
     gp.bias.data[...] = 0.0
     state = DecoderState(Tensor(np.ones(3)), Tensor(np.ones(3)))
@@ -53,7 +52,7 @@ def test_generation_gate_zero_is_half():
 
 
 def test_generation_gate_saturation_finite():
-    gp = GateParams(2, 3, 4, np.random.default_rng(0))
+    gp = model_part("copy_gate", d_emb=2, d_s=3, d_h=2)
     gp.weight.data[...] = 0.0
     gp.bias.data[...] = 40.0
     state = DecoderState(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
@@ -64,7 +63,7 @@ def test_generation_gate_saturation_finite():
 
 def test_generation_gate_matches_scalar_oracle():
     rng = np.random.default_rng(1)
-    gp = GateParams(2, 3, 4, rng)
+    gp = model_part("copy_gate", seed=1, d_emb=2, d_s=3, d_h=2)
     w = rng.normal(size=2)
     state = DecoderState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
     ctx = rng.normal(size=4)

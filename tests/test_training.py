@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -166,6 +167,31 @@ def test_parameter_count_matches_model():
         assert dims.parameter_count() == sum(p.data.size for _, p in params.named_parameters())
 
 
+def test_init_checkpoint_bytes_golden(tmp_path):
+    # pins the random draws of parameter_layout: their order, shapes and init values
+    vocab = Vocabulary(["alpha", "beta", "gamma"])
+    params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=3, d_h=2, d_s=4, d_a=5),
+                         seed=1234)
+    save_checkpoint(params, tmp_path / "g.ckpt", vocab)
+    assert hashlib.sha256((tmp_path / "g.ckpt").read_bytes()).hexdigest() == (
+        "983c42c81deb0da563016c8de9089cad476061b33ddf2226c106ec96b6f401b6")
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    params, vocab = tiny_model(seed=9)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded, _ = load_checkpoint(path)
+    for (n, p), (_, q) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=n)
+        assert q.data.flags.writeable and q.grad is not None, n
+
+
 @pytest.mark.parametrize("field", range(5))
 def test_checkpoint_corrupt_width_rejected_before_allocation(field, tmp_path, monkeypatch):
     params, vocab = tiny_model(seed=9)
@@ -179,6 +205,7 @@ def test_checkpoint_corrupt_width_rejected_before_allocation(field, tmp_path, mo
         raise AssertionError("ModelParams built from a corrupt header")
 
     monkeypatch.setattr("paragen.training.ModelParams", spy)
+    monkeypatch.setattr("paragen.training.params_from_payload", spy)
     for byte in range(4):
         corrupt = bytearray(blob)
         corrupt[6 + 4 * field + byte] ^= 0xFF

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from paragen.errors import ValidationError
-from paragen.vocab import (EOS, PAD, UNK, EmbeddingTable, Vocabulary, build_vocab,
-                           decode_ids, encode_source, encode_target, tokenize)
+from paragen.model import ModelDims, ModelParams
+from paragen.vocab import (EOS, PAD, UNK, Vocabulary, build_vocab, decode_ids, encode_source,
+                           encode_target, tokenize)
 
 
 def test_tokenize_punctuation():
@@ -158,10 +159,9 @@ def test_extended_vocab_token_range_error():
 
 
 def test_embedding_lookup_rows():
-    rng = np.random.default_rng(1)
-    table = EmbeddingTable(6, 4, rng)
-    np.testing.assert_array_equal(table.lookup(3).data, table.table.data[3])
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
+    np.testing.assert_array_equal(params.embed(3).data, params.embedding.data[3])
     # extended ids embed as UNK
-    np.testing.assert_array_equal(table.lookup(17).data, table.table.data[UNK])
+    np.testing.assert_array_equal(params.embed(17).data, params.embedding.data[UNK])
     with pytest.raises(ValidationError):
-        table.lookup(-1)
+        params.embed(-1)
