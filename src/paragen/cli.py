@@ -13,6 +13,7 @@ from dataclasses import MISSING, fields
 
 from .decoding import BeamConfig, beam_decode
 from .errors import NumericalError, ValidationError
+from .fileio import atomic_write
 from .metrics import bleu, token_hits
 from .miner import (DEFAULT_ABBREVIATIONS, MineConfig, align, load_abbreviations,
                     load_documents, write_pairs)
@@ -184,6 +185,9 @@ def cmd_train(args):
 
 def cmd_generate(args):
     cfg_map = _effective(args)
+    force = cfg_map["force_p_gen"]
+    if force is not None and not 0.0 <= force <= 1.0:
+        raise ValidationError(f"--force-p-gen {force} outside [0, 1]")
     vocab_path = args.vocab if args.vocab else args.checkpoint + ".vocab"
     vocab = Vocabulary.load(vocab_path)
     params, _ = load_checkpoint(args.checkpoint, expected_vocab=vocab)
@@ -191,10 +195,9 @@ def cmd_generate(args):
     cfg = _build(BeamConfig, cfg_map, beam_width=width)
     with open(args.input, encoding="utf-8") as fh:
         sources = [line for line in fh.read().splitlines() if line.strip()]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(args.out) as fh:
         for source in sources:
-            hyps = beam_decode(source, params, vocab, cfg,
-                               force_p_gen=cfg_map["force_p_gen"])
+            hyps = beam_decode(source, params, vocab, cfg, force_p_gen=force)
             if cfg_map["plain"]:
                 best = hyps[0] if hyps else None
                 fh.write((" ".join(best.surface) if best else "") + "\n")
@@ -230,7 +233,8 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ValidationError, CheckpointError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, CheckpointError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

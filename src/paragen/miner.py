@@ -141,33 +141,31 @@ def segment(doc, min_tokens=MineConfig.min_tokens, max_tokens=MineConfig.max_tok
     return kept
 
 
+def _tfidf_weights(tokens, df, n):
+    """L2-normalized (1 + log tf) * log(1 + n / df) weights of ``tokens`` over
+    ``n`` sentences; terms missing from ``df`` are dropped, so the vector may
+    be empty."""
+    tf = {}
+    for tok in tokens:
+        tf[tok] = tf.get(tok, 0) + 1
+    vec = {t: (1.0 + math.log(c)) * math.log(1.0 + n / df[t]) for t, c in tf.items() if t in df}
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    return {t: w / norm for t, w in vec.items()} if norm else {}
+
+
 class InvertedIndex:
     """Term-at-a-time scoring over L2-normalized log-TF-IDF sentence vectors."""
 
-    def __init__(self, postings, df, records):
+    def __init__(self, postings, df, records, n_sentences):
         self.postings = postings  # term -> [(sid, weight)] sorted by sid
         self.df = df
         self.records = records  # sid -> SentenceRecord
-        self.n_sentences = len(records)
+        self.n_sentences = n_sentences  # the n of the weights (records with no weight too)
 
     def vectorize(self, tokens):
-        """Weight an arbitrary token list with this index's statistics.
-
-        Terms unseen by the index get weight zero; an all-unseen query yields
-        an empty vector.
-        """
-        tf = {}
-        for tok in tokens:
-            tf[tok] = tf.get(tok, 0) + 1
-        vec = {}
-        for term, count in tf.items():
-            d = self.df.get(term)
-            if d:
-                vec[term] = (1.0 + math.log(count)) * math.log(1.0 + self.n_sentences / d)
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm == 0.0:
-            return {}
-        return {t: w / norm for t, w in vec.items()}
+        """Weight an arbitrary token list with this index's statistics; terms
+        unseen by the index get weight zero."""
+        return _tfidf_weights(tokens, self.df, self.n_sentences)
 
     def scores(self, record):
         """Cosine of ``record`` against every indexed sentence (no exclusions)."""
@@ -187,24 +185,18 @@ def build_index(records):
     for rec in records:
         for term in set(rec.tokens):
             df[term] = df.get(term, 0) + 1
-    n = len(records)
     postings = {}
     by_sid = {}
     for rec in records:
-        tf = {}
-        for tok in rec.tokens:
-            tf[tok] = tf.get(tok, 0) + 1
-        vec = {t: (1.0 + math.log(c)) * math.log(1.0 + n / df[t]) for t, c in tf.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm == 0.0:
+        rec.weights = _tfidf_weights(rec.tokens, df, len(records))
+        if not rec.weights:
             continue
-        rec.weights = {t: w / norm for t, w in vec.items()}
         by_sid[rec.sid] = rec
         for term, w in rec.weights.items():
             postings.setdefault(term, []).append((rec.sid, w))
     for plist in postings.values():
         plist.sort(key=lambda pair: pair[0])
-    return InvertedIndex(postings, df, by_sid)
+    return InvertedIndex(postings, df, by_sid, len(records))
 
 
 def query_similar(ref, index, k):

@@ -152,23 +152,30 @@ class ParamGroup:
 
 
 class ModelParams:
-    """Every trainable tensor of the model, built from parameter_layout(dims).
+    """Every trainable tensor of the model, laid out by parameter_layout(dims).
 
-    ``arrays`` (one per layout entry, in order) replaces the random draw.
+    ``flat`` holds every value and ``grad`` every gradient, in layout order;
+    each named tensor's .data and .grad are views of its slice of the two.
     """
 
-    def __init__(self, dims, seed, arrays=None):
-        self.dims = dims
-        layout = parameter_layout(dims)
-        if arrays is None:
-            rng = np.random.default_rng(seed)
-            arrays = (rng.uniform(-0.1, 0.1, size=shape) if init == UNIFORM
-                      else np.full(shape, init) for shape, init in layout.values())
-        self._named = [(name, Tensor(data, requires_grad=True))
-                       for name, data in zip(layout, arrays)]
-        groups = {}
-        for name, tensor in self._named:
-            prefix, _, leaf = name.rpartition(".")
+    def __init__(self, dims, seed):
+        self._bind(dims, np.empty(dims.parameter_count()))
+        rng = np.random.default_rng(seed)
+        for (_, p), (shape, init) in zip(self._named, parameter_layout(dims).values()):
+            p.data[...] = rng.uniform(-0.1, 0.1, size=shape) if init == UNIFORM else init
+
+    def _bind(self, dims, flat):
+        """Name a view of ``flat`` (and of a zeroed ``grad``) for each layout entry."""
+        self.dims, self.flat, self.grad = dims, flat, np.zeros_like(flat)
+        self._named, groups, start = [], {}, 0
+        for name, (shape, _) in parameter_layout(dims).items():
+            end = start + math.prod(shape)
+            tensor = Tensor(0.0, requires_grad=True)
+            tensor.data = flat[start:end].reshape(shape)
+            tensor.grad = self.grad[start:end].reshape(shape)
+            self._named.append((name, tensor))
+            start = end
+            prefix = name.rpartition(".")[0]
             if prefix:
                 groups.setdefault(prefix, []).append((name, tensor))
             else:
@@ -180,8 +187,7 @@ class ModelParams:
         return list(self._named)
 
     def zero_grad(self):
-        for _, p in self._named:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def embed(self, idx):
         """Embedding row of ``idx``; ids past the fixed vocabulary use the UNK row."""
@@ -203,14 +209,10 @@ class ModelParams:
 
 
 def params_from_payload(dims, payload):
-    """ModelParams read from little-endian float64 ``payload`` in layout order.
+    """ModelParams whose ``flat`` is a copy of little-endian float64 ``payload``.
 
     Draws nothing; the caller checks len(payload) == 8 * dims.parameter_count().
     """
-    flat = np.frombuffer(payload, dtype="<f8")
-    arrays, offset = [], 0
-    for shape, _ in parameter_layout(dims).values():
-        size = math.prod(shape)
-        arrays.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    return ModelParams(dims, seed=None, arrays=arrays)
+    params = ModelParams.__new__(ModelParams)  # skips the random init
+    params._bind(dims, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    return params

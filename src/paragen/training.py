@@ -166,32 +166,32 @@ def clip_gradients(named_params, clip):
 
 
 class Adam:
-    """Adam with bias correction; one slot pair per parameter tensor."""
+    """Adam with bias correction over one parameter vector and its gradient
+    vector (ModelParams.flat and .grad), updated in place."""
 
-    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(named_params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, data, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.data, self.grad = data, grad
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.params]
-        self.v = [np.zeros_like(p.data) for _, p in self.params]
+        self.m, self.v = np.zeros_like(data), np.zeros_like(data)
+        self._scratch = np.empty_like(data), np.empty_like(data)
 
     def step(self):
+        """data -= (lr * m_hat) / (sqrt(v_hat) + eps), written through scratch
+        vectors instead of temporaries; each operation's operands keep that order."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for (name, p), m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, g, m, v = self.beta1, self.beta2, self.grad, self.m, self.v
+        a, b = self._scratch
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1 - b2, out=a)
+        np.sqrt(np.divide(v, 1 - b2 ** self.t, out=a), out=a)
+        a += self.eps
+        np.divide(m, 1 - b1 ** self.t, out=b)
+        b *= self.lr
+        self.data -= np.divide(b, a, out=b)
 
 
 def pairs_vocab(pairs, cfg):
@@ -215,7 +215,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         open(log_path, "w", encoding="utf-8").close()
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
-    opt = Adam(params.named_parameters(), lr=cfg.lr)
+    opt = Adam(params.flat, params.grad, lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
     report = TrainReport()
 
@@ -232,7 +232,9 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
             backward(loss)
-            clip_gradients(params.named_parameters(), cfg.clip)
+            norm = clip_gradients(params.named_parameters(), cfg.clip)
+            if not np.isfinite(norm):
+                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, example {idx}")
             opt.step()
             nll_sum += float(loss.data)
             correct += c
@@ -279,8 +281,8 @@ def save_pairs_tsv(pairs, path):
 
 
 def save_checkpoint(params, path, vocab):
-    """Binary checkpoint: magic, version, widths, vocab fingerprint, then every
-    tensor as little-endian float64 in parameter_layout order."""
+    """Binary checkpoint: magic, version, widths, vocab fingerprint, then
+    params.flat (every tensor in parameter_layout order) as little-endian float64."""
     d = params.dims
     header = CHECKPOINT_MAGIC
     header += struct.pack("<H", CHECKPOINT_VERSION)
@@ -289,8 +291,7 @@ def save_checkpoint(params, path, vocab):
     header += struct.pack("<Q", 8 * d.parameter_count())
     with atomic_write(path, binary=True) as fh:
         fh.write(header)
-        for _, p in params.named_parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def load_checkpoint(path, expected_dims=None, expected_vocab=None):
@@ -318,7 +319,7 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     if expected_vocab is not None and expected_vocab.fingerprint() != fingerprint:
         raise VocabMismatchError(f"{path}: checkpoint was trained with a different vocabulary")
     (payload_len,) = struct.unpack_from("<Q", blob, 58)
-    payload = blob[66:]
+    payload = memoryview(blob)[66:]
     if len(payload) != payload_len:
         raise CorruptCheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares {payload_len}")

@@ -209,6 +209,32 @@ def straight_line_greedy(params, vocab, src_tokens, max_len):
 # retrieval oracles
 
 
+class PerTensorAdam:
+    """Adam with bias correction, one m/v slot pair per tensor: the update
+    written tensor by tensor with numpy temporaries. ``arrays`` is a dict
+    name -> array, updated in place by step(grads)."""
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.arrays = arrays
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(a) for n, a in arrays.items()}
+        self.v = {n: np.zeros_like(a) for n, a in arrays.items()}
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.arrays.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def dense_tfidf(records):
     """Dense, brute-force version of the index weighting: rows are sentences."""
     terms = sorted({t for r in records for t in r.tokens})

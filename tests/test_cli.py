@@ -6,10 +6,11 @@ import pytest
 
 from paragen.cli import main
 from paragen.decoding import BeamConfig
+from paragen.errors import ValidationError
 from paragen.miner import MineConfig
-from paragen.training import TrainConfig
+from paragen.training import TrainConfig, save_checkpoint
 
-from conftest import copy_task_corpus, three_source_docs, write_doc_fixture
+from conftest import copy_task_corpus, three_source_docs, tiny_model, write_doc_fixture
 
 
 def run_cli(*argv):
@@ -288,3 +289,80 @@ def test_generate_missing_checkpoint_exit_2(tmp_path):
     src.write_text("hello there\n", encoding="utf-8")
     assert run_cli("generate", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--input", str(src), "--out", str(tmp_path / "o.tsv")) == 2
+
+
+def _tiny_checkpoint(tmp_path):
+    """An untrained model's checkpoint and vocabulary, and a two-line input file."""
+    params, vocab = tiny_model(seed=0)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(params, ckpt, vocab)
+    vocab.save(str(ckpt) + ".vocab")
+    src = tmp_path / "in.txt"
+    src.write_text("alpha beta\ngamma zyxxy delta\n", encoding="utf-8")
+    return ckpt, src
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "generate"])
+def test_non_utf8_input_exit_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe alpha\tbeta\n")
+    if command == "train":
+        argv = ["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt")]
+    elif command == "eval":
+        ref = tmp_path / "ref.txt"
+        ref.write_text("alpha beta\n", encoding="utf-8")
+        argv = ["eval", "--hyp", str(bad), "--ref", str(ref)]
+    else:
+        ckpt, _ = _tiny_checkpoint(tmp_path)
+        argv = ["generate", "--checkpoint", str(ckpt), "--input", str(bad),
+                "--out", str(tmp_path / "h.tsv")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "utf-8" in err and "unexpected" not in err
+
+
+def _generate(ckpt, src, out, *flags):
+    return run_cli("generate", "--checkpoint", str(ckpt), "--input", str(src),
+                   "--out", str(out), *flags)
+
+
+def _assert_kept(out, before):
+    """``out`` still holds ``before`` and no temporary file is left beside it."""
+    assert out.read_bytes() == before
+    assert not [p.name for p in out.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("value", ["2.0", "-0.5", "nan"])
+def test_generate_bad_force_p_gen_keeps_existing_output(value, tmp_path, monkeypatch, capsys):
+    def no_load(*args, **kwargs):
+        raise AssertionError("checkpoint loaded before --force-p-gen was checked")
+
+    ckpt, src = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "h.tsv"
+    assert _generate(ckpt, src, out) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr("paragen.cli.load_checkpoint", no_load)
+    assert _generate(ckpt, src, out, "--force-p-gen", value) == 2
+    assert "force-p-gen" in capsys.readouterr().err
+    _assert_kept(out, before)
+
+
+def test_generate_failure_midway_keeps_existing_output(tmp_path, monkeypatch):
+    from paragen.decoding import beam_decode
+
+    ckpt, src = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "h.tsv"
+    assert _generate(ckpt, src, out) == 0
+    before = out.read_bytes()
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise ValidationError("decoding failed")
+        return beam_decode(*args, **kwargs)
+
+    monkeypatch.setattr("paragen.cli.beam_decode", fail_second)
+    assert _generate(ckpt, src, out, "--beam", "2") == 2
+    assert len(calls) == 2
+    _assert_kept(out, before)

@@ -4,9 +4,9 @@ import logging
 import pytest
 
 from paragen.errors import ValidationError
-from paragen.miner import (Document, MineConfig, align, build_index, ingest,
-                           load_documents, query_similar, segment, sentence_records,
-                           strip_html, write_pairs)
+from paragen.miner import (Document, MineConfig, SentenceRecord, align, build_index,
+                           ingest, load_documents, query_similar, segment,
+                           sentence_records, strip_html, write_pairs)
 
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
                       write_doc_fixture)
@@ -75,6 +75,17 @@ def test_pairwise_cosines_match_dense_oracle():
         for other in recs:
             got = scores.get(other.sid, 0.0)
             assert got == pytest.approx(dense[rec.sid, other.sid], abs=1e-9)
+
+
+def test_vectorize_reproduces_indexed_weights():
+    recs = sentence_records(random_sentence_docs(seed=2, n_sentences=80, vocab_size=50))
+    # a record with no tokens gets no weights but still counts in n
+    recs.append(SentenceRecord(sid=len(recs), doc_id="e", source="srcE", text="", tokens=[]))
+    index = build_index(recs)
+    assert len(index.records) == len(recs) - 1
+    for rec in recs[:-1]:
+        assert index.vectorize(rec.tokens) == rec.weights
+    assert index.vectorize(["never", "indexed"]) == {}
 
 
 def test_query_similar_exact_vs_brute_force():

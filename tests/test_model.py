@@ -6,7 +6,8 @@ from paragen.autograd import Tensor, lstm_step
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.model import (DecoderState, ModelDims, ModelParams, ParamGroup, attend,
-                           decoder_step, encode, parameter_layout, project_vocab)
+                           decoder_step, encode, parameter_layout, params_from_payload,
+                           project_vocab)
 
 from conftest import model_part, tiny_model
 from oracles import cell_arrays, lstm_step_scalar, softmax_highprec
@@ -256,6 +257,47 @@ def test_named_parameters_follow_layout_and_groups():
     assert isinstance(params.decoder, ParamGroup)
     assert params.decoder.named_parameters() == [
         (n, p) for n, p in params.named_parameters() if n.startswith("decoder.")]
+
+
+def _assert_flat_views(params):
+    """Each tensor's .data and .grad are the slices of flat and grad at its layout offset."""
+    params.flat[...] = np.arange(params.flat.size)
+    params.grad[...] = -np.arange(params.grad.size)
+    start = 0
+    for name, p in params.named_parameters():
+        end = start + p.data.size
+        assert np.shares_memory(p.data, params.flat), name
+        assert np.shares_memory(p.grad, params.grad), name
+        np.testing.assert_array_equal(p.data.ravel(), np.arange(start, end), err_msg=name)
+        np.testing.assert_array_equal(p.grad.ravel(), -np.arange(start, end), err_msg=name)
+        start = end
+    assert start == params.flat.size == params.dims.parameter_count()
+
+
+def test_tensors_are_views_of_flat_buffers():
+    dims = ModelDims(vocab_size=7, d_emb=2, d_h=3, d_s=4, d_a=5)
+    params = ModelParams(dims, seed=0)
+    _assert_flat_views(params_from_payload(dims, params.flat.tobytes()))
+    _assert_flat_views(params)
+    params.zero_grad()
+    assert not any(p.grad.any() for _, p in params.named_parameters())
+
+
+def test_views_survive_grad_check_dtype_swap():
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2), seed=4)
+    named = params.named_parameters()
+    before = params.flat.copy()
+
+    def f():
+        total = ag.mul(named[0][1], named[0][1]).sum()
+        for _, p in named[1:]:
+            total = ag.add(total, ag.mul(p, p).sum())
+        return total
+
+    report = grad_check(f, named, h=1e-5)
+    assert report.max_rel_err <= 1e-6
+    np.testing.assert_array_equal(params.flat, before)
+    _assert_flat_views(params)
 
 
 def test_bridge_shapes_and_tanh_range():

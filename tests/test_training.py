@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from paragen.autograd import Tensor, backward
-from paragen.errors import ValidationError
+from paragen.errors import NumericalError, ValidationError
 from paragen.model import ModelDims, ModelParams
 from paragen.training import (Adam, CorruptCheckpointError, TrainConfig, VersionMismatchError,
                               VocabMismatchError, WidthMismatchError, clip_gradients,
@@ -14,7 +14,7 @@ from paragen.training import (Adam, CorruptCheckpointError, TrainConfig, Version
 from paragen.vocab import Vocabulary
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model, zero_params
-from oracles import straight_line_sequence_nll
+from oracles import PerTensorAdam, straight_line_sequence_nll
 
 
 def test_zero_weight_model_closed_form_loss():
@@ -83,13 +83,50 @@ def test_clip_noop_when_below_threshold():
 def test_adam_zero_lr_is_identity():
     params, vocab = tiny_model(seed=3)
     reference = {n: p.data.copy() for n, p in params.named_parameters()}
-    opt = Adam(params.named_parameters(), lr=0.0)
+    opt = Adam(params.flat, params.grad, lr=0.0)
     loss = sequence_loss(("alpha beta", "beta alpha"), params, vocab)
     params.zero_grad()
     backward(loss)
     opt.step()
     for n, p in params.named_parameters():
         np.testing.assert_array_equal(p.data, reference[n])
+
+
+def test_flat_adam_equals_per_tensor_adam_bit_for_bit():
+    params, vocab = tiny_model(seed=3)
+    reference = {n: p.data.copy() for n, p in params.named_parameters()}
+    oracle = PerTensorAdam(reference, lr=1e-2)
+    opt = Adam(params.flat, params.grad, lr=1e-2)
+    pairs = [("alpha beta", "beta alpha"), ("gamma zyxxy", "zyxxy"), ("delta", "eta delta")]
+    for step in range(5):
+        params.zero_grad()
+        backward(sequence_loss(pairs[step % len(pairs)], params, vocab))
+        oracle.step({n: p.grad.copy() for n, p in params.named_parameters()})
+        opt.step()
+        for n, p in params.named_parameters():
+            np.testing.assert_array_equal(p.data, reference[n], err_msg=f"step {step} {n}")
+    assert not np.array_equal(params.flat, tiny_model(seed=3)[0].flat)
+
+
+def test_non_finite_gradient_raises_before_the_step(tmp_path, monkeypatch):
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(ModelParams(*args, **kwargs))
+        return built[-1]
+
+    def nan_backward(loss):
+        backward(loss)
+        built[0].decoder.w_i.grad[0, 0] = np.nan
+
+    monkeypatch.setattr("paragen.training.ModelParams", keep)
+    monkeypatch.setattr("paragen.training.backward", nan_backward)
+    cfg = TrainConfig(seed=5, epochs=1, vocab_size=30, d_emb=4, d_h=4, d_s=4, d_a=4)
+    ckpt = tmp_path / "m.ckpt"
+    with pytest.raises(NumericalError, match="gradient"):
+        train([("alpha beta", "beta alpha")], cfg, checkpoint_path=ckpt)
+    np.testing.assert_array_equal(built[0].flat, ModelParams(built[0].dims, seed=5).flat)
+    assert not ckpt.exists()
 
 
 def test_train_zero_lr_bit_identical(tmp_path):
