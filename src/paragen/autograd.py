@@ -57,38 +57,8 @@ class Tensor:
         return _node(self.data.sum(), (self,),
                      lambda g, a=self: _accum(a, np.broadcast_to(g, a.data.shape)))
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _lift(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _node(data, parents, backward):
@@ -164,17 +134,6 @@ def add(a, b):
         _accum(b, g)
 
     return _node(a.data + b.data, (a, b), back)
-
-
-def sub(a, b):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"sub: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def back(g, a=a, b=b):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(a.data - b.data, (a, b), back)
 
 
 def neg(a):
@@ -265,53 +224,29 @@ def tile_rows(v, n):
     return _node(np.tile(v.data, (n, 1)), (v,), lambda g, v=v: _accum(v, g.sum(axis=0)))
 
 
-def row(m, i):
-    """Extract row i of a matrix as a vector."""
-    if m.data.ndim != 2:
-        raise DimensionError(f"row: need rank 2, got shape {m.data.shape}")
-    if not 0 <= i < m.data.shape[0]:
-        raise DimensionError(f"row: index {i} out of range for shape {m.data.shape}")
+def take(t, index):
+    """Gather along the first axis: an int picks one row (one element of a
+    vector); a list or array of ints stacks rows, summing repeated ids' gradients."""
+    n = t.data.shape[0] if t.data.ndim else 0
+    if isinstance(index, (int, np.integer)):
+        if not 0 <= index < n:  # no numpy reduction: this path runs per token
+            raise DimensionError(f"take: index {index} out of range for shape {t.data.shape}")
+        out = t.data[index].copy()
+    else:
+        index = np.asarray(index, dtype=np.intp)
+        if t.data.ndim == 0 or index.size and (index.min() < 0 or index.max() >= n):
+            raise DimensionError(f"take: index out of range for shape {t.data.shape}")
+        out = t.data[index]
 
-    def back(g, m=m, i=i):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            m.grad[i] += g
+    def back(g, t=t, index=index):
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        if isinstance(index, np.ndarray):
+            np.add.at(t.grad, index, g)
+        else:
+            t.grad[index] += g
 
-    return _node(m.data[i].copy(), (m,), back)
-
-
-def rows(m, ids):
-    """Gather a list of matrix rows; repeated indices accumulate gradient."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if m.data.ndim != 2:
-        raise DimensionError(f"rows: need rank 2, got shape {m.data.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= m.data.shape[0]):
-        raise DimensionError(f"rows: index out of range for shape {m.data.shape}")
-
-    def back(g, m=m, ids=ids):
-        if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros_like(m.data)
-            np.add.at(m.grad, ids, g)
-
-    return _node(m.data[ids], (m,), back)
-
-
-def pick(v, i):
-    """Select element i of a vector as a scalar."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"pick: need rank 1, got shape {v.data.shape}")
-    if not 0 <= i < v.data.shape[0]:
-        raise DimensionError(f"pick: index {i} out of range for length {v.data.shape[0]}")
-
-    def back(g, v=v, i=i):
-        if v.requires_grad:
-            if v.grad is None:
-                v.grad = np.zeros_like(v.data)
-            v.grad[i] += g
-
-    return _node(v.data[i], (v,), back)
+    return _node(out, (t,), back)
 
 
 def pad_to(v, size):
@@ -431,7 +366,7 @@ def lstm_step(cell, x, state):
         _accum(c_prev, d_c * gf)
 
     out = _node(np.stack([h_new, c_new]), parents, back)
-    return row(out, 0), row(out, 1)
+    return take(out, 0), take(out, 1)
 
 
 def _sig(x):

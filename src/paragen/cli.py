@@ -13,7 +13,7 @@ from dataclasses import MISSING, fields
 
 from .decoding import BeamConfig, beam_decode
 from .errors import NumericalError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .metrics import bleu, token_hits
 from .miner import (DEFAULT_ABBREVIATIONS, MineConfig, align, load_abbreviations,
                     load_documents, write_pairs)
@@ -193,8 +193,7 @@ def cmd_generate(args):
     params, _ = load_checkpoint(args.checkpoint, expected_vocab=vocab)
     width = 1 if cfg_map["greedy"] else cfg_map["beam"]
     cfg = _build(BeamConfig, cfg_map, beam_width=width)
-    with open(args.input, encoding="utf-8") as fh:
-        sources = [line for line in fh.read().splitlines() if line.strip()]
+    sources = [line for line in read_lines(args.input) if line.strip()]
     with atomic_write(args.out) as fh:
         for source in sources:
             hyps = beam_decode(source, params, vocab, cfg, force_p_gen=force)
@@ -210,10 +209,8 @@ def cmd_generate(args):
 
 def cmd_eval(args):
     cfg_map = _effective(args)
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [tokenize(line) for line in fh.read().splitlines()]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [tokenize(line) for line in fh.read().splitlines()]
+    hyps = [tokenize(line) for line in read_lines(args.hyp)]
+    refs = [tokenize(line) for line in read_lines(args.ref)]
     report = bleu(hyps, refs, smooth=cfg_map["smooth"])
     hits = sum(token_hits(h, r) for h, r in zip(hyps, refs))
     total = sum(len(r) for r in refs)

@@ -1,4 +1,5 @@
-"""Atomic file writes: a reader finds the old file or the whole new one."""
+"""Text lines split on LF only, and atomic file writes: a reader finds the
+old file or the whole new one."""
 
 import os
 from contextlib import contextmanager
@@ -18,3 +19,14 @@ def atomic_write(path, binary=False):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_lines(path):
+    """The lines of UTF-8 file ``path``, split on "\\n" only. A "\\r" and the
+    other breaks str.splitlines() knows (\\x85, \\u2028, ...) stay inside the
+    line, so any text without a TAB or LF round-trips through a pair TSV."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

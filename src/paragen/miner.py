@@ -395,7 +395,8 @@ def fetch_documents(urls, delay=1.0, timeout=10.0):
             if not rp.can_fetch("paragen", url):
                 log.warning("skipping %s: disallowed by robots.txt", url)
                 continue
-            wait = last_hit.get(host, 0.0) + delay - time.monotonic()
+            # a host's first request never waits
+            wait = last_hit.get(host, -math.inf) + delay - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
             last_hit[host] = time.monotonic()

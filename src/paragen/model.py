@@ -54,7 +54,7 @@ def encode(embeddings, fwd, bwd):
         c = Tensor(np.zeros(d_h))
         states = [None] * n
         for i in order:
-            h, c = lstm_step(cell, ag.row(embeddings, i), (h, c))
+            h, c = lstm_step(cell, ag.take(embeddings, i), (h, c))
             states[i] = h
         return states, h
 
@@ -193,7 +193,7 @@ class ModelParams:
         """Embedding row of ``idx``; ids past the fixed vocabulary use the UNK row."""
         if idx < 0:
             raise ValidationError(f"embedding id {idx} negative")
-        return ag.row(self.embedding, idx if idx < self.dims.vocab_size else UNK)
+        return ag.take(self.embedding, idx if idx < self.dims.vocab_size else UNK)
 
     def initial_decoder_state(self, states):
         """Bridge the combined final encoder state into the decoder widths."""
@@ -204,7 +204,7 @@ class ModelParams:
     def encode_source_ids(self, source_ids):
         """Embed extended source ids (OOVs fall back to UNK) and run the encoder."""
         emb_ids = [i if i < self.dims.vocab_size else UNK for i in source_ids]
-        embs = ag.rows(self.embedding, emb_ids)
+        embs = ag.take(self.embedding, emb_ids)
         return encode(embs, self.encoder_fwd, self.encoder_bwd)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, backward
 from .errors import NumericalError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .model import ModelDims, ModelParams, params_from_payload
 from .pointer import full_step, prepare_source
 from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
@@ -130,7 +130,7 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
     correct = 0
     for gold_id in gold:
         dist, state = full_step(prev, ev, states, state, params)
-        term = ag.neg(ag.log(ag.pick(dist.p, gold_id)))
+        term = ag.neg(ag.log(ag.take(dist.p, gold_id)))
         total = term if total is None else ag.add(total, term)
         if int(np.argmax(dist.p.data)) == gold_id:
             correct += 1
@@ -204,15 +204,15 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     """Train a fresh model on (source, target) text pairs.
 
     Returns (ModelParams, TrainReport). When ``vocab`` is None one is built
-    by ``pairs_vocab``. A run rewrites ``log_path``, one JSON line per epoch.
+    by ``pairs_vocab``. Each epoch replaces ``log_path`` whole with one JSON
+    line per epoch so far, so a run that fails in its first epoch leaves the
+    previous log as it was.
     """
     if not dataset:
         raise ValidationError("train: empty dataset")
     pairs = [_pair_texts(p) for p in dataset]
     if vocab is None:
         vocab = pairs_vocab(pairs, cfg)
-    if log_path is not None:
-        open(log_path, "w", encoding="utf-8").close()
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
     opt = Adam(params.flat, params.grad, lr=cfg.lr)
@@ -247,8 +247,8 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         log.info("epoch %d: nll %.4f acc %.3f (%.1fs)",
                  epoch, stats.mean_nll, stats.token_accuracy, stats.wall_time_s)
         if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(stats.as_dict()) + "\n")
+            with atomic_write(log_path) as fh:
+                fh.writelines(json.dumps(e.as_dict()) + "\n" for e in report.epochs)
         if checkpoint_path is not None and epoch % cfg.checkpoint_interval == 0:
             save_checkpoint(params, checkpoint_path, vocab)
     if checkpoint_path is not None:
@@ -261,15 +261,14 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
 
 
 def load_pairs_tsv(path):
-    """Read a pair-per-line TSV; every line must contain exactly one TAB."""
+    """Read a pair-per-line TSV (lines end at LF only); every line must
+    contain exactly one TAB."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if line.count("\t") != 1:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected exactly one TAB separator")
-            x, y = line.split("\t")
-            pairs.append((x, y))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.count("\t") != 1:
+            raise ValidationError(f"{path}: line {lineno}: expected exactly one TAB separator")
+        x, y = line.split("\t")
+        pairs.append((x, y))
     return pairs
 
 
@@ -295,7 +294,10 @@ def save_checkpoint(params, path, vocab):
 
 
 def load_checkpoint(path, expected_dims=None, expected_vocab=None):
-    """Load a checkpoint; returns (ModelParams, vocab_fingerprint bytes)."""
+    """Load a checkpoint; returns (ModelParams, vocab_fingerprint bytes).
+
+    Every failure, a NaN or infinite weight included, raises a CheckpointError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     fixed = len(CHECKPOINT_MAGIC) + 2 + 20 + 32 + 8
@@ -328,5 +330,7 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
         raise CorruptCheckpointError(
             f"{path}: widths {dims} need {8 * dims.parameter_count()} payload bytes, "
             f"header declares {payload_len}")
-
-    return params_from_payload(dims, payload), fingerprint
+    params = params_from_payload(dims, payload)
+    if not np.isfinite(params.flat).all():
+        raise CorruptCheckpointError(f"{path}: payload holds a non-finite value")
+    return params, fingerprint

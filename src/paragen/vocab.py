@@ -91,12 +91,16 @@ def build_vocab(corpus, max_size, min_count=1):
     """Keep the most frequent tokens, ties broken lexicographically.
 
     corpus: iterable of token lists. max_size counts the reserved ids too.
+    A reserved string in the data ("<unk>" in PTB-style text) already has its
+    id, so it is not counted.
     """
     if max_size <= N_RESERVED:
         raise ValidationError(f"max_size must exceed {N_RESERVED}")
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
+    for tok in RESERVED_TOKENS:
+        counts.pop(tok, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, c in ranked if c >= min_count][: max_size - N_RESERVED]
     return Vocabulary(kept)

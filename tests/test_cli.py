@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import struct
 
 import pytest
 
@@ -366,3 +367,42 @@ def test_generate_failure_midway_keeps_existing_output(tmp_path, monkeypatch):
     assert _generate(ckpt, src, out, "--beam", "2") == 2
     assert len(calls) == 2
     _assert_kept(out, before)
+
+
+def test_train_on_reserved_token_strings(tmp_path):
+    data = tmp_path / "ptb.tsv"
+    data.write_text("the <unk> sat down\tthe <unk> sat\n<eos> <pad> went\t<bos> went\n",
+                    encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    assert run_cli("--seed", "1", "train", "--data", str(data), "--out", str(ckpt),
+                   "--epochs", "1", "--d-emb", "4", "--d-h", "4", "--d-s", "4", "--d-a", "4") == 0
+    assert "<unk>" not in (tmp_path / "m.ckpt.vocab").read_text(encoding="utf-8").split("\n")
+
+
+def test_generate_non_finite_checkpoint_exit_2(tmp_path, capsys):
+    ckpt, src = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "h.tsv"
+    assert _generate(ckpt, src, out) == 0
+    before = out.read_bytes()
+    blob = bytearray(ckpt.read_bytes())
+    blob[-8:] = struct.pack("<d", float("nan"))
+    ckpt.write_bytes(bytes(blob))
+    assert _generate(ckpt, src, out) == 2
+    assert "non-finite" in capsys.readouterr().err
+    _assert_kept(out, before)
+
+
+def test_text_inputs_split_on_lf_only(tmp_path, capsys):
+    # "\x85" and "\u2028" are whitespace inside a line; CRLF line ends give the same tokens
+    ckpt, _ = _tiny_checkpoint(tmp_path)
+    src = tmp_path / "in.txt"
+    src.write_bytes("alpha\x85beta\r\ngamma\u2028delta\r\n".encode("utf-8"))
+    out = tmp_path / "h.txt"
+    assert _generate(ckpt, src, out, "--greedy", "--plain") == 0
+    assert len(out.read_text(encoding="utf-8").split("\n")) == 3  # two lines, final LF
+
+    ref = tmp_path / "ref.txt"
+    ref.write_text("alpha beta\ngamma delta\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", str(src), "--ref", str(ref)) == 0
+    assert json.loads(capsys.readouterr().out)["token_accuracy"] == 1.0

@@ -88,7 +88,7 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     states = params.encode_source_ids(src_ids)
     state = params.initial_decoder_state(states)
     dist, _ = full_step(BOS, ev, states, state, params)
-    ag.backward(ag.neg(ag.log(ag.pick(dist.p, ev.lookup("zyxxy")))))
+    ag.backward(ag.neg(ag.log(ag.take(dist.p, ev.lookup("zyxxy")))))
     assert np.all(params.projection.weight.grad == 0.0)
     assert np.all(params.projection.bias.grad == 0.0)
     assert np.any(params.attention.weight.grad != 0.0)

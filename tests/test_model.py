@@ -111,7 +111,7 @@ def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3):
     rng = np.random.default_rng(seed)
     from paragen.model import EncoderStates
     H = Tensor(rng.normal(size=(n, 2 * d_h)))
-    states = EncoderStates(H, ag.row(H, n - 1), n)
+    states = EncoderStates(H, ag.take(H, n - 1), n)
     s = DecoderState(Tensor(rng.normal(size=d_s), requires_grad=True),
                      Tensor(rng.normal(size=d_s), requires_grad=True))
     ap = model_part("attention", seed=seed, d_h=d_h, d_s=d_s, d_a=d_a)

@@ -1,17 +1,23 @@
 import hashlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paragen.autograd import Tensor, backward
 from paragen.errors import NumericalError, ValidationError
 from paragen.model import ModelDims, ModelParams
-from paragen.training import (Adam, CorruptCheckpointError, TrainConfig, VersionMismatchError,
+from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, TrainConfig,
+                              VersionMismatchError,
                               VocabMismatchError, WidthMismatchError, clip_gradients,
                               load_checkpoint, load_pairs_tsv, save_checkpoint,
                               save_pairs_tsv, sequence_loss, train)
-from paragen.vocab import Vocabulary
+from paragen.vocab import Vocabulary, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model, zero_params
 from oracles import PerTensorAdam, straight_line_sequence_nll
@@ -252,6 +258,40 @@ def test_checkpoint_corrupt_width_rejected_before_allocation(field, tmp_path, mo
     assert built == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_non_finite_payload_is_corrupt(value, tmp_path):
+    params, vocab = tiny_model(seed=9)
+    params.flat[17] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    with pytest.raises(CorruptCheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_corruption_raises_only_checkpoint_errors(tmp_path):
+    vocab = Vocabulary(["alpha"])
+    params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=1, d_h=1, d_s=1, d_a=1), seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    blob = path.read_bytes()
+    cases = [(f"truncated to {n}", blob[:n]) for n in range(len(blob))]
+    for i in range(66):  # every header byte
+        for value in (0x00, 0xFF, blob[i] ^ 0x01, blob[i] ^ 0x80):
+            corrupt = bytearray(blob)
+            corrupt[i] = value
+            cases.append((f"byte {i} = {value:#04x}", bytes(corrupt)))
+    escaped = []
+    for label, case in cases:
+        path.write_bytes(case)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other exception is the failure
+            escaped.append((label, repr(exc)))
+    assert escaped == []
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -296,6 +336,26 @@ def test_pairs_tsv_round_trip(tmp_path):
     assert load_pairs_tsv(path) == pairs
 
 
+_LINE_TEXT = st.text(st.characters(exclude_characters="\t\n", exclude_categories=("Cs",)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_LINE_TEXT, _LINE_TEXT), max_size=4))
+def test_pairs_tsv_round_trips_any_text_without_tab_or_lf(pairs):
+    # "\r", "\x85", "\u2028" and the other str.splitlines() breaks stay inside a line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        save_pairs_tsv(pairs, path)
+        assert load_pairs_tsv(path) == pairs
+
+
+def test_pairs_tsv_crlf_gives_the_same_tokens(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"a b\tc d\r\nx\ty z\r\n")
+    assert [(tokenize(x), tokenize(y)) for x, y in load_pairs_tsv(path)] == [
+        (["a", "b"], ["c", "d"]), (["x"], ["y", "z"])]
+
+
 def test_pairs_tsv_rejects_bad_lines(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("good\tline\nbad line without tab\n", encoding="utf-8")
@@ -326,3 +386,24 @@ def test_train_writes_log_and_interval_checkpoints(tmp_path):
         rec = json.loads(line)
         assert rec["epoch"] == i
         assert rec["mean_nll"] >= 0.0
+
+
+def test_failed_run_keeps_previous_log(tmp_path, monkeypatch):
+    pairs, _ = copy_task_corpus(4, seed=2)
+    cfg = TrainConfig(seed=2, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    log = tmp_path / "m.log"
+    log.write_text('{"epoch": 1, "note": "an earlier run"}\n', encoding="utf-8")
+    before = log.read_bytes()
+
+    def fail(loss):
+        raise NumericalError("backward failed")
+
+    with monkeypatch.context() as m:
+        m.setattr("paragen.training.backward", fail)
+        with pytest.raises(NumericalError):
+            train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    assert log.read_bytes() == before
+
+    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1, 2]
+    assert [p.name for p in tmp_path.iterdir()] == ["m.log"]

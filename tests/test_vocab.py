@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paragen.errors import ValidationError
 from paragen.model import ModelDims, ModelParams
-from paragen.vocab import (EOS, PAD, UNK, Vocabulary, build_vocab, decode_ids, encode_source,
-                           encode_target, tokenize)
+from paragen.vocab import (EOS, PAD, RESERVED_TOKENS, UNK, Vocabulary, build_vocab, decode_ids,
+                           encode_source, encode_target, tokenize)
 
 
 def test_tokenize_punctuation():
@@ -48,6 +50,15 @@ def test_build_vocab_min_count():
     v = build_vocab([["a", "a", "b"]], max_size=10, min_count=2)
     assert "b" not in v
     assert "a" in v
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(RESERVED_TOKENS + ("a", "b", "c")))),
+       st.integers(5, 10))
+def test_build_vocab_never_returns_a_reserved_string(corpus, max_size):
+    v = build_vocab(corpus, max_size=max_size)
+    assert v.id_to_token[:4] == list(RESERVED_TOKENS)
+    assert not set(v.id_to_token[4:]) & set(RESERVED_TOKENS)
 
 
 def test_build_vocab_max_size_guard():
