@@ -75,7 +75,7 @@ def build_parser():
              min_tokens="shortest sentence kept", max_tokens="longest sentence kept",
              stoplist="file of abbreviations that never end a sentence; off means the "
                       "built-in list",
-             threads="parallel query workers; output is identical")
+             threads="threads over query blocks; output is identical")
     mine.set_defaults(func=cmd_mine)
 
     tr = sub.add_parser("train", help="train a model on a pair-per-line TSV")

@@ -18,6 +18,8 @@ import urllib.robotparser
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 from .fileio import atomic_write
 from .vocab import tokenize
@@ -29,6 +31,10 @@ DEFAULT_ABBREVIATIONS = frozenset({
     "mr.", "mrs.", "ms.", "st.", "jr.", "sr.", "vs.", "etc.", "e.g.", "i.e.",
     "ca.", "col.", "gen.", "sen.", "rep.", "no.", "n.", "p.", "pp.", "art.",
 })
+
+# Dense cosines held per block of queries: 128 KiB of float64 at any corpus
+# size (one query's row when a row alone is wider).
+BLOCK_ELEMENTS = 1 << 14
 
 _SENTENCE_END = ".!?"
 _OPENERS = '"«(\''
@@ -154,27 +160,96 @@ def _tfidf_weights(tokens, df, n):
 
 
 class InvertedIndex:
-    """Term-at-a-time scoring over L2-normalized log-TF-IDF sentence vectors."""
+    """Exact cosine scoring over L2-normalized log-TF-IDF sentence vectors.
 
-    def __init__(self, postings, df, records, n_sentences):
-        self.postings = postings  # term -> [(sid, weight)] sorted by sid
+    The postings are CSR arrays: term id ``t`` (``term_ids[term]``) occurs in
+    sentences ``sids[ptr[t]:ptr[t + 1]]`` (ascending) with weights
+    ``weights[ptr[t]:ptr[t + 1]]``; ``source_ids[sid]`` numbers each indexed
+    sentence's source (-1 for a sid with no record).
+    """
+
+    def __init__(self, records, df, n_sentences):
+        self.records = records  # sid -> SentenceRecord, weighted
         self.df = df
-        self.records = records  # sid -> SentenceRecord
         self.n_sentences = n_sentences  # the n of the weights (records with no weight too)
+        self.width = max(records, default=-1) + 1  # columns of a dense score row
+        self.term_ids, self.sources = {}, {}
+        self.source_ids = np.full(self.width, -1)
+        terms, sids, weights = [], [], []
+        for sid in sorted(records):
+            rec = records[sid]
+            self.source_ids[sid] = self.sources.setdefault(rec.source, len(self.sources))
+            for term, w in rec.weights.items():
+                terms.append(self.term_ids.setdefault(term, len(self.term_ids)))
+                sids.append(sid)
+                weights.append(w)
+        terms = np.array(terms, dtype=np.intp)
+        order = np.argsort(terms, kind="stable")
+        self.sids = np.array(sids, dtype=np.intp)[order]
+        self.weights = np.array(weights, dtype=np.float64)[order]
+        self.ptr = [0] + np.cumsum(np.bincount(terms, minlength=len(self.term_ids))).tolist()
 
     def vectorize(self, tokens):
         """Weight an arbitrary token list with this index's statistics; terms
         unseen by the index get weight zero."""
         return _tfidf_weights(tokens, self.df, self.n_sentences)
 
+    def _dense_scores(self, queries):
+        """Cosines of each query record (a row each) against every sid column.
+
+        Each query's term postings are laid out in the order of its weights
+        and added by one ``bincount``, which sums its input in order: every
+        cosine is the same sequence of float additions, whatever the block.
+        """
+        sids, weights, query_weights, offsets, counts = [], [], [], [], []
+        for row, rec in enumerate(queries):
+            for term, w in (rec.weights or self.vectorize(rec.tokens)).items():
+                t = self.term_ids.get(term)
+                if t is not None:
+                    start, stop = self.ptr[t], self.ptr[t + 1]
+                    sids.append(self.sids[start:stop])
+                    weights.append(self.weights[start:stop])
+                    query_weights.append(w)
+                    offsets.append(row * self.width)
+                    counts.append(stop - start)
+        if not sids:
+            return np.zeros((len(queries), self.width))
+        cells = np.concatenate(sids)
+        if len(queries) > 1:
+            cells += np.repeat(offsets, counts)
+        products = np.concatenate(weights)
+        products *= np.repeat(query_weights, counts)
+        block = np.bincount(cells, products, minlength=len(queries) * self.width)
+        return block.reshape(len(queries), self.width)
+
     def scores(self, record):
-        """Cosine of ``record`` against every indexed sentence (no exclusions)."""
-        weights = record.weights or self.vectorize(record.tokens)
-        acc = {}
-        for term, qw in weights.items():
-            for sid, w in self.postings.get(term, ()):
-                acc[sid] = acc.get(sid, 0.0) + qw * w
-        return acc
+        """Cosine of ``record`` against every indexed sentence it shares a term
+        with (no exclusions), as {sid: cosine} in sid order."""
+        row = self._dense_scores([record])[0]
+        hit = np.flatnonzero(row)
+        return dict(zip(hit.tolist(), row[hit].tolist()))
+
+    def top_k(self, queries, k):
+        """Exact top-k other-source neighbours of each query record, as one
+        [(sid, cosine)] list per query, ranked by (-cosine, sid)."""
+        block = self._dense_scores(queries)
+        own = np.array([self.sources.get(rec.source, -1) for rec in queries])
+        block *= own[:, None] != self.source_ids  # same-source cosines to 0, the rest exact
+        if k < self.width:
+            # every candidate tied with the k-th largest stays for the sid tie-break
+            kth = np.partition(block, self.width - k, axis=1)[:, self.width - k, None]
+            hits = np.flatnonzero((block >= kth) & (block > 0.0))
+        else:
+            hits = np.flatnonzero(block)
+        rows, sids = np.divmod(hits, self.width)
+        sims = block.ravel()[hits]
+        order = np.lexsort((sids, -sims, rows))
+        rows, sids, sims = rows[order], sids[order], sims[order]
+        keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+        rows, sids, sims = rows[keep], sids[keep], sims[keep]
+        bounds = np.searchsorted(rows, np.arange(len(queries) + 1)).tolist()
+        pairs = list(zip(sids.tolist(), sims.tolist()))
+        return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def build_index(records):
@@ -185,18 +260,12 @@ def build_index(records):
     for rec in records:
         for term in set(rec.tokens):
             df[term] = df.get(term, 0) + 1
-    postings = {}
     by_sid = {}
     for rec in records:
         rec.weights = _tfidf_weights(rec.tokens, df, len(records))
-        if not rec.weights:
-            continue
-        by_sid[rec.sid] = rec
-        for term, w in rec.weights.items():
-            postings.setdefault(term, []).append((rec.sid, w))
-    for plist in postings.values():
-        plist.sort(key=lambda pair: pair[0])
-    return InvertedIndex(postings, df, by_sid, len(records))
+        if rec.weights:
+            by_sid[rec.sid] = rec
+    return InvertedIndex(by_sid, df, len(records))
 
 
 def query_similar(ref, index, k):
@@ -207,13 +276,7 @@ def query_similar(ref, index, k):
     """
     if k < 1:
         raise ValidationError("query_similar: k must be >= 1")
-    acc = index.scores(ref)
-    ranked = sorted(
-        ((sid, sim) for sid, sim in acc.items()
-         if index.records[sid].source != ref.source),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ranked[:k]
+    return index.top_k([ref], k)[0]
 
 
 def sentence_records(docs, cfg=MineConfig()):
@@ -245,15 +308,18 @@ def align(docs, cfg=MineConfig(), threads=1):
         return []
     index = build_index(records)
     indexed = [index.records[sid] for sid in sorted(index.records)]
+    step = max(1, BLOCK_ELEMENTS // index.width)
+    blocks = [indexed[i:i + step] for i in range(0, len(indexed), step)]
 
-    def neighbours(rec):
-        return query_similar(rec, index, cfg.k)
+    def neighbours(block):
+        return index.top_k(block, cfg.k)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_hits = list(pool.map(neighbours, indexed))
+            block_hits = list(pool.map(neighbours, blocks))
     else:
-        all_hits = [neighbours(rec) for rec in indexed]
+        block_hits = [neighbours(block) for block in blocks]
+    all_hits = [hits for per_block in block_hits for hits in per_block]
 
     pairs = {}
     for rec, hits in zip(indexed, all_hits):

@@ -57,7 +57,11 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def lookup(self, token):
-        return self.token_to_id.get(token, UNK)
+        """Id of a text token. A reserved string in the text (a literal
+        ``<eos>``, say) maps to UNK: the reserved ids mark padding, unknown
+        words and sentence boundaries, never a word of the text."""
+        idx = self.token_to_id.get(token, UNK)
+        return idx if idx >= N_RESERVED else UNK
 
     def token(self, idx):
         if not 0 <= idx < len(self.id_to_token):

@@ -82,6 +82,21 @@ def random_sentence_docs(seed, n_sentences, n_sources=4, vocab_size=120):
     return docs
 
 
+def zipf_sentence_docs(seed, n_sentences, n_sources=5, vocab_size=2000, per_doc=10):
+    """Documents of 6-20 word sentences drawn with P(rank r) ~ 1/r, so a few
+    terms (and the period) occur in most sentences, as in news text."""
+    rng = np.random.default_rng(seed)
+    words = np.array([f"z{i:05d}" for i in range(vocab_size)])
+    p = 1.0 / np.arange(1, vocab_size + 1)
+    lengths = rng.integers(6, 21, size=n_sentences)
+    drawn = words[rng.choice(vocab_size, size=int(lengths.sum()), p=p / p.sum())].tolist()
+    ends = np.cumsum(lengths).tolist()
+    sents = [" ".join(drawn[e - n:e]) for n, e in zip(lengths.tolist(), ends)]
+    return [Document(id=f"z{d:05d}", source=f"src{int(rng.integers(n_sources))}", title="",
+                     body=". ".join(s.capitalize() for s in sents[i:i + per_doc]) + ".")
+            for d, i in enumerate(range(0, n_sentences, per_doc))]
+
+
 def planted_paraphrase_docs(seed, n_planted=50, n_distractors=200):
     """Templated near-paraphrase pairs split across two outlets, plus noise.
 

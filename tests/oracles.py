@@ -267,6 +267,31 @@ def brute_force_neighbours(records, ref_index, k):
     return ranked[:k]
 
 
+def dict_postings(records):
+    """term -> [(sid, weight)] sorted by sid, over ``records`` (sid -> weighted
+    SentenceRecord): the postings lists the miner kept before its CSR arrays."""
+    postings = {}
+    for sid in sorted(records):
+        for term, w in records[sid].weights.items():
+            postings.setdefault(term, []).append((sid, w))
+    return postings
+
+
+def dict_query_similar(weights, source, records, postings, k):
+    """The miner's retrieval before CSR arrays: add each query term's
+    postings into a dict in the order of ``weights``, drop ``source``'s
+    sentences, sort every candidate by (-cosine, sid) and keep k."""
+    acc = {}
+    for term, qw in weights.items():
+        for sid, w in postings.get(term, ()):
+            acc[sid] = acc.get(sid, 0.0) + qw * w
+    ranked = sorted(
+        ((sid, sim) for sid, sim in acc.items() if records[sid].source != source),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    return ranked[:k]
+
+
 # ---------------------------------------------------------------------------
 # decoding oracle
 

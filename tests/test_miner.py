@@ -5,15 +5,19 @@ import urllib.error
 import urllib.parse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paragen import miner
 from paragen.errors import ValidationError
-from paragen.miner import (Document, MineConfig, SentenceRecord, align, build_index,
-                           fetch_documents, ingest, load_documents, query_similar, segment,
-                           sentence_records, strip_html, write_pairs)
+from paragen.miner import (Document, InvertedIndex, MineConfig, SentenceRecord, align,
+                           build_index, fetch_documents, ingest, load_documents, query_similar,
+                           segment, sentence_records, strip_html, write_pairs)
+from paragen.vocab import tokenize
 
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
-                      write_doc_fixture)
-from oracles import brute_force_neighbours, dense_tfidf
+                      write_doc_fixture, zipf_sentence_docs)
+from oracles import brute_force_neighbours, dense_tfidf, dict_postings, dict_query_similar
 
 
 def _doc(body, doc_id="d0", source="s0"):
@@ -48,6 +52,18 @@ def test_segment_empty_body():
 def test_segment_splits_on_newline_whitespace():
     out = segment(_doc("First sentence goes here tonight.\nSecond sentence also goes here."))
     assert len(out) == 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.text(alphabet="aBc Sig.dr!?\n\"«(", max_size=200),
+       st.integers(1, 6), st.integers(0, 6))
+def test_segment_keeps_exactly_the_sentences_within_the_token_bounds(body, lo, extra):
+    doc = _doc(body)
+    every = segment(doc, 1, 10 ** 6)
+    # with no bound, segmentation loses no token
+    assert tokenize(" ".join(every)) == tokenize(body)
+    kept = segment(doc, lo, lo + extra)
+    assert kept == [s for s in every if lo <= len(tokenize(s)) <= lo + extra]
 
 
 def test_index_self_similarity():
@@ -131,6 +147,96 @@ def test_query_similar_tie_breaks_lower_sid():
     index = build_index(recs)
     hits = query_similar(recs[0], index, k=2)
     assert [sid for sid, _ in hits] == sorted(sid for sid, _ in hits)
+
+
+C5_SIZES = [50, 75, 100, 150, 200, 250, 300, 350, 400, 450,
+            500, 550, 600, 650, 700, 750, 800, 850, 900, 1000]
+
+
+def _exact_against_dict_path(recs, stride):
+    index = build_index(recs)
+    postings = dict_postings(index.records)
+    for rec in recs[::stride]:
+        for k in (1, 5, len(recs)):  # k = every candidate compares the whole ranking
+            want = dict_query_similar(rec.weights, rec.source, index.records, postings, k)
+            assert query_similar(rec, index, k) == want, (rec.sid, k)
+        everything = dict_query_similar(rec.weights, None, index.records, postings, len(recs))
+        assert index.scores(rec) == dict(everything)
+
+
+@pytest.mark.parametrize("trial", range(len(C5_SIZES)))
+def test_query_similar_equals_dict_path_on_c5_corpora(trial):
+    """Same sids in the same order and the same float bits as the replaced
+    dict accumulation, on the corpora of acceptance test c5."""
+    docs = random_sentence_docs(seed=trial, n_sentences=C5_SIZES[trial],
+                                n_sources=4, vocab_size=100)
+    recs = sentence_records(docs)
+    _exact_against_dict_path(recs, max(1, len(recs) // 40))
+
+
+def test_query_similar_equals_dict_path_on_zipf_corpus():
+    recs = sentence_records(zipf_sentence_docs(seed=0, n_sentences=700))
+    _exact_against_dict_path(recs, 3)
+
+
+def test_align_independent_of_block_size(monkeypatch):
+    docs = random_sentence_docs(seed=5, n_sentences=300, n_sources=4, vocab_size=60)
+    cfg = MineConfig(k=4, min_sim=0.2, max_sim=0.99)
+    width = build_index(sentence_records(docs, cfg)).width
+    top_k = InvertedIndex.top_k
+    sizes = []
+
+    def spy(index, queries, k):
+        sizes.append(len(queries))
+        return top_k(index, queries, k)
+
+    monkeypatch.setattr(InvertedIndex, "top_k", spy)
+    runs = {}
+    for block, budget, threads in [(1, 1, 1), (7, 7 * width, 1), (7, 7 * width + 3, 2),
+                                   ("all", 10 ** 9, 1)]:
+        monkeypatch.setattr(miner, "BLOCK_ELEMENTS", budget)
+        sizes.clear()
+        runs[(block, threads)] = align(docs, cfg, threads=threads)
+        assert sum(sizes) == width and max(sizes) == (width if block == "all" else block)
+    first = runs[(1, 1)]
+    assert first
+    for pairs in runs.values():
+        assert pairs == first
+
+
+def test_query_similar_boundary_tie_keeps_lowest_sids():
+    copy = "The harbour bridge reopened after long repairs this week."
+    filler = "Completely unrelated words fill this other line."
+    docs = [_doc(copy, "a0", "srcA"), _doc(copy, "a1", "srcA")]
+    docs += [_doc(f"{filler} {copy}", f"c{i}", src)
+             for i, src in enumerate(["srcB", "srcC", "srcB", "srcD", "srcC"])]
+    recs = sentence_records(docs)
+    index = build_index(recs)
+    copies = [r.sid for r in recs if r.text == copy and r.source != "srcA"]
+    assert len(copies) == 5 and copies != list(range(copies[0], copies[0] + 5))
+    hits = query_similar(recs[0], index, k=2)
+    assert [sid for sid, _ in hits] == copies[:2]
+    assert hits[0][1] == hits[1][1] == index.scores(recs[0])[copies[4]]
+    postings = dict_postings(index.records)
+    for k in range(1, 7):
+        assert query_similar(recs[0], index, k) == dict_query_similar(
+            recs[0].weights, "srcA", index.records, postings, k)
+
+
+def test_query_similar_record_outside_the_index():
+    recs = sentence_records(random_sentence_docs(seed=6, n_sentences=200, vocab_size=50))
+    index = build_index(recs)
+    postings = dict_postings(index.records)
+    text = " ".join(recs[3].tokens[:4] + recs[150].tokens[:4] + ["never", "indexed"])
+    for source in ("src1", "elsewhere"):
+        ref = SentenceRecord(sid=10 ** 6, doc_id="q", source=source, text=text,
+                             tokens=tokenize(text))
+        want = dict_query_similar(index.vectorize(ref.tokens), source, index.records,
+                                  postings, 5)
+        assert want and query_similar(ref, index, 5) == want
+        assert ref.weights == {}
+    alone = SentenceRecord(sid=0, doc_id="q", source="s", text="", tokens=["never"])
+    assert query_similar(alone, index, 3) == [] and index.scores(alone) == {}
 
 
 def test_align_band_excludes_verbatim_copies():

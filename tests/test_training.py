@@ -193,6 +193,20 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.dims == params.dims
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(0, 999), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     max_size=20))
+def test_checkpoint_round_trips_flat_bit_for_bit(seed, specials):
+    params, vocab = tiny_model(seed=seed, n_tokens=3, width=2)
+    # any finite value survives: -0.0, subnormals, the extremes
+    params.flat[:len(specials)] = specials
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(params, path, vocab)
+        loaded, _ = load_checkpoint(path, expected_dims=params.dims, expected_vocab=vocab)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+
 def test_checkpoint_truncated_is_corrupt(tmp_path):
     params, vocab = tiny_model(seed=9)
     path = tmp_path / "m.ckpt"

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,38 @@ def test_lookup_unknown_is_unk():
     assert v.lookup("x") == 4
     assert v.token(PAD) == "<pad>"
     assert v.token(EOS) == "<eos>"
+
+
+def test_reserved_strings_in_text_encode_as_unk():
+    v = Vocabulary(["a", "b"])
+    ids, ev = encode_source(tokenize("<pad> a <bos> b <eos> <unk> zz"), v)
+    assert ids == [UNK, 4, UNK, 5, UNK, UNK, v.size]
+    assert ev.source_oovs == ["zz"]
+    assert encode_target(tokenize("a <eos> b"), ev) == [4, UNK, 5]
+    assert encode_target(tokenize("<pad> <bos> <unk> zz"), ev) == [UNK, UNK, UNK, v.size]
+    assert [v.lookup(t) for t in RESERVED_TOKENS] == [UNK] * 4
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.text())
+def test_tokenize_is_idempotent_on_its_joined_output(text):
+    tokens = tokenize(text)
+    assert tokenize(" ".join(tokens)) == tokens
+
+
+_TOKEN = st.text(min_size=1).filter(lambda t: t.split() == [t] and t not in RESERVED_TOKENS)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_TOKEN, unique=True))
+def test_vocabulary_save_load_round_trips(tokens):
+    v = Vocabulary(tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.vocab"
+        v.save(path)
+        again = Vocabulary.load(path)
+    assert again.id_to_token == v.id_to_token
+    assert again.fingerprint() == v.fingerprint()
 
 
 def test_vocab_file_round_trip(tmp_path):
