@@ -13,9 +13,9 @@ from .gradcheck import grad_check
 from .metrics import BleuReport, bleu, token_accuracy
 from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceRecord,
                     align, build_index, ingest, query_similar, segment)
-from .model import (DecoderState, EncoderStates, ModelDims, ModelParams, ParamGroup,
-                    attend, decoder_step, encode, parameter_layout, project_vocab)
-from .pointer import StepDistribution, copy_distribution, full_step, generation_gate, mix
+from .model import EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout
+from .pointer import (StepOutputs, copy_distribution, mix, output_backward, output_forward,
+                      prepare_source, step_backward, step_forward)
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,
                        load_pairs_tsv, save_checkpoint, save_pairs_tsv, sequence_loss,
                        train)

@@ -40,10 +40,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return float(self.data)
 
@@ -136,10 +132,6 @@ def add(a, b):
     return _node(a.data + b.data, (a, b), back)
 
 
-def neg(a):
-    return _node(-a.data, (a,), lambda g, a=a: _accum(a, -g))
-
-
 def mul(a, b):
     """Elementwise product; one operand may be a scalar (rank 0)."""
     if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
@@ -163,27 +155,14 @@ def matmul(a, b):
         raise DimensionError(f"matmul: inner dimensions disagree for {ad.shape} x {bd.shape}")
 
     def back(g, a=a, b=b):
-        ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim == 2:
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accum(a, np.outer(g, bd))
-            _accum(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accum(a, bd @ g)
-            _accum(b, np.outer(ad, g))
-        else:
-            _accum(a, g * bd)
-            _accum(b, g * ad)
+        # as (m x k) @ (k x n), a vector a being one row and a vector b one column
+        A = a.data.reshape(-1, a.data.shape[-1])
+        B = b.data.reshape(b.data.shape[0], -1)
+        G = np.reshape(g, (A.shape[0], B.shape[1]))
+        _accum(a, (G @ B.T).reshape(a.data.shape))
+        _accum(b, (A.T @ G).reshape(b.data.shape))
 
     return _node(ad @ bd, (a, b), back)
-
-
-def transpose(a):
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: need rank 2, got shape {a.data.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g, a=a: _accum(a, g.T))
 
 
 def concat(a, b, axis=0):
@@ -217,13 +196,6 @@ def stack(rows):
     return _node(np.stack([r.data for r in rows]), rows, back)
 
 
-def tile_rows(v, n):
-    """Repeat a vector as the rows of an (n, len(v)) matrix."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"tile_rows: need rank 1, got shape {v.data.shape}")
-    return _node(np.tile(v.data, (n, 1)), (v,), lambda g, v=v: _accum(v, g.sum(axis=0)))
-
-
 def take(t, index):
     """Gather along the first axis: an int picks one row (one element of a
     vector); a list or array of ints stacks rows, summing repeated ids' gradients."""
@@ -249,30 +221,6 @@ def take(t, index):
     return _node(out, (t,), back)
 
 
-def pad_to(v, size):
-    """Zero-pad a vector at the end up to ``size`` elements."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"pad_to: need rank 1, got shape {v.data.shape}")
-    n = v.data.shape[0]
-    if size < n:
-        raise DimensionError(f"pad_to: target {size} smaller than length {n}")
-    out = np.zeros(size, dtype=v.data.dtype)
-    out[:n] = v.data
-    return _node(out, (v,), lambda g, v=v, n=n: _accum(v, g[:n]))
-
-
-def scatter_add(v, ids, size):
-    """Scatter vector entries into a zero vector of ``size``, summing collisions."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if v.data.ndim != 1 or ids.shape != v.data.shape:
-        raise DimensionError(f"scatter_add: values {v.data.shape} and ids {ids.shape} disagree")
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise DimensionError(f"scatter_add: id out of range [0, {size})")
-    out = np.zeros(size, dtype=v.data.dtype)
-    np.add.at(out, ids, v.data)
-    return _node(out, (v,), lambda g, v=v, ids=ids: _accum(v, g[ids]))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -288,85 +236,82 @@ def sigmoid(a):
 
 
 def softmax(v):
-    """Stable softmax of a vector (max-subtracted exp-normalize)."""
+    """Stable softmax of a vector (``softmax_rows``)."""
     if v.data.ndim != 1 or v.data.shape[0] == 0:
         raise DimensionError(f"softmax: need a nonempty vector, got shape {v.data.shape}")
-    shifted = v.data - v.data.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
-
-    def back(g, v=v, y=y):
-        _accum(v, y * (g - np.dot(g, y)))
-
-    return _node(y, (v,), back)
+    y = softmax_rows(v.data)
+    return _node(y, (v,), lambda g, v=v, y=y: _accum(v, y * (g - np.dot(g, y))))
 
 
 def log(a, floor=LOG_FLOOR):
     """log(max(x, floor)); the clamp keeps exact-zero probabilities finite."""
     clamped = np.maximum(a.data, floor)
-    y = np.log(clamped)
-
-    def back(g, a=a, clamped=clamped, floor=floor):
-        _accum(a, np.where(a.data > floor, g / clamped, 0.0))
-
-    return _node(y, (a,), back)
+    return _node(np.log(clamped), (a,), lambda g, a=a, c=clamped, floor=floor:
+                 _accum(a, np.where(a.data > floor, g / c, 0.0)))
 
 
 def lstm_step(cell, x, state):
-    """One LSTM cell step as a single fused graph node.
-
-    ``cell`` carries gate weights w_i/w_f/w_g/w_o (each d_h x (d_in + d_h))
-    and biases b_i/b_f/b_g/b_o. Returns (hidden, cell_state):
-    i,f,o = sigmoid(W [x,h] + b), g = tanh(W_g [x,h] + b_g),
-    c' = f*c + i*g, h' = o*tanh(c').
-
-    Fused because the cell is the inner loop of everything here; the manual
-    backward is checked against finite differences and a scalar-loop oracle.
-    """
+    """One LSTM cell step on vectors as one fused graph node over
+    ``lstm_forward`` and ``lstm_backward``. Returns (hidden, cell_state)."""
     h_prev, c_prev = state
-    if x.data.ndim != 1 or h_prev.data.ndim != 1:
-        raise DimensionError("lstm_step: inputs must be vectors")
-    d_h, d_z = cell.w_i.data.shape
-    if x.data.shape[0] + d_h != d_z or h_prev.data.shape[0] != d_h:
-        raise DimensionError(
-            f"lstm_step: input {x.data.shape}/state {h_prev.data.shape} do not match "
-            f"cell widths (d_in={d_z - d_h}, d_h={d_h})")
+    if x.data.ndim != 1 or h_prev.data.ndim != 1 or h_prev.data.shape != c_prev.data.shape:
+        raise DimensionError("lstm_step: inputs must be vectors, h and c of one width")
     z = concat(x, h_prev)
-    zd, cd = z.data, c_prev.data
+    h_new, c_new, cache = lstm_forward(cell, z.data[None], c_prev.data[None])
+    parents = (z, c_prev, *(t for _, t in cell.named_parameters()))
 
-    gi = _sig(cell.w_i.data @ zd + cell.b_i.data)
-    gf = _sig(cell.w_f.data @ zd + cell.b_f.data)
-    gg = np.tanh(cell.w_g.data @ zd + cell.b_g.data)
-    go = _sig(cell.w_o.data @ zd + cell.b_o.data)
-    c_new = gf * cd + gi * gg
-    tc = np.tanh(c_new)
-    h_new = go * tc
+    def back(g, z=z, c_prev=c_prev, cache=cache):
+        d_z, d_c = lstm_backward(cache, g[:1], g[1:])
+        _accum(z, d_z[0])
+        _accum(c_prev, d_c[0])
 
-    parents = (z, c_prev, cell.w_i, cell.b_i, cell.w_f, cell.b_f,
-               cell.w_g, cell.b_g, cell.w_o, cell.b_o)
-
-    def back(g, z=z, c_prev=c_prev, cell=cell, zd=zd, cd=cd,
-             gi=gi, gf=gf, gg=gg, go=go, tc=tc):
-        gh, gc = g[0], g[1]
-        d_c = gh * go * (1.0 - tc * tc) + gc
-        d_pre_o = gh * tc * go * (1.0 - go)
-        d_pre_i = d_c * gg * gi * (1.0 - gi)
-        d_pre_f = d_c * cd * gf * (1.0 - gf)
-        d_pre_g = d_c * gi * (1.0 - gg * gg)
-        _accum(cell.w_i, np.outer(d_pre_i, zd))
-        _accum(cell.b_i, d_pre_i)
-        _accum(cell.w_f, np.outer(d_pre_f, zd))
-        _accum(cell.b_f, d_pre_f)
-        _accum(cell.w_g, np.outer(d_pre_g, zd))
-        _accum(cell.b_g, d_pre_g)
-        _accum(cell.w_o, np.outer(d_pre_o, zd))
-        _accum(cell.b_o, d_pre_o)
-        _accum(z, cell.w_i.data.T @ d_pre_i + cell.w_f.data.T @ d_pre_f
-               + cell.w_g.data.T @ d_pre_g + cell.w_o.data.T @ d_pre_o)
-        _accum(c_prev, d_c * gf)
-
-    out = _node(np.stack([h_new, c_new]), parents, back)
+    out = _node(np.concatenate([h_new, c_new]), parents, back)
     return take(out, 0), take(out, 1)
+
+
+def lstm_forward(cell, z, c):
+    """The LSTM cell on B rows of z = [x, h] and cell states c, in numpy:
+    i,f,o = sigmoid(W [x,h] + b), g = tanh(W_g [x,h] + b_g), c' = f*c + i*g,
+    h' = o*tanh(c'), each W d_h x (d_in + d_h). Returns (h', c', cache)."""
+    d_h, d_z = cell.w_i.data.shape
+    if z.shape[1] != d_z or c.shape[1] != d_h:
+        raise DimensionError(f"lstm: inputs {z.shape}/cell state {c.shape} do not match "
+                             f"cell widths (d_in={d_z - d_h}, d_h={d_h})")
+    gi = _sig(z @ cell.w_i.data.T + cell.b_i.data)
+    gf = _sig(z @ cell.w_f.data.T + cell.b_f.data)
+    gg = np.tanh(z @ cell.w_g.data.T + cell.b_g.data)
+    go = _sig(z @ cell.w_o.data.T + cell.b_o.data)
+    c_new = gf * c + gi * gg
+    tc = np.tanh(c_new)
+    return go * tc, c_new, (cell, z, c, gi, gf, gg, go, tc)
+
+
+def lstm_backward(cache, g_h, g_c):
+    """Gradients of ``lstm_forward`` for output gradients g_h and g_c (B x d_h):
+    accumulates the gate weight and bias gradients into the cell's tensors
+    and returns (d z, d c)."""
+    cell, z, c, gi, gf, gg, go, tc = cache
+    d_c = g_h * go * (1.0 - tc * tc) + g_c
+    d_pre = {"i": d_c * gg * gi * (1.0 - gi), "f": d_c * c * gf * (1.0 - gf),
+             "g": d_c * gi * (1.0 - gg * gg), "o": g_h * tc * go * (1.0 - go)}
+    d_z = 0.0
+    for gate, d in d_pre.items():
+        _accum(getattr(cell, f"w_{gate}"), outer_sum(d, z))
+        _accum(getattr(cell, f"b_{gate}"), d.sum(axis=0))
+        d_z = d_z + d @ getattr(cell, f"w_{gate}").data
+    return d_z, d_c * gf
+
+
+def outer_sum(a, b):
+    """a.T @ b, the sum of the rows' outer products: einsum's loop beats BLAS
+    for so few rows, and with one row each entry is the exact product."""
+    return np.einsum("bi,bj->ij", a, b)
+
+
+def softmax_rows(x):
+    """Stable softmax along the last axis (max-subtracted exp-normalize)."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _sig(x):

@@ -1,6 +1,7 @@
 """Beam-search generation over the extended vocabulary.
 
-Greedy decoding is beam search of width 1. Copied OOV words are rendered
+Greedy decoding is beam search of width 1. Each step advances every live
+hypothesis as one row of a B-row decoder step. Copied OOV words are rendered
 back to their original source surface forms. All ties break toward the
 lowest id so decoding is deterministic.
 """
@@ -11,8 +12,13 @@ import numpy as np
 
 from .autograd import LOG_FLOOR
 from .errors import ValidationError
-from .pointer import full_step, prepare_source
+from .pointer import prepare_source, step_forward as full_step
 from .vocab import BOS, EOS, PAD, tokenize
+
+# Clamped probabilities whose logs round to the same double differ by under
+# 1e-14 relative (|log| <= 27.7), so this margin below a row's k-th largest
+# keeps every id whose log-probability ties the k-th's.
+TIE_MARGIN = 1e-13
 
 
 @dataclass
@@ -34,7 +40,6 @@ class Hypothesis:
 
     ids: tuple
     log_prob: float
-    state: object
     finished: bool
     surface: list = field(default_factory=list)
 
@@ -61,40 +66,45 @@ def greedy_decode(source, params, vocab, max_len=BeamConfig.max_len, force_p_gen
     return beam_decode(source, params, vocab, cfg, force_p_gen=force_p_gen)[0].surface
 
 
+def top_candidates(p, k):
+    """(rows, ids, log-probs) of each row's k best ids by
+    (-log max(p, LOG_FLOOR), id), ordered by row and rank: the first k of a
+    stable argsort of the row's log-probabilities, with a log taken only of
+    the ids within TIE_MARGIN of the row's k-th largest probability."""
+    q = np.maximum(p, LOG_FLOOR)
+    k = min(k, q.shape[1])
+    kth = np.partition(q, -k, axis=1)[:, -k]
+    rows, ids = np.nonzero(q >= kth[:, None] * (1.0 - TIE_MARGIN))
+    logp = np.log(q[rows, ids])
+    order = np.lexsort((ids, -logp, rows))
+    order = order[np.arange(len(order)) - np.searchsorted(rows[order], rows[order]) < k]
+    return rows[order], ids[order], logp[order]
+
+
 def beam_decode(source, params, vocab, cfg, force_p_gen=None):
     """Beam search; returns hypotheses ranked by length-normalized log-prob.
 
-    Finished hypotheses (ending in EOS) retire to a pool; search stops once
-    the pool holds beam_width hypotheses or max_len is reached, at which
-    point live hypotheses join the pool unfinished. Width 1 is greedy decoding.
+    Each step keeps the beam_width best of the live hypotheses' extensions by
+    (-log-prob, ids). Finished hypotheses (ending in EOS) retire to a pool;
+    search stops once the pool holds beam_width hypotheses or at max_len,
+    where live hypotheses join the pool unfinished. Width 1 is greedy.
     """
     ev, states, state = prepare_source(tokenize(source), params, vocab)
-    B = cfg.beam_width
-    live = [Hypothesis(ids=(), log_prob=0.0, state=state, finished=False)]
-    pool = []
+    B, state, pool = cfg.beam_width, state.data[None], []
+    live = [Hypothesis(ids=(), log_prob=0.0, finished=False)]
 
     for _ in range(cfg.max_len):
         if not live or len(pool) >= B:
             break
-        candidates = []
-        for hyp in live:
-            prev = hyp.ids[-1] if hyp.ids else BOS
-            dist, new_state = full_step(prev, ev, states, hyp.state, params,
-                                        force_p_gen=force_p_gen)
-            logp = np.log(np.maximum(dist.p.data, LOG_FLOOR))
-            top = np.argsort(-logp, kind="stable")[:B]
-            for idx in top:
-                candidates.append(Hypothesis(
-                    ids=hyp.ids + (int(idx),),
-                    log_prob=hyp.log_prob + float(logp[idx]),
-                    state=new_state,
-                    finished=int(idx) == EOS,
-                ))
-        candidates.sort(key=lambda h: (-h.log_prob, h.ids))
-        kept = candidates[:B]
-        live = []
-        for hyp in kept:
-            (pool if hyp.finished else live).append(hyp)
+        out, _ = full_step([hyp.ids[-1] if hyp.ids else BOS for hyp in live], ev, states,
+                           state, params, force_p_gen=force_p_gen)
+        extended = [(Hypothesis(ids=live[r].ids + (idx,), log_prob=live[r].log_prob + lp,
+                                finished=idx == EOS), r)
+                    for r, idx, lp in zip(*(a.tolist() for a in top_candidates(out.p, B)))]
+        kept = sorted(extended, key=lambda c: (-c[0].log_prob, c[0].ids))[:B]
+        pool.extend(hyp for hyp, _ in kept if hyp.finished)
+        live = [hyp for hyp, _ in kept if not hyp.finished]
+        state = out.state[[r for hyp, r in kept if not hyp.finished]]
     if len(pool) < B:
         pool.extend(live)
 
@@ -111,10 +121,9 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     as beam search did when it produced them.
     """
     ev, states, state = prepare_source(tokenize(source), params, vocab)
-    total = 0.0
-    prev = BOS
+    state, total, prev = state.data[None], 0.0, BOS
     for idx in ids:
-        dist, state = full_step(prev, ev, states, state, params, force_p_gen=force_p_gen)
-        total += float(np.log(max(float(dist.p.data[idx]), LOG_FLOOR)))
-        prev = idx
+        out, _ = full_step([prev], ev, states, state, params, force_p_gen=force_p_gen)
+        total += float(np.log(max(float(out.p[0, idx]), LOG_FLOOR)))
+        state, prev = out.state, idx
     return total

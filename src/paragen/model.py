@@ -1,4 +1,5 @@
-"""Bidirectional LSTM encoder, additive attention, and the decoder stack.
+"""Bidirectional LSTM encoder, the source half of additive attention, and
+the model's parameters; the decoder step itself is in pointer.py.
 
 Widths used throughout: d_emb embedding size, d_h encoder hidden size per
 direction (so encoder states are 2*d_h wide), d_s decoder state size, d_a
@@ -16,25 +17,15 @@ from .errors import ValidationError
 from .vocab import UNK
 
 
-class DecoderState:
-    """Hidden and cell vectors of the decoder LSTM."""
-
-    __slots__ = ("hidden", "cell")
-
-    def __init__(self, hidden, cell):
-        self.hidden = hidden
-        self.cell = cell
-
-
+@dataclass
 class EncoderStates:
-    """Per-token bidirectional states H (N x 2*d_h) and the combined final state."""
+    """Per-token bidirectional states H (N x 2*d_h), the combined final state,
+    and the attention features (set by ModelParams.encode_source_ids)."""
 
-    __slots__ = ("H", "h_final", "n")
-
-    def __init__(self, H, h_final, n):
-        self.H = H
-        self.h_final = h_final
-        self.n = n
+    H: Tensor
+    h_final: Tensor
+    n: int
+    features: np.ndarray = None
 
 
 def encode(embeddings, fwd, bwd):
@@ -63,33 +54,6 @@ def encode(embeddings, fwd, bwd):
     H = ag.stack([ag.concat(fwd_states[i], bwd_states[i]) for i in range(n)])
     h_final = ag.concat(fwd_last, bwd_last)
     return EncoderStates(H, h_final, n)
-
-
-def attend(states, s, ap):
-    """Additive attention: score_i = score . tanh(weight [h_i, s] + bias).
-
-    Returns (scores, weights, context): raw scores e, their softmax a, and
-    the attention-weighted sum of encoder states.
-    """
-    n = states.n
-    X = ag.concat(states.H, ag.tile_rows(s.hidden, n), axis=1)
-    pre = ag.add(ag.matmul(X, ag.transpose(ap.weight)), ag.tile_rows(ap.bias, n))
-    e = ag.matmul(ag.tanh(pre), ap.score)
-    a = ag.softmax(e)
-    context = ag.matmul(a, states.H)
-    return e, a, context
-
-
-def decoder_step(prev_emb, context, state, dec):
-    """Advance the decoder LSTM on [previous word embedding, context]."""
-    h, c = lstm_step(dec, ag.concat(prev_emb, context), (state.hidden, state.cell))
-    return DecoderState(h, c)
-
-
-def project_vocab(state, context, pp):
-    """Softmax distribution over the fixed vocabulary: weight [state, context] + bias."""
-    z = ag.concat(state.hidden, context)
-    return ag.softmax(ag.add(ag.matmul(pp.weight, z), pp.bias))
 
 
 @dataclass
@@ -189,23 +153,25 @@ class ModelParams:
     def zero_grad(self):
         self.grad.fill(0.0)
 
-    def embed(self, idx):
-        """Embedding row of ``idx``; ids past the fixed vocabulary use the UNK row."""
-        if idx < 0:
-            raise ValidationError(f"embedding id {idx} negative")
-        return ag.take(self.embedding, idx if idx < self.dims.vocab_size else UNK)
-
     def initial_decoder_state(self, states):
-        """Bridge the combined final encoder state into the decoder widths."""
-        h = ag.tanh(ag.matmul(self.bridge_hidden, states.h_final))
-        c = ag.tanh(ag.matmul(self.bridge_cell, states.h_final))
-        return DecoderState(h, c)
+        """The decoder state [hidden | cell], bridged from the final encoder state."""
+        return ag.tanh(ag.concat(ag.matmul(self.bridge_hidden, states.h_final),
+                                 ag.matmul(self.bridge_cell, states.h_final)))
 
     def encode_source_ids(self, source_ids):
-        """Embed extended source ids (OOVs fall back to UNK) and run the encoder."""
+        """Embed extended source ids (OOVs fall back to UNK), run the encoder,
+        and compute the attention features, which every decoder step reuses:
+        plain numpy, whose gradient each step's backward sends to H, W_H, b."""
         emb_ids = [i if i < self.dims.vocab_size else UNK for i in source_ids]
-        embs = ag.take(self.embedding, emb_ids)
-        return encode(embs, self.encoder_fwd, self.encoder_bwd)
+        states = encode(ag.take(self.embedding, emb_ids), self.encoder_fwd, self.encoder_bwd)
+        states.features = attention_features(states.H.data, self.attention)
+        return states
+
+
+def attention_features(H, ap):
+    """W_H·H + b (N x d_a) for encoder states H (N x 2*d_h): the source half
+    of additive attention's tanh(W [h_i, s] + b)."""
+    return H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data
 
 
 def params_from_payload(dims, payload):

@@ -1,93 +1,144 @@
-"""Copy distribution, generation gate, and the mixed output distribution.
-
-At each decoder step the model blends the fixed-vocabulary distribution with
-a copy distribution scattered from the attention weights onto source token
-ids. The gate is a single sigmoid scalar, so neither branch is ever switched
-off entirely; a word can only have zero final probability when both branches
-assign it zero.
+"""The decoder step in numpy, on B rows at once: attention, LSTM update,
+vocabulary softmax, copy distribution, generation gate and their mixture.
+``step_forward`` returns outputs and a cache for ``step_backward``; inference
+drops the cache, training wraps the pair as one graph node (training.full_step).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
-from .autograd import Tensor
+from .autograd import _sig, lstm_backward, lstm_forward, outer_sum, softmax_rows
 from .errors import ValidationError
-from .model import attend, decoder_step, project_vocab
-from .vocab import encode_source
+from .vocab import UNK, encode_source
 
 
-def copy_distribution(attn_weights, source_ids, extended_size):
-    """Scatter attention mass onto extended ids; repeats accumulate.
-
-    Entries for ids absent from the source stay exactly zero, and the total
-    mass equals the attention total (1 for softmaxed weights).
-    """
+def copy_distribution(attn, source_ids, size):
+    """Scatter each row of attention weights (B x N) onto the source's
+    extended ids (B x size); repeated ids accumulate in source order, and
+    ids absent from the source stay exactly zero."""
     ids = np.asarray(source_ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= extended_size):
-        raise ValidationError(
-            f"copy_distribution: source id out of range [0, {extended_size})")
-    return ag.scatter_add(attn_weights, ids, extended_size)
-
-
-def generation_gate(prev_emb, state, context, gp):
-    """Sigmoid gate weighting generation against copying; strictly inside (0,1)."""
-    z = ag.concat(ag.concat(prev_emb, state.hidden), context)
-    return ag.sigmoid(ag.add(ag.matmul(gp.weight, z), gp.bias))
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise ValidationError(f"copy_distribution: source id out of range [0, {size})")
+    out = np.zeros((attn.shape[0], size), dtype=attn.dtype)
+    np.add.at(out.T, ids, attn.T)
+    return out
 
 
 def mix(p_vocab, p_copy, p_gen):
-    """Convex combination of the two branches over the extended vocabulary.
+    """Row-wise p_gen * p_vocab + (1 - p_gen) * p_copy over the extended ids,
+    one gate value per row; the extended ids draw only on the copy branch."""
+    if not np.all((p_gen >= 0.0) & (p_gen <= 1.0)):
+        raise ValidationError(f"mix: p_gen {p_gen} outside [0, 1]")
+    out = p_copy * (1.0 - p_gen)[:, None]
+    out[:, :p_vocab.shape[1]] += p_vocab * p_gen[:, None]
+    return out
 
-    The vocabulary branch is zero-padded onto the extended ids, so extended
-    words draw probability only from the copy branch.
-    """
-    if not isinstance(p_gen, Tensor):
-        p_gen = Tensor(float(p_gen))
-    value = float(p_gen.data)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"mix: p_gen {value} outside [0, 1]")
-    size = p_copy.data.shape[0]
-    padded = ag.pad_to(p_vocab, size)
-    one_minus = ag.add(ag.neg(p_gen), Tensor(1.0))
-    return ag.add(ag.mul(padded, p_gen), ag.mul(p_copy, one_minus))
+
+def output_forward(emb, hidden, context, attn, source_ids, size, params, force_p_gen=None):
+    """The output layer on B rows: softmax(W [hidden, context] + b) over the
+    fixed vocabulary, the gate sigmoid(w . [emb, hidden, context] + b) or
+    force_p_gen, the copy scatter of ``attn`` and the mixture.
+    Returns ((p, p_vocab, p_copy, p_gen), cache)."""
+    pp, gp = params.projection, params.copy_gate
+    z_p = np.concatenate([hidden, context], axis=1)
+    p_vocab = softmax_rows(z_p @ pp.weight.data.T + pp.bias.data)
+    z_g = np.concatenate([emb, hidden, context], axis=1)
+    if force_p_gen is None:
+        p_gen = _sig(z_g @ gp.weight.data + gp.bias.data)
+    else:
+        p_gen = np.full(len(z_g), float(force_p_gen))
+    p_copy = copy_distribution(attn, source_ids, size)
+    p = mix(p_vocab, p_copy, p_gen)
+    return (p, p_vocab, p_copy, p_gen), (params, z_p, z_g, p_vocab, p_copy, p_gen, source_ids)
+
+
+def output_backward(cache, g_p):
+    """Gradients of ``output_forward`` (learned gate) for d p: accumulates the
+    projection and gate gradients; returns (d emb, d hidden, d context, d attn)."""
+    params, z_p, z_g, p_vocab, p_copy, p_gen, source_ids = cache
+    pp, gp = params.projection, params.copy_gate
+    v, e, s = p_vocab.shape[1], params.dims.d_emb, params.dims.d_s
+    g_gen = (g_p[:, :v] * p_vocab).sum(axis=1) - (g_p * p_copy).sum(axis=1)
+    g_vocab = g_p[:, :v] * p_gen[:, None]
+    g_logits = p_vocab * (g_vocab - (g_vocab * p_vocab).sum(axis=1, keepdims=True))
+    pp.weight.grad += outer_sum(g_logits, z_p)
+    pp.bias.grad += g_logits.sum(axis=0)
+    g_pre = g_gen * p_gen * (1.0 - p_gen)
+    gp.weight.grad += g_pre @ z_g
+    gp.bias.grad += g_pre.sum()
+    g_zp = g_logits @ pp.weight.data
+    g_zg = g_pre[:, None] * gp.weight.data
+    g_attn = (g_p * (1.0 - p_gen)[:, None])[:, np.asarray(source_ids, dtype=np.intp)]
+    return (g_zg[:, :e], g_zp[:, :s] + g_zg[:, e:e + s], g_zp[:, s:] + g_zg[:, e + s:],
+            g_attn)
 
 
 @dataclass
-class StepDistribution:
-    """Everything one decoder time step produced."""
+class StepOutputs:
+    """One decoder step's results, a row per hypothesis (B rows)."""
 
-    p_vocab: Tensor
-    p_copy: Tensor
-    p_gen: Tensor
-    p: Tensor
+    attn: np.ndarray     # B x N attention weights over source positions
+    context: np.ndarray  # B x 2*d_h attention-weighted sum of encoder states
+    p_vocab: np.ndarray  # B x V fixed-vocabulary distribution
+    p_copy: np.ndarray   # B x size copy distribution over extended ids
+    p_gen: np.ndarray    # B gate values
+    p: np.ndarray        # B x size final distribution over extended ids
+    state: np.ndarray    # B x 2*d_s next decoder state [hidden | cell]
 
 
 def prepare_source(tokens, params, vocab):
-    """Everything a decoder needs before its first step for source ``tokens``:
-    returns (ExtendedVocab, EncoderStates, initial DecoderState)."""
+    """(ExtendedVocab, EncoderStates, initial decoder state Tensor
+    [hidden | cell]) for source ``tokens``: all a decoder needs before step 1."""
     src_ids, ev = encode_source(tokens, vocab)
     states = params.encode_source_ids(src_ids)
     return ev, states, params.initial_decoder_state(states)
 
 
-def full_step(prev_id, ev, states, state, params, force_p_gen=None):
-    """One decoder time step: attend, update state, project, gate, mix.
+def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
+    """One decoder step for B rows: attend with the incoming state (B x 2*d_s),
+    update the LSTM on [embedding of prev_ids (extended ids embed as UNK),
+    context], then the output layer; force_p_gen overrides the learned gate
+    for ablations. Returns (StepOutputs, cache)."""
+    prev_ids = np.asarray(prev_ids, dtype=np.intp)
+    d_s = params.dims.d_s
+    if prev_ids.size and prev_ids.min() < 0:
+        raise ValidationError(f"step: negative previous id in {prev_ids}")
+    emb_ids = np.where(prev_ids < params.dims.vocab_size, prev_ids, UNK)
+    emb = params.embedding.data[emb_ids]
+    H, ap, hidden = states.H.data, params.attention, state[:, :d_s]
+    t = np.tanh(states.features + (hidden @ ap.weight.data[:, H.shape[1]:].T)[:, None, :])
+    attn = softmax_rows(t @ ap.score.data)
+    context = attn @ H
+    new_h, new_c, lstm_cache = lstm_forward(
+        params.decoder, np.concatenate([emb, context, hidden], axis=1), state[:, d_s:])
+    (p, p_vocab, p_copy, p_gen), out_cache = output_forward(
+        emb, new_h, context, attn, ev.source_ids, ev.size, params, force_p_gen)
+    outputs = StepOutputs(attn, context, p_vocab, p_copy, p_gen, p,
+                          np.concatenate([new_h, new_c], axis=1))
+    return outputs, (params, states, emb_ids, hidden, t, attn, context, lstm_cache, out_cache)
 
-    prev_id is an extended id (an id past the fixed range embeds as UNK).
-    force_p_gen overrides the learned gate at inference time, for ablations;
-    it never applies during training.
-    Returns (StepDistribution, new DecoderState).
-    """
-    prev_emb = params.embed(prev_id)
-    _, a, context = attend(states, state, params.attention)
-    new_state = decoder_step(prev_emb, context, state, params.decoder)
-    p_vocab = project_vocab(new_state, context, params.projection)
-    p_copy = copy_distribution(a, ev.source_ids, ev.size)
-    if force_p_gen is None:
-        p_gen = generation_gate(prev_emb, new_state, context, params.copy_gate)
-    else:
-        p_gen = Tensor(float(force_p_gen))
-    p = mix(p_vocab, p_copy, p_gen)
-    return StepDistribution(p_vocab=p_vocab, p_copy=p_copy, p_gen=p_gen, p=p), new_state
+
+def step_backward(cache, g_p, g_state):
+    """Gradients of ``step_forward`` (learned gate) for d p and d next state.
+    Accumulates every parameter gradient into the ``grad`` views, the
+    features' share of W_H and b included; returns (d state, d H)."""
+    params, states, emb_ids, hidden, t, attn, context, lstm_cache, out_cache = cache
+    d_s, e, width = params.dims.d_s, params.dims.d_emb, context.shape[1]
+    ap, H = params.attention, states.H.data
+    g_emb, g_hidden, g_context, g_attn = output_backward(out_cache, g_p)
+    g_z, g_cell = lstm_backward(lstm_cache, g_hidden + g_state[:, :d_s], g_state[:, d_s:])
+    np.add.at(params.embedding.grad, emb_ids, g_emb + g_z[:, :e])
+    g_context = g_context + g_z[:, e:e + width]
+    # context = attn @ H, attn = softmax(tanh(features + W_s h) @ score)
+    g_attn = g_attn + g_context @ H.T
+    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
+    ap.score.grad += np.einsum("bn,bna->a", g_scores, t)
+    g_pre = g_scores[:, :, None] * ap.score.data * (1.0 - t * t)
+    g_features, g_hs = g_pre.sum(axis=0), g_pre.sum(axis=1)
+    ap.weight.grad[:, width:] += outer_sum(g_hs, hidden)
+    ap.weight.grad[:, :width] += g_features.T @ H
+    ap.bias.grad += g_features.sum(axis=0)
+    g_H = attn.T @ g_context + g_features @ ap.weight.data[:, :width]
+    g_h = g_z[:, e + width:] + g_hs @ ap.weight.data[:, width:]
+    return np.concatenate([g_h, g_cell], axis=1), g_H

@@ -9,16 +9,16 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, backward
+from .autograd import LOG_FLOOR, Tensor, backward
 from .errors import NumericalError, ValidationError
 from .fileio import atomic_write, read_lines
 from .model import ModelDims, ModelParams, params_from_payload
-from .pointer import full_step, prepare_source
+from .pointer import prepare_source, step_backward, step_forward
 from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
@@ -86,10 +86,14 @@ class EpochStats:
     mean_nll: float
     token_accuracy: float
     wall_time_s: float
+    grad_norm_mean: float  # of the pre-clip global gradient norms
+    grad_norm_max: float
+    clipped_fraction: float  # of examples whose norm exceeded cfg.clip
+    p_gen_oov_mean: float | None  # of the gate at gold steps with an OOV (extended) target
+    p_gen_in_vocab_mean: float | None  # ... with a fixed-vocabulary target; None if no such step
 
     def as_dict(self):
-        return {"epoch": self.epoch, "mean_nll": self.mean_nll,
-                "token_accuracy": self.token_accuracy, "wall_time_s": self.wall_time_s}
+        return asdict(self)
 
 
 @dataclass
@@ -108,8 +112,28 @@ def _pair_texts(pair):
     return x, y
 
 
+def full_step(prev_id, gold_id, ev, states, state, params):
+    """One teacher-forced step as one graph node, and its StepOutputs. ``state``
+    is the initial decoder state or the previous step's node; the node holds
+    [hidden | cell | NLL so far - log max(p(gold), LOG_FLOOR)]."""
+    width = 2 * params.dims.d_s
+    out, cache = step_forward([prev_id], ev, states, state.data[None, :width], params)
+    p_gold = out.p[0, gold_id]
+    so_far = state.data[width] if state.data.shape[0] > width else 0.0
+    nll = so_far - np.log(np.maximum(p_gold, LOG_FLOOR))
+
+    def back(g, state=state, states=states, cache=cache, p_gold=p_gold):
+        g_p = np.zeros((1, ev.size))
+        g_p[0, gold_id] = -g[width] / p_gold if p_gold > LOG_FLOOR else 0.0
+        g_state, g_H = step_backward(cache, g_p, g[None, :width])
+        ag._accum(state, np.append(g_state[0], g[width])[:state.data.shape[0]])
+        ag._accum(states.H, g_H)
+
+    return ag._node(np.append(out.state[0], nll), (state, states.H), back), out
+
+
 def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
-    """Mean NLL over the gold sequence plus greedy-match counts."""
+    """Mean NLL, greedy-match count, gold ids and each gold step's gate value."""
     x_text, y_text = _pair_texts(pair)
     src = tokenize(x_text)
     tgt = tokenize(y_text)
@@ -125,25 +149,24 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
     ev, states, state = prepare_source(src, params, vocab)
     gold = encode_target(tgt, ev) + [EOS]
 
-    prev = BOS
-    total = None
-    correct = 0
+    prev, correct, p_gen = BOS, 0, []
     for gold_id in gold:
-        dist, state = full_step(prev, ev, states, state, params)
-        term = ag.neg(ag.log(ag.take(dist.p, gold_id)))
-        total = term if total is None else ag.add(total, term)
-        if int(np.argmax(dist.p.data)) == gold_id:
-            correct += 1
+        state, out = full_step(prev, gold_id, ev, states, state, params)
+        correct += int(np.argmax(out.p[0])) == gold_id
+        p_gen.append(float(out.p_gen[0]))
         prev = gold_id
-    loss = ag.mul(total, Tensor(1.0 / len(gold)))
-    return loss, correct, len(gold)
+    loss = ag.mul(ag.take(state, state.data.shape[0] - 1), Tensor(1.0 / len(gold)))
+    return loss, correct, gold, p_gen
 
 
 def sequence_loss(pair, params, vocab, max_source_len=TrainConfig.max_source_len,
                   max_target_len=TrainConfig.max_target_len):
     """Teacher-forced mean negative log-likelihood of one sentence pair."""
-    loss, _, _ = _teacher_forced(pair, params, vocab, max_source_len, max_target_len)
-    return loss
+    return _teacher_forced(pair, params, vocab, max_source_len, max_target_len)[0]
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else None
 
 
 def clip_gradients(named_params, clip):
@@ -222,13 +245,12 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(pairs))
-        nll_sum = 0.0
-        correct = 0
-        total = 0
+        nll_sum, correct, total = 0.0, 0, 0
+        norms, gates = [], {True: [], False: []}  # gold id is OOV -> gate values
         for idx in order:
             params.zero_grad()
-            loss, c, t = _teacher_forced(pairs[idx], params, vocab,
-                                         cfg.max_source_len, cfg.max_target_len)
+            loss, c, gold, p_gen = _teacher_forced(pairs[idx], params, vocab,
+                                                   cfg.max_source_len, cfg.max_target_len)
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
             backward(loss)
@@ -238,14 +260,20 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
             opt.step()
             nll_sum += float(loss.data)
             correct += c
-            total += t
+            total += len(gold)
+            norms.append(norm)
+            for gold_id, g in zip(gold, p_gen):
+                gates[gold_id >= vocab.size].append(g)
         stats = EpochStats(epoch=epoch,
                            mean_nll=nll_sum / len(pairs),
                            token_accuracy=correct / max(total, 1),
-                           wall_time_s=time.perf_counter() - t0)
+                           wall_time_s=time.perf_counter() - t0,
+                           grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
+                           clipped_fraction=float(np.mean(np.array(norms) > cfg.clip)),
+                           p_gen_oov_mean=_mean(gates[True]),
+                           p_gen_in_vocab_mean=_mean(gates[False]))
         report.epochs.append(stats)
-        log.info("epoch %d: nll %.4f acc %.3f (%.1fs)",
-                 epoch, stats.mean_nll, stats.token_accuracy, stats.wall_time_s)
+        log.info("epoch %d: %s", epoch, json.dumps(stats.as_dict()))
         if log_path is not None:
             with atomic_write(log_path) as fh:
                 fh.writelines(json.dumps(e.as_dict()) + "\n" for e in report.epochs)

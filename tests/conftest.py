@@ -28,6 +28,39 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
     return getattr(ModelParams(dims, seed=seed), name)
 
 
+def step_loss_node(params, ev, states, rows, prev_ids, rng):
+    """A loss for grad_check over one B-row decoder step: a random weighting
+    of every row's p and next state, whose graph node runs step_backward.
+
+    Returns (f, named): f rebuilds the node from the live arrays (the
+    attention features included), and named holds the step's input state
+    rows and encoder states H as gradient-tracking tensors.
+    """
+    import paragen.autograd as ag
+    from paragen.autograd import Tensor
+    from paragen.model import EncoderStates, attention_features
+    from paragen.pointer import step_backward, step_forward
+
+    S = Tensor(rows, requires_grad=True)
+    H = Tensor(states.H.data, requires_grad=True)
+    wp = rng.normal(size=(len(prev_ids), ev.size))
+    ws = rng.normal(size=rows.shape)
+
+    def f():
+        live = EncoderStates(H, states.h_final, states.n)
+        live.features = attention_features(H.data, params.attention)
+        out, cache = step_forward(prev_ids, ev, live, S.data, params)
+
+        def back(g):
+            g_state, g_H = step_backward(cache, g * wp, g * ws)
+            S.grad += g_state
+            H.grad += g_H
+
+        return ag._node((out.p * wp).sum() + (out.state * ws).sum(), (S, H), back)
+
+    return f, [("state", S), ("H", H)]
+
+
 def zero_params(params):
     for _, p in params.named_parameters():
         p.data[...] = 0.0

@@ -118,12 +118,12 @@ def straight_line_encode(w, emb_ids, d_h):
     return H, np.concatenate([fwd[-1], bwd[0]])
 
 
-def straight_line_step(w, H, source_ids, ext_size, prev_emb, s_h, s_c):
+def straight_line_step(w, H, source_ids, ext_size, prev_emb, s_h, s_c, force_p_gen=None):
     """One decoder step transcribed directly from the model definition.
 
     Attention scores against the incoming state, state update on
     [prev word, context], vocabulary projection, attention-scatter copy
-    distribution, sigmoid gate, convex mixture.
+    distribution, sigmoid gate (or the forced value), convex mixture.
     """
     n = H.shape[0]
     scores = np.array([
@@ -143,7 +143,7 @@ def straight_line_step(w, H, source_ids, ext_size, prev_emb, s_h, s_c):
     p_copy = np.zeros(ext_size)
     for pos, idx in enumerate(source_ids):
         p_copy[idx] += a[pos]
-    p_gen = sigmoid_scalar(float(
+    p_gen = force_p_gen if force_p_gen is not None else sigmoid_scalar(float(
         w["copy_gate.weight"] @ np.concatenate([prev_emb, h2, context])
         + w["copy_gate.bias"]))
 
@@ -203,6 +203,43 @@ def straight_line_greedy(params, vocab, src_tokens, max_len):
         out.append(prev)
         s_h, s_c = step["h"], step["c"]
     return [ev.token(i) for i in out if i not in (PAD, BOS)]
+
+
+def per_hypothesis_beam(params, vocab, src_tokens, width, max_len, length_norm,
+                        force_p_gen=None):
+    """Beam search as the decoder ran it before its B-row step, one
+    straight-line step per live hypothesis: the full np.log of the clamped
+    distribution, the first ``width`` ids of a stable argsort of its
+    negation, then every hypothesis's candidates sorted together by
+    (-log_prob, ids) and cut to ``width``. Returns (ids, log_prob) pairs
+    ranked by length-normalized score, then ids."""
+    from paragen.vocab import BOS, EOS, UNK
+
+    w, src_ids, ev, H, s_h, s_c = _straight_line_start(params, vocab, src_tokens)
+    live = [((), 0.0, (s_h, s_c))]
+    pool = []
+    for _ in range(max_len):
+        if not live or len(pool) >= width:
+            break
+        candidates = []
+        for ids, log_prob, (h, c) in live:
+            prev = ids[-1] if ids else BOS
+            step = straight_line_step(w, H, src_ids, ev.size,
+                                      w["embedding"][prev if prev < vocab.size else UNK],
+                                      h, c, force_p_gen)
+            logp = np.log(np.maximum(step["p"], 1e-12))
+            for idx in np.argsort(-logp, kind="stable")[:width]:
+                candidates.append((ids + (int(idx),), log_prob + float(logp[idx]),
+                                   (step["h"], step["c"])))
+        candidates.sort(key=lambda cand: (-cand[1], cand[0]))
+        live = []
+        for cand in candidates[:width]:
+            (pool if cand[0][-1] == EOS else live).append(cand)
+    if len(pool) < width:
+        pool.extend(live)
+    ranked = sorted(pool, key=lambda cand: (-cand[1] / max(len(cand[0]), 1) ** length_norm,
+                                            cand[0]))
+    return [(ids, log_prob) for ids, log_prob, _ in ranked]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from paragen.gradcheck import grad_check
 from paragen.metrics import bleu
 from paragen.miner import MineConfig, align, build_index, query_similar, sentence_records
 from paragen.model import ModelDims, ModelParams
-from paragen.pointer import full_step, mix
+from paragen.pointer import mix, prepare_source, step_forward
 from paragen.training import TrainConfig, sequence_loss, train
 from paragen.vocab import BOS, EOS, Vocabulary, encode_source, tokenize
 
@@ -59,28 +59,24 @@ def test_c2_distribution_laws():
             p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        src_ids, ev = encode_source(tokens, vocab)
-        states = params.encode_source_ids(src_ids)
-        state = params.initial_decoder_state(states)
+        ev, states, state = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
-        dist, _ = full_step(prev, ev, states, state, params)
+        out, _ = step_forward([prev], ev, states, state.data[None], params)
 
-        from paragen.model import attend
-        _, a, _ = attend(states, state, params.attention)
-        assert abs(a.data.sum() - 1.0) <= 1e-12
-        assert abs(dist.p_copy.data.sum() - 1.0) <= 1e-9
-        off_source = np.setdiff1d(np.arange(ev.size), np.asarray(src_ids))
-        assert np.all(dist.p_copy.data[off_source] == 0.0)
-        assert abs(dist.p.data.sum() - 1.0) <= 1e-9
-        assert 0.0 < dist.p_gen.item() < 1.0
+        assert abs(out.attn.sum() - 1.0) <= 1e-12
+        assert abs(out.p_copy.sum() - 1.0) <= 1e-9
+        off_source = np.setdiff1d(np.arange(ev.size), np.asarray(ev.source_ids))
+        assert np.all(out.p_copy[0, off_source] == 0.0)
+        assert abs(out.p.sum() - 1.0) <= 1e-9
+        assert 0.0 < out.p_gen[0] < 1.0
 
         if draw % 100 == 0:
-            pure_copy = mix(dist.p_vocab, dist.p_copy, 0.0)
-            np.testing.assert_allclose(pure_copy.data, dist.p_copy.data, atol=1e-12, rtol=0)
-            pure_vocab = mix(dist.p_vocab, dist.p_copy, 1.0)
-            np.testing.assert_allclose(pure_vocab.data[:vocab.size], dist.p_vocab.data,
+            pure_copy = mix(out.p_vocab, out.p_copy, np.array([0.0]))
+            np.testing.assert_allclose(pure_copy, out.p_copy, atol=1e-12, rtol=0)
+            pure_vocab = mix(out.p_vocab, out.p_copy, np.array([1.0]))
+            np.testing.assert_allclose(pure_vocab[:, :vocab.size], out.p_vocab,
                                        atol=1e-12, rtol=0)
-            assert np.all(pure_vocab.data[vocab.size:] == 0.0)
+            assert np.all(pure_vocab[:, vocab.size:] == 0.0)
             checked_mix += 1
     _report("c2 distribution-laws", f"1000 draws, {checked_mix} degenerate-mix checks")
 
@@ -133,27 +129,25 @@ def test_c4_straight_line_oracle_equivalence():
         params, vocab = tiny_model(seed=case, n_tokens=8, width=8)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        src_ids, ev = encode_source(tokens, vocab)
-        states = params.encode_source_ids(src_ids)
-        state = params.initial_decoder_state(states)
+        ev, states, state = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
 
-        dist, new_state = full_step(prev, ev, states, state, params)
+        out, _ = step_forward([prev], ev, states, state.data[None], params)
         w = model_arrays(params)
         from paragen.vocab import UNK
         prev_emb = w["embedding"][prev if prev < vocab.size else UNK]
+        d_s = params.dims.d_s
         oracle = straight_line_step(w, states.H.data.copy(), ev.source_ids, ev.size,
-                                    prev_emb, state.hidden.data.copy(),
-                                    state.cell.data.copy())
-        for mine, theirs in ((dist.p.data, oracle["p"]),
-                             (dist.p_vocab.data, oracle["p_vocab"]),
-                             (dist.p_copy.data, oracle["p_copy"]),
-                             (new_state.hidden.data, oracle["h"]),
-                             (new_state.cell.data, oracle["c"])):
+                                    prev_emb, state.data[:d_s].copy(), state.data[d_s:].copy())
+        for mine, theirs in ((out.p[0], oracle["p"]),
+                             (out.p_vocab[0], oracle["p_vocab"]),
+                             (out.p_copy[0], oracle["p_copy"]),
+                             (out.state[0, :d_s], oracle["h"]),
+                             (out.state[0, d_s:], oracle["c"])):
             diff = float(np.max(np.abs(mine - theirs)))
             worst = max(worst, diff)
             assert diff <= 1e-12
-        gate_diff = abs(dist.p_gen.item() - oracle["p_gen"])
+        gate_diff = abs(out.p_gen[0] - oracle["p_gen"])
         worst = max(worst, gate_diff)
         assert gate_diff <= 1e-12
     _report("c4 straight-line-oracle", f"100 cases, worst elementwise diff {worst:.2e}")
@@ -215,14 +209,12 @@ def test_c6_beam_sanity():
         top = beam_decode(source, params, vocab, cfg)[0]
 
         def step_probs(prefix):
-            states = params.encode_source_ids(src_ids)
-            state = params.initial_decoder_state(states)
-            prev = BOS
-            for tok in prefix:
-                _, state = full_step(prev, ev, states, state, params)
-                prev = tok
-            dist, _ = full_step(prev, ev, states, state, params)
-            return dist.p.data
+            _, states, state = prepare_source(tokenize(source), params, vocab)
+            state = state.data[None]
+            for prev in (BOS,) + prefix:
+                out, _ = step_forward([prev], ev, states, state, params)
+                state = out.state
+            return out.p[0]
 
         best_ids, best_lp, best_norm = enumerate_best_sequence(step_probs, 0.7, EOS)
         assert tuple(top.ids) == best_ids, f"seed {seed}: {top.ids} vs {best_ids}"

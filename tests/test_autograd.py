@@ -196,10 +196,8 @@ def test_every_op_gradient_matches_finite_differences():
     pos = Tensor(rng.uniform(0.5, 2.0, size=4), requires_grad=True)
     wm = Tensor(rng.normal(size=(3, 2)))
     w4 = Tensor(rng.normal(size=4))
-    w6 = Tensor(rng.normal(size=6))
     w8 = Tensor(rng.normal(size=8))
     w34 = Tensor(rng.normal(size=(3, 4)))
-    w43 = Tensor(rng.normal(size=(4, 3)))
 
     cases = {
         "matmul_mm": (lambda: ag.mul(ag.matmul(a, b), wm).sum(), [("a", a), ("b", b)]),
@@ -209,22 +207,16 @@ def test_every_op_gradient_matches_finite_differences():
         "add": (lambda: ag.mul(ag.add(v, u), w4).sum(), [("v", v), ("u", u)]),
         "mul": (lambda: ag.mul(ag.mul(v, u), w4).sum(), [("v", v), ("u", u)]),
         "mul_scalar": (lambda: ag.mul(s, v).sum(), [("s", s), ("v", v)]),
-        "neg": (lambda: ag.mul(ag.neg(v), w4).sum(), [("v", v)]),
         "concat": (lambda: ag.mul(ag.concat(v, u), w8).sum(), [("v", v), ("u", u)]),
         "tanh": (lambda: ag.mul(ag.tanh(v), w4).sum(), [("v", v)]),
         "sigmoid": (lambda: ag.mul(ag.sigmoid(v), w4).sum(), [("v", v)]),
         "softmax": (lambda: ag.mul(ag.softmax(v), w4).sum(), [("v", v)]),
         "log": (lambda: ag.mul(ag.log(pos), w4).sum(), [("pos", pos)]),
-        "transpose": (lambda: ag.mul(ag.transpose(a), w43).sum(), [("a", a)]),
         "stack": (lambda: ag.mul(ag.stack([v, u, ag.mul(v, u)]), w34).sum(),
                   [("v", v), ("u", u)]),
-        "tile_rows": (lambda: ag.mul(ag.tile_rows(v, 3), w34).sum(), [("v", v)]),
         "take_row": (lambda: ag.mul(ag.take(a, 1), w4).sum(), [("a", a)]),
         "take_rows": (lambda: ag.mul(ag.take(a, [0, 2, 0]), w34).sum(), [("a", a)]),
         "take_element": (lambda: ag.mul(ag.take(v, 2), s), [("v", v), ("s", s)]),
-        "pad_to": (lambda: ag.mul(ag.pad_to(v, 6), w6).sum(), [("v", v)]),
-        "scatter_add": (lambda: ag.mul(ag.scatter_add(v, [1, 0, 1, 5], 6), w6).sum(),
-                        [("v", v)]),
         "sum": (lambda: ag.mul(v.sum(), s), [("v", v), ("s", s)]),
     }
     for name, (f, named) in cases.items():

@@ -1,17 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import paragen.autograd as ag
 import paragen.decoding as decoding
-from paragen.autograd import Tensor
+import paragen.pointer as pointer
 from paragen.decoding import (BeamConfig, Hypothesis, beam_decode, greedy_decode, render,
                               score_sequence)
 from paragen.errors import ValidationError
-from paragen.pointer import StepDistribution
 from paragen.training import TrainConfig, train
 from paragen.vocab import BOS, EOS, PAD, UNK, encode_source, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model
-from oracles import straight_line_greedy
+from oracles import per_hypothesis_beam, straight_line_greedy
 
 
 def test_render_mixed_ids():
@@ -48,15 +50,15 @@ def test_render_of_encoded_source_is_identity():
 
 
 def _stub_full_step(script):
-    """full_step stand-in that plays a fixed list of distributions."""
+    """B-row step stand-in that plays a fixed list of distributions, the same
+    one to every row of a step, and hands each row its state back."""
     calls = {"t": 0}
 
-    def fake(prev_id, ev, states, state, params, force_p_gen=None):
+    def fake(prev_ids, ev, states, state, params, force_p_gen=None):
         probs = script[min(calls["t"], len(script) - 1)]
         calls["t"] += 1
-        p = Tensor(np.asarray(probs, dtype=np.float64))
-        dist = StepDistribution(p_vocab=p, p_copy=p, p_gen=Tensor(0.5), p=p)
-        return dist, state
+        p = np.tile(np.asarray(probs, dtype=np.float64), (len(prev_ids), 1))
+        return SimpleNamespace(p=p, state=state), None
     return fake
 
 
@@ -118,6 +120,79 @@ def test_beam_width_one_equals_greedy():
         assert greedy_decode(source, params, vocab, max_len=8) == argmax
 
 
+def test_beam_matches_per_hypothesis_search():
+    rng = np.random.default_rng(5)
+    base = ["alpha", "beta", "gamma", "delta", "epsilon"]
+    for trial in range(50):
+        params, vocab = tiny_model(seed=200 + trial)
+        n = int(rng.integers(1, 6))
+        tokens = [base[int(i)] for i in rng.integers(0, len(base), size=n)]
+        if rng.uniform() < 0.5:
+            tokens[int(rng.integers(0, n))] = f"oov{trial}"
+        source = " ".join(tokens)
+        width = trial % 4 + 1
+        mine = beam_decode(source, params, vocab, BeamConfig(beam_width=width, max_len=6))
+        oracle = per_hypothesis_beam(params, vocab, tokens, width, 6, BeamConfig.length_norm)
+        assert [h.ids for h in mine] == [ids for ids, _ in oracle], f"trial {trial}"
+        for hyp, (_, log_prob) in zip(mine, oracle):
+            assert abs(hyp.log_prob - log_prob) <= 1e-12, f"trial {trial}"
+
+
+def test_beam_tie_uniform_keeps_lowest_ids(monkeypatch):
+    params, vocab = tiny_model()
+    _, ev = encode_source(["alpha"], vocab)
+    flat = np.full(ev.size, 1.0 / ev.size)
+    monkeypatch.setattr(decoding, "full_step", _stub_full_step([flat]))
+    hyps = beam_decode("alpha", params, vocab, BeamConfig(beam_width=4, max_len=1))
+    assert sorted(h.ids for h in hyps) == [(0,), (1,), (2,), (3,)]
+    hyps = beam_decode("alpha", params, vocab, BeamConfig(beam_width=4, max_len=2))
+    # step 2 keeps (0, 0) .. (0, 3) of the 36 tied candidates; (0, EOS) retires
+    assert [h.ids for h in hyps] == [(EOS,), (0, 0), (0, 1), (0, 2), (0, EOS)]
+
+
+def test_beam_tie_at_floor_breaks_to_lowest_extended_id():
+    # forced pure generation: the extended ids get probability 0, clamped to
+    # LOG_FLOOR; the vocabulary branch puts all but two ids below the floor
+    # too, so width 4 keeps those two and then the lowest floor ids
+    params, vocab = tiny_model(seed=3)
+    params.projection.weight.data[...] = 0.0
+    params.projection.bias.data[...] = -60.0
+    params.projection.bias.data[[5, 9]] = 0.0
+    source = "zyxxy alpha qwerty"
+    cfg = BeamConfig(beam_width=4, max_len=3)
+    mine = beam_decode(source, params, vocab, cfg, force_p_gen=1.0)
+    oracle = per_hypothesis_beam(params, vocab, tokenize(source), 4, 3, cfg.length_norm,
+                                 force_p_gen=1.0)
+    assert [h.ids for h in mine] == [ids for ids, _ in oracle]
+    for hyp, (_, log_prob) in zip(mine, oracle):
+        assert abs(hyp.log_prob - log_prob) <= 1e-12
+    first = beam_decode(source, params, vocab, BeamConfig(beam_width=4, max_len=1),
+                        force_p_gen=1.0)
+    assert sorted(h.ids for h in first) == [(0,), (1,), (5,), (9,)]
+
+
+def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
+    params, vocab = tiny_model(seed=6)
+    counts = {"prepared": False, "after": 0}
+    node, prepare = ag._node, pointer.prepare_source
+
+    def counting_node(*args, **kwargs):
+        counts["after"] += counts["prepared"]
+        return node(*args, **kwargs)
+
+    def marking_prepare(*args, **kwargs):
+        counts["prepared"] = False
+        result = prepare(*args, **kwargs)
+        counts["prepared"] = True
+        return result
+
+    monkeypatch.setattr(ag, "_node", counting_node)
+    monkeypatch.setattr(decoding, "prepare_source", marking_prepare)
+    hyps = beam_decode("alpha zyxxy beta", params, vocab, BeamConfig(beam_width=3, max_len=6))
+    score_sequence("alpha zyxxy beta", hyps[0].ids, params, vocab)
+    assert counts["prepared"] and counts["after"] == 0
+
+
 def test_beam_scores_replayable():
     for seed in (1, 2, 3):
         params, vocab = tiny_model(seed=seed)
@@ -137,8 +212,8 @@ def test_beam_hypothesis_logprob_nonincreasing():
 
 
 def test_length_normalization_flips_ranking():
-    short_high = Hypothesis(ids=(5, EOS), log_prob=-0.2, state=None, finished=True)
-    long_low = Hypothesis(ids=(5, 6, 7, 8, EOS), log_prob=-0.4, state=None, finished=True)
+    short_high = Hypothesis(ids=(5, EOS), log_prob=-0.2, finished=True)
+    long_low = Hypothesis(ids=(5, 6, 7, 8, EOS), log_prob=-0.4, finished=True)
     # alpha 0: raw log-prob wins, short hypothesis first
     assert short_high.normalized_score(0.0) > long_low.normalized_score(0.0)
     # alpha 1: per-token average wins, long hypothesis first
@@ -165,3 +240,24 @@ def test_trained_copy_model_copies_oov():
         if oov in out:
             hits += 1
     assert hits >= 7, f"copied OOV in only {hits}/10 held-out sentences"
+
+
+def test_top_candidates_match_stable_argsort_of_logs():
+    rng = np.random.default_rng(9)
+    rows = [rng.dirichlet(np.ones(30)) for _ in range(20)]
+    for x in (3e-10, 1e-11, 2e-12):
+        # the two largest probabilities differ but their logs round to the
+        # same double; the lower id holds the smaller one, so only the log
+        # order puts it first
+        row = np.full(30, x / 2)
+        row[[4, 7]] = np.nextafter(x, 0.0), x
+        assert np.log(row[4]) == np.log(row[7])
+        rows.append(row)
+    rows.append(np.zeros(30))  # every id at LOG_FLOOR
+    for k in (1, 2, 4, 31):
+        for p in rows:
+            rs, ids, logp = decoding.top_candidates(p[None], k)
+            logs = np.log(np.maximum(p, 1e-12))
+            expect = np.argsort(-logs, kind="stable")[:k]
+            assert ids.tolist() == expect.tolist() and not rs.any()
+            np.testing.assert_array_equal(logp, logs[expect])

@@ -81,14 +81,13 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     # the first decoded step targets the OOV; the second targets EOS, which
     # does reach the projection. Check the OOV step in isolation instead.
     params.zero_grad()
-    from paragen.pointer import full_step
-    from paragen.vocab import BOS, encode_source
+    from paragen.pointer import prepare_source
+    from paragen.training import full_step
+    from paragen.vocab import BOS
 
-    src_ids, ev = encode_source(["alpha", "zyxxy", "beta"], vocab)
-    states = params.encode_source_ids(src_ids)
-    state = params.initial_decoder_state(states)
-    dist, _ = full_step(BOS, ev, states, state, params)
-    ag.backward(ag.neg(ag.log(ag.take(dist.p, ev.lookup("zyxxy")))))
+    ev, states, state = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
+    node, _ = full_step(BOS, ev.lookup("zyxxy"), ev, states, state, params)
+    ag.backward(ag.take(node, node.data.shape[0] - 1))  # -log p(zyxxy)
     assert np.all(params.projection.weight.grad == 0.0)
     assert np.all(params.projection.bias.grad == 0.0)
     assert np.any(params.attention.weight.grad != 0.0)

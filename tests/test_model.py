@@ -5,11 +5,12 @@ import paragen.autograd as ag
 from paragen.autograd import Tensor, lstm_step
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
-from paragen.model import (DecoderState, ModelDims, ModelParams, ParamGroup, attend,
-                           decoder_step, encode, parameter_layout, params_from_payload,
-                           project_vocab)
+from paragen.model import (EncoderStates, ModelDims, ModelParams, ParamGroup,
+                           attention_features, encode, parameter_layout, params_from_payload)
+from paragen.pointer import output_forward, step_forward
+from paragen.vocab import BOS
 
-from conftest import model_part, tiny_model
+from conftest import model_part, step_loss_node, tiny_model
 from oracles import cell_arrays, lstm_step_scalar, softmax_highprec
 
 
@@ -107,119 +108,135 @@ def test_encode_empty_source_error():
         params.encode_source_ids([])
 
 
-def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3):
+class _Source:
+    """The two ExtendedVocab fields a decoder step reads."""
+
+    def __init__(self, source_ids, size):
+        self.source_ids, self.size = source_ids, size
+
+
+def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3, d_emb=2):
+    """Random encoder states H and one decoder state row for a model with
+    these widths; returns (params, source, states, state)."""
     rng = np.random.default_rng(seed)
-    from paragen.model import EncoderStates
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a),
+                         seed=seed)
     H = Tensor(rng.normal(size=(n, 2 * d_h)))
     states = EncoderStates(H, ag.take(H, n - 1), n)
-    s = DecoderState(Tensor(rng.normal(size=d_s), requires_grad=True),
-                     Tensor(rng.normal(size=d_s), requires_grad=True))
-    ap = model_part("attention", seed=seed, d_h=d_h, d_s=d_s, d_a=d_a)
-    return states, s, ap
+    states.features = attention_features(H.data, params.attention)
+    return params, _Source([4] * n, 6), states, rng.normal(size=(1, 2 * d_s))
+
+
+def _attend(params, source, states, state):
+    out, _ = step_forward([BOS], source, states, state, params)
+    return out.attn[0], out.context[0]
 
 
 def test_attend_single_state():
-    states, s, ap = _random_attend(0, n=1)
-    _, a, ctx = attend(states, s, ap)
-    assert a.data.tolist() == [1.0]
-    np.testing.assert_array_equal(ctx.data, states.H.data[0])
+    params, source, states, state = _random_attend(0, n=1)
+    a, ctx = _attend(params, source, states, state)
+    assert a.tolist() == [1.0]
+    np.testing.assert_array_equal(ctx, states.H.data[0])
 
 
 def test_attend_zero_score_vector_uniform():
-    states, s, ap = _random_attend(1, n=5)
-    ap.score.data[...] = 0.0
-    _, a, ctx = attend(states, s, ap)
-    np.testing.assert_allclose(a.data, np.full(5, 0.2), atol=1e-15)
-    np.testing.assert_allclose(ctx.data, states.H.data.mean(axis=0), atol=1e-12)
+    params, source, states, state = _random_attend(1, n=5)
+    params.attention.score.data[...] = 0.0
+    a, ctx = _attend(params, source, states, state)
+    np.testing.assert_allclose(a, np.full(5, 0.2), atol=1e-15)
+    np.testing.assert_allclose(ctx, states.H.data.mean(axis=0), atol=1e-12)
 
 
 def test_attend_context_is_weighted_sum():
-    states, s, ap = _random_attend(2, n=6)
-    _, a, ctx = attend(states, s, ap)
+    params, source, states, state = _random_attend(2, n=6)
+    a, ctx = _attend(params, source, states, state)
     manual = np.zeros(states.H.data.shape[1])
     for i in range(6):
-        manual += a.data[i] * states.H.data[i]
-    np.testing.assert_allclose(ctx.data, manual, atol=1e-12)
+        manual += a[i] * states.H.data[i]
+    np.testing.assert_allclose(ctx, manual, atol=1e-12)
 
 
 def test_attend_weights_sum_to_one_and_hull():
     for seed in range(30):
-        states, s, ap = _random_attend(seed, n=5)
-        _, a, ctx = attend(states, s, ap)
-        assert abs(a.data.sum() - 1.0) <= 1e-12
-        assert np.all(a.data >= 0.0)
+        params, source, states, state = _random_attend(seed, n=5)
+        a, ctx = _attend(params, source, states, state)
+        assert abs(a.sum() - 1.0) <= 1e-12
+        assert np.all(a >= 0.0)
         lo = states.H.data.min(axis=0) - 1e-12
         hi = states.H.data.max(axis=0) + 1e-12
-        assert np.all(ctx.data >= lo) and np.all(ctx.data <= hi)
+        assert np.all(ctx >= lo) and np.all(ctx <= hi)
 
 
 def test_attend_gradients():
-    states, s, ap = _random_attend(7, n=4)
-    w = Tensor(np.random.default_rng(8).normal(size=2 * 3))
-
-    def f():
-        _, _, ctx = attend(states, s, ap)
-        return ag.mul(ctx, w).sum()
-
-    report = grad_check(f, ap.named_parameters() + [("s_h", s.hidden)], h=1e-5)
+    params, source, states, state = _random_attend(7, n=4)
+    f, named = step_loss_node(params, source, states, state, [BOS],
+                              np.random.default_rng(8))
+    report = grad_check(f, params.attention.named_parameters() + named[:1], h=1e-5)
     assert report.max_rel_err <= 1e-4
 
 
 def test_decoder_step_zero_weights():
-    cell = _zero_cell("decoder", d_emb=3, d_h=2, d_s=4)  # 7 inputs, 4 outputs
-    state = DecoderState(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-    out = decoder_step(Tensor(np.ones(3)), Tensor(np.ones(4)), state, cell)
-    assert np.all(out.hidden.data == 0.0) and np.all(out.cell.data == 0.0)
+    params, source, states, state = _random_attend(3, d_emb=3, d_h=2, d_s=4)  # 7+4 inputs
+    for _, p in params.decoder.named_parameters():
+        p.data[...] = 0.0
+    out, _ = step_forward([BOS], source, states, np.zeros_like(state), params)
+    assert np.all(out.state == 0.0)
 
 
 def test_decoder_step_is_cell_on_concat():
-    rng = np.random.default_rng(9)
-    cell = model_part("decoder", seed=9, d_emb=3, d_h=2, d_s=4)
-    w = Tensor(rng.normal(size=3))
-    ctx = Tensor(rng.normal(size=4))
-    state = DecoderState(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4)))
-    out = decoder_step(w, ctx, state, cell)
-    h2, c2 = lstm_step(cell, ag.concat(w, ctx), (state.hidden, state.cell))
-    np.testing.assert_array_equal(out.hidden.data, h2.data)
-    np.testing.assert_array_equal(out.cell.data, c2.data)
+    params, source, states, state = _random_attend(9, d_emb=3, d_h=2, d_s=4)
+    out, _ = step_forward([BOS], source, states, state, params)
+    x = ag.concat(Tensor(params.embedding.data[BOS]), Tensor(out.context[0]))
+    h2, c2 = lstm_step(params.decoder, x, (Tensor(state[0, :4]), Tensor(state[0, 4:])))
+    np.testing.assert_array_equal(out.state[0, :4], h2.data)
+    np.testing.assert_array_equal(out.state[0, 4:], c2.data)
 
 
 def test_decoder_step_width_check():
-    cell = model_part("decoder", d_emb=3, d_h=2, d_s=4)
-    state = DecoderState(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    params, source, states, state = _random_attend(3, d_emb=3, d_h=2, d_s=4)
     with pytest.raises(DimensionError):
-        decoder_step(Tensor(np.zeros(2)), Tensor(np.zeros(4)), state, cell)
+        step_forward([BOS], source, states, state[:, 1:], params)
+
+
+def _project(pp_params, hidden, context):
+    (_, p_vocab, _, _), _ = output_forward(np.zeros((1, 2)), hidden[None], context[None],
+                                           np.array([[1.0]]), [4], pp_params.dims.vocab_size,
+                                           pp_params)
+    return p_vocab[0]
+
+
+def _projection_model(seed=0, vocab_size=6):
+    return ModelParams(ModelDims(vocab_size=vocab_size, d_emb=2, d_h=2, d_s=3, d_a=2), seed=seed)
 
 
 def test_project_vocab_uniform_when_zero():
-    pp = model_part("projection", vocab_size=6, d_s=3, d_h=2)
-    pp.weight.data[...] = 0.0
-    pp.bias.data[...] = 0.0
-    state = DecoderState(Tensor(np.ones(3)), Tensor(np.ones(3)))
-    p = project_vocab(state, Tensor(np.ones(4)), pp)
-    np.testing.assert_allclose(p.data, np.full(6, 1 / 6), atol=1e-15)
+    params = _projection_model()
+    params.projection.weight.data[...] = 0.0
+    params.projection.bias.data[...] = 0.0
+    p = _project(params, np.ones(3), np.ones(4))
+    np.testing.assert_allclose(p, np.full(6, 1 / 6), atol=1e-15)
 
 
 def test_project_vocab_huge_bias_saturates_without_overflow():
-    pp = model_part("projection", vocab_size=6, d_s=3, d_h=2)
+    params = _projection_model()
+    pp = params.projection
     pp.weight.data[...] = 0.0
     pp.bias.data[...] = 0.0
     pp.bias.data[2] = 1e6
-    state = DecoderState(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-    p = project_vocab(state, Tensor(np.zeros(4)), pp)
-    assert np.all(np.isfinite(p.data))
-    assert p.data[2] == pytest.approx(1.0)
+    p = _project(params, np.zeros(3), np.zeros(4))
+    assert np.all(np.isfinite(p))
+    assert p[2] == pytest.approx(1.0)
 
 
 def test_project_vocab_matches_highprec_softmax():
     rng = np.random.default_rng(11)
-    pp = model_part("projection", seed=11, vocab_size=7, d_s=3, d_h=2)
-    state = DecoderState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
-    ctx = Tensor(rng.normal(size=4))
-    p = project_vocab(state, ctx, pp)
-    logits = pp.weight.data @ np.concatenate([state.hidden.data, ctx.data]) + pp.bias.data
-    np.testing.assert_allclose(p.data, softmax_highprec(logits), atol=1e-14)
-    assert abs(p.data.sum() - 1.0) <= 1e-12
+    params = _projection_model(seed=11, vocab_size=7)
+    pp = params.projection
+    hidden, ctx = rng.normal(size=3), rng.normal(size=4)
+    p = _project(params, hidden, ctx)
+    logits = pp.weight.data @ np.concatenate([hidden, ctx]) + pp.bias.data
+    np.testing.assert_allclose(p, softmax_highprec(logits), atol=1e-14)
+    assert abs(p.sum() - 1.0) <= 1e-12
 
 
 def test_model_params_inventory_and_order():
@@ -306,6 +323,5 @@ def test_bridge_shapes_and_tanh_range():
     ids, _ = encode_source(["alpha", "beta"], vocab)
     states = params.encode_source_ids(ids)
     s0 = params.initial_decoder_state(states)
-    assert s0.hidden.data.shape == (8,)
-    assert np.all(np.abs(s0.hidden.data) < 1.0)
-    assert np.all(np.abs(s0.cell.data) < 1.0)
+    assert s0.data.shape == (16,)  # [hidden | cell]
+    assert np.all(np.abs(s0.data) < 1.0)

@@ -1,180 +1,216 @@
 import numpy as np
 import pytest
 
-from paragen.autograd import Tensor
 from paragen.errors import ValidationError
-from paragen.model import DecoderState
-from paragen.pointer import copy_distribution, full_step, generation_gate, mix
-from paragen.vocab import BOS, encode_source
+from paragen.gradcheck import grad_check
+from paragen.model import ModelDims, ModelParams
+from paragen.pointer import copy_distribution, mix, output_forward, prepare_source, step_forward
+from paragen.vocab import BOS, UNK
 
-from conftest import model_part, tiny_model
+from conftest import step_loss_node, tiny_model
 from oracles import model_arrays, sigmoid_scalar, straight_line_step
 
 
 def test_copy_distribution_accumulates_repeats():
-    a = Tensor([0.2, 0.3, 0.5])
-    p = copy_distribution(a, [4, 7, 4], 9)
-    assert p.data[4] == pytest.approx(0.7, abs=1e-15)
-    assert p.data[7] == pytest.approx(0.3, abs=1e-15)
+    p = copy_distribution(np.array([[0.2, 0.3, 0.5]]), [4, 7, 4], 9)[0]
+    assert p[4] == pytest.approx(0.7, abs=1e-15)
+    assert p[7] == pytest.approx(0.3, abs=1e-15)
     off_source = [i for i in range(9) if i not in (4, 7)]
-    assert np.all(p.data[off_source] == 0.0)
+    assert np.all(p[off_source] == 0.0)
 
 
 def test_copy_distribution_distinct_ids_scatter():
-    a = Tensor([0.1, 0.2, 0.7])
-    p = copy_distribution(a, [2, 0, 5], 6)
-    assert p.data[2] == 0.1 and p.data[0] == 0.2 and p.data[5] == 0.7
+    p = copy_distribution(np.array([[0.1, 0.2, 0.7]]), [2, 0, 5], 6)[0]
+    assert p[2] == 0.1 and p[0] == 0.2 and p[5] == 0.7
 
 
 def test_copy_distribution_conserves_mass():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(1, 10))
-        raw = rng.uniform(0.1, 1.0, size=n)
-        a = raw / raw.sum()
+        raw = rng.uniform(0.1, 1.0, size=(2, n))
+        a = raw / raw.sum(axis=1, keepdims=True)
         ids = rng.integers(0, 12, size=n)
-        p = copy_distribution(Tensor(a), ids, 12)
-        assert abs(p.data.sum() - a.sum()) <= 1e-15
+        p = copy_distribution(a, ids, 12)
+        assert np.all(np.abs(p.sum(axis=1) - a.sum(axis=1)) <= 1e-15)
 
 
 def test_copy_distribution_range_check():
     with pytest.raises(ValidationError):
-        copy_distribution(Tensor([1.0]), [7], 6)
+        copy_distribution(np.array([[1.0]]), [7], 6)
+
+
+def _gate(seed, emb, hidden, context, weight=None, bias=None):
+    """p_gen of output_forward for one row, widths d_emb 2, d_s 3, d_h 2."""
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=2, d_h=2, d_s=3, d_a=2), seed=seed)
+    gp = params.copy_gate
+    if weight is not None:
+        gp.weight.data[...] = weight
+        gp.bias.data[...] = bias
+    (_, _, _, p_gen), _ = output_forward(np.atleast_2d(emb), np.atleast_2d(hidden),
+                                         np.atleast_2d(context), np.array([[1.0]]), [4], 6,
+                                         params)
+    return float(p_gen[0]), gp
 
 
 def test_generation_gate_zero_is_half():
-    gp = model_part("copy_gate", d_emb=2, d_s=3, d_h=2)
-    gp.weight.data[...] = 0.0
-    gp.bias.data[...] = 0.0
-    state = DecoderState(Tensor(np.ones(3)), Tensor(np.ones(3)))
-    g = generation_gate(Tensor(np.ones(2)), state, Tensor(np.ones(4)), gp)
-    assert g.item() == 0.5
+    g, _ = _gate(0, np.ones(2), np.ones(3), np.ones(4), weight=0.0, bias=0.0)
+    assert g == 0.5
 
 
 def test_generation_gate_saturation_finite():
-    gp = model_part("copy_gate", d_emb=2, d_s=3, d_h=2)
-    gp.weight.data[...] = 0.0
-    gp.bias.data[...] = 40.0
-    state = DecoderState(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-    g = generation_gate(Tensor(np.zeros(2)), state, Tensor(np.zeros(4)), gp)
-    assert np.isfinite(g.item())
-    assert abs(g.item() - 1.0) < 1e-12
+    g, _ = _gate(0, np.zeros(2), np.zeros(3), np.zeros(4), weight=0.0, bias=40.0)
+    assert np.isfinite(g)
+    assert abs(g - 1.0) < 1e-12
 
 
 def test_generation_gate_matches_scalar_oracle():
     rng = np.random.default_rng(1)
-    gp = model_part("copy_gate", seed=1, d_emb=2, d_s=3, d_h=2)
-    w = rng.normal(size=2)
-    state = DecoderState(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3)))
-    ctx = rng.normal(size=4)
-    g = generation_gate(Tensor(w), state, Tensor(ctx), gp)
-    z = np.concatenate([w, state.hidden.data, ctx])
+    w, hidden, ctx = rng.normal(size=2), rng.normal(size=3), rng.normal(size=4)
+    g, gp = _gate(1, w, hidden, ctx)
+    z = np.concatenate([w, hidden, ctx])
     expect = sigmoid_scalar(float(np.dot(gp.weight.data, z) + gp.bias.data))
-    assert g.item() == pytest.approx(expect, abs=1e-14)
+    assert g == pytest.approx(expect, abs=1e-14)
 
 
 def test_mix_degenerate_gates():
     rng = np.random.default_rng(2)
-    pv_raw = rng.uniform(0.1, 1.0, size=4)
-    pc_raw = rng.uniform(0.1, 1.0, size=6)
-    pv = Tensor(pv_raw / pv_raw.sum())
-    pc = Tensor(pc_raw / pc_raw.sum())
-    pure_copy = mix(pv, pc, 0.0)
-    np.testing.assert_allclose(pure_copy.data, pc.data, atol=1e-12)
-    pure_vocab = mix(pv, pc, 1.0)
-    np.testing.assert_allclose(pure_vocab.data[:4], pv.data, atol=1e-12)
-    assert np.all(pure_vocab.data[4:] == 0.0)
+    pv_raw = rng.uniform(0.1, 1.0, size=(1, 4))
+    pc_raw = rng.uniform(0.1, 1.0, size=(1, 6))
+    pv = pv_raw / pv_raw.sum()
+    pc = pc_raw / pc_raw.sum()
+    pure_copy = mix(pv, pc, np.array([0.0]))
+    np.testing.assert_allclose(pure_copy, pc, atol=1e-12)
+    pure_vocab = mix(pv, pc, np.array([1.0]))
+    np.testing.assert_allclose(pure_vocab[:, :4], pv, atol=1e-12)
+    assert np.all(pure_vocab[:, 4:] == 0.0)
 
 
 def test_mix_hand_value():
     # p_gen 0.6, vocab prob 0.5, copy prob 0.25 -> 0.6*0.5 + 0.4*0.25 = 0.4
-    pv = Tensor([0.5, 0.5])
-    pc = Tensor([0.25, 0.25, 0.5])
-    out = mix(pv, pc, 0.6)
-    assert out.data[0] == pytest.approx(0.4, abs=1e-15)
-    assert abs(out.data.sum() - 1.0) <= 1e-9
+    out = mix(np.array([[0.5, 0.5]]), np.array([[0.25, 0.25, 0.5]]), np.array([0.6]))
+    assert out[0, 0] == pytest.approx(0.4, abs=1e-15)
+    assert abs(out.sum() - 1.0) <= 1e-9
 
 
 def test_mix_rejects_bad_gate():
-    pv = Tensor([1.0])
-    pc = Tensor([1.0])
+    pv = np.array([[1.0]])
+    pc = np.array([[1.0]])
     with pytest.raises(ValidationError):
-        mix(pv, pc, 1.5)
+        mix(pv, pc, np.array([1.5]))
     with pytest.raises(ValidationError):
-        mix(pv, pc, -0.1)
+        mix(pv, pc, np.array([-0.1]))
 
 
 def _step_setup(seed, source=("alpha", "zyxxy", "beta", "zyxxy")):
     params, vocab = tiny_model(seed=seed)
-    src_ids, ev = encode_source(list(source), vocab)
-    states = params.encode_source_ids(src_ids)
-    state = params.initial_decoder_state(states)
-    return params, vocab, ev, states, state
+    ev, states, state = prepare_source(list(source), params, vocab)
+    return params, vocab, ev, states, state.data[None]
 
 
 def test_full_step_deterministic():
-    dists = []
+    outs = []
     for _ in range(2):  # rebuild everything from scratch with the same seed
         params, vocab, ev, states, state = _step_setup(4)
-        dist, _ = full_step(BOS, ev, states, state, params)
-        dists.append(dist)
-    d1, d2 = dists
-    np.testing.assert_array_equal(d1.p.data, d2.p.data)
-    np.testing.assert_array_equal(d1.p_vocab.data, d2.p_vocab.data)
-    assert d1.p_gen.item() == d2.p_gen.item()
+        outs.append(step_forward([BOS], ev, states, state, params)[0])
+    o1, o2 = outs
+    np.testing.assert_array_equal(o1.p, o2.p)
+    np.testing.assert_array_equal(o1.p_vocab, o2.p_vocab)
+    np.testing.assert_array_equal(o1.p_gen, o2.p_gen)
 
 
 def test_full_step_distribution_laws():
     for seed in range(25):
         params, vocab, ev, states, state = _step_setup(seed)
-        dist, _ = full_step(BOS, ev, states, state, params)
-        assert abs(dist.p.data.sum() - 1.0) <= 1e-9
-        assert abs(dist.p_copy.data.sum() - 1.0) <= 1e-9
-        assert abs(dist.p_vocab.data.sum() - 1.0) <= 1e-12
-        assert 0.0 < dist.p_gen.item() < 1.0
+        out, _ = step_forward([BOS], ev, states, state, params)
+        assert abs(out.p.sum() - 1.0) <= 1e-9
+        assert abs(out.p_copy.sum() - 1.0) <= 1e-9
+        assert abs(out.p_vocab.sum() - 1.0) <= 1e-12
+        assert 0.0 < out.p_gen[0] < 1.0
 
 
 def test_full_step_oov_probability_is_pure_copy():
     params, vocab, ev, states, state = _step_setup(6)
-    dist, _ = full_step(BOS, ev, states, state, params)
+    out, _ = step_forward([BOS], ev, states, state, params)
     oov_id = ev.lookup("zyxxy")
-    expect = (1.0 - dist.p_gen.item()) * dist.p_copy.data[oov_id]
-    assert dist.p.data[oov_id] == pytest.approx(expect, rel=1e-12)
-    assert dist.p.data[oov_id] > 0.0  # attention gives every position mass
+    expect = (1.0 - out.p_gen[0]) * out.p_copy[0, oov_id]
+    assert out.p[0, oov_id] == pytest.approx(expect, rel=1e-12)
+    assert out.p[0, oov_id] > 0.0  # attention gives every position mass
 
 
 def test_full_step_in_vocab_and_in_source_strictly_positive():
     params, vocab, ev, states, state = _step_setup(7, source=("alpha", "beta", "alpha"))
-    dist, _ = full_step(BOS, ev, states, state, params)
+    out, _ = step_forward([BOS], ev, states, state, params)
     for tok in ("alpha", "beta"):
-        assert dist.p.data[vocab.lookup(tok)] > 0.0
+        assert out.p[0, vocab.lookup(tok)] > 0.0
     # off-source extended region is empty here; vocabulary entries all positive
-    assert np.all(dist.p.data[:vocab.size] > 0.0)
+    assert np.all(out.p[0, :vocab.size] > 0.0)
 
 
 def test_full_step_force_p_gen_one_kills_extended_ids():
     params, vocab, ev, states, state = _step_setup(8)
-    dist, _ = full_step(BOS, ev, states, state, params, force_p_gen=1.0)
-    assert np.all(dist.p.data[vocab.size:] == 0.0)
-    assert abs(dist.p.data.sum() - 1.0) <= 1e-9
+    out, _ = step_forward([BOS], ev, states, state, params, force_p_gen=1.0)
+    assert np.all(out.p[0, vocab.size:] == 0.0)
+    assert abs(out.p.sum() - 1.0) <= 1e-9
 
 
 def test_full_step_matches_straight_line_oracle():
     params, vocab, ev, states, state = _step_setup(9)
-    dist, new_state = full_step(BOS, ev, states, state, params)
+    out, _ = step_forward([BOS], ev, states, state, params)
     w = model_arrays(params)
-    out = straight_line_step(w, states.H.data.copy(), ev.source_ids, ev.size,
-                             w["embedding"][BOS], state.hidden.data.copy(),
-                             state.cell.data.copy())
-    np.testing.assert_allclose(dist.p.data, out["p"], atol=1e-12, rtol=0)
-    np.testing.assert_allclose(new_state.hidden.data, out["h"], atol=1e-12, rtol=0)
-    assert dist.p_gen.item() == pytest.approx(out["p_gen"], abs=1e-13)
+    d_s = params.dims.d_s
+    oracle = straight_line_step(w, states.H.data.copy(), ev.source_ids, ev.size,
+                                w["embedding"][BOS], state[0, :d_s], state[0, d_s:])
+    np.testing.assert_allclose(out.p[0], oracle["p"], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out.state[0, :d_s], oracle["h"], atol=1e-12, rtol=0)
+    assert out.p_gen[0] == pytest.approx(oracle["p_gen"], abs=1e-13)
 
 
 def test_full_step_prev_extended_id_uses_unk_embedding():
     params, vocab, ev, states, state = _step_setup(10)
     oov_id = ev.lookup("zyxxy")
-    from paragen.vocab import UNK
-    d_oov, _ = full_step(oov_id, ev, states, state, params)
-    d_unk, _ = full_step(UNK, ev, states, state, params)
-    np.testing.assert_array_equal(d_oov.p.data, d_unk.p.data)
+    o_oov, _ = step_forward([oov_id], ev, states, state, params)
+    o_unk, _ = step_forward([UNK], ev, states, state, params)
+    np.testing.assert_array_equal(o_oov.p, o_unk.p)
+
+
+def test_step_rows_match_single_row_and_oracle():
+    # rows fed an in-vocabulary id, a repeated source id, an OOV (extended) id
+    # and BOS, each from its own state, over a source with a repeated OOV
+    rng = np.random.default_rng(12)
+    for seed in range(10):
+        params, vocab, ev, states, state = _step_setup(seed, source=(
+            "alpha", "zyxxy", "beta", "zyxxy", "alpha"))
+        prev = [vocab.lookup("beta"), vocab.lookup("alpha"), ev.lookup("zyxxy"), BOS]
+        rows = state + rng.normal(scale=0.3, size=(len(prev), state.shape[1]))
+        out, _ = step_forward(prev, ev, states, rows, params)
+        w = model_arrays(params)
+        d_s = params.dims.d_s
+        for r, prev_id in enumerate(prev):
+            one, _ = step_forward([prev_id], ev, states, rows[r:r + 1], params)
+            oracle = straight_line_step(w, states.H.data, ev.source_ids, ev.size,
+                                        w["embedding"][prev_id if prev_id < vocab.size else UNK],
+                                        rows[r, :d_s], rows[r, d_s:])
+            for mine, single, theirs in ((out.p[r], one.p[0], oracle["p"]),
+                                         (out.p_vocab[r], one.p_vocab[0], oracle["p_vocab"]),
+                                         (out.p_copy[r], one.p_copy[0], oracle["p_copy"]),
+                                         (out.attn[r], one.attn[0], oracle["attn"]),
+                                         (out.state[r, :d_s], one.state[0, :d_s], oracle["h"]),
+                                         (out.state[r, d_s:], one.state[0, d_s:], oracle["c"]),
+                                         (out.p_gen[r], one.p_gen[0], oracle["p_gen"])):
+                np.testing.assert_allclose(mine, single, atol=1e-12, rtol=0)
+                np.testing.assert_allclose(mine, theirs, atol=1e-12, rtol=0)
+
+
+def test_step_backward_matches_finite_differences():
+    # two rows, one fed an extended id; the loss weighs every output of the
+    # step, so every parameter, the encoder states and the incoming state
+    # get checked
+    params, vocab = tiny_model(seed=13, width=3)
+    ev, states, state = prepare_source(["alpha", "zyxxy", "beta", "zyxxy"], params, vocab)
+    rng = np.random.default_rng(13)
+    prev = [ev.lookup("zyxxy"), vocab.lookup("beta")]
+    node, named = step_loss_node(params, ev, states, state.data + rng.normal(
+        scale=0.3, size=(2, state.data.shape[0])), prev, rng)
+    report = grad_check(node, params.named_parameters() + named, h=1e-5)
+    assert report.max_rel_err <= 1e-6, repr(report)

@@ -421,3 +421,34 @@ def test_failed_run_keeps_previous_log(tmp_path, monkeypatch):
     train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
     assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1, 2]
     assert [p.name for p in tmp_path.iterdir()] == ["m.log"]
+
+
+def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
+    import paragen.training as training
+
+    norms = []
+
+    def recording_clip(named, clip):
+        norms.append(clip_gradients(named, clip))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_gradients", recording_clip)
+    pairs, _ = copy_task_corpus(8, seed=4)  # every target holds one source OOV
+    cfg = TrainConfig(seed=4, epochs=2, clip=0.5, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    log = tmp_path / "m.log"
+    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for rec, epoch_norms in zip(records, (norms[:8], norms[8:])):
+        assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
+        assert rec["grad_norm_mean"] == pytest.approx(np.mean(epoch_norms), rel=1e-12)
+        assert rec["grad_norm_max"] == max(epoch_norms)
+        assert 0.0 < rec["grad_norm_mean"] <= rec["grad_norm_max"]
+        assert rec["clipped_fraction"] == sum(n > 0.5 for n in epoch_norms) / 8
+        assert 0.0 <= rec["clipped_fraction"] <= 1.0
+        for key in ("p_gen_oov_mean", "p_gen_in_vocab_mean"):
+            assert 0.0 < rec[key] < 1.0
+
+    in_vocab_only = [("w01 w02", "w02 w01"), ("w03", "w03 w04")]
+    _, report = train(in_vocab_only, cfg, vocab=copy_task_vocab())
+    assert report.epochs[-1].p_gen_oov_mean is None
+    assert 0.0 < report.epochs[-1].p_gen_in_vocab_mean < 1.0
