@@ -26,7 +26,7 @@ print("OOV extension:", ev.source_oovs)
 print("attention features W_H·H + b, computed once:", states.features.shape)
 
 oov_id = ev.lookup("zyxxy")
-rows = np.repeat(state.data[None], 2, axis=0)  # two rows, each [hidden | cell]
+rows = np.repeat(state, 2, axis=0)  # two rows, each [hidden | cell]
 out, _ = step_forward([BOS, oov_id], ev, states, rows, params)
 print("\nrow 0 (after BOS) attention over source positions:", np.round(out.attn[0], 4),
       "sum =", out.attn[0].sum())
@@ -42,6 +42,6 @@ print(f"        = (1 - p_gen) * P_copy(zyxxy) "
       f"= {(1 - out.p_gen[0]) * out.p_copy[0, oov_id]:.6f}")
 print("the vocabulary branch contributes nothing: zyxxy has no fixed id")
 
-forced, _ = step_forward([BOS], ev, states, state.data[None], params, force_p_gen=1.0)
+forced, _ = step_forward([BOS], ev, states, state, params, force_p_gen=1.0)
 print("\nwith the gate forced to pure generation, P(zyxxy) =",
       forced.p[0, oov_id], "(structurally zero)")

@@ -1,10 +1,14 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 tensors with reverse-mode automatic differentiation, and the
+numpy LSTM cell with its backward.
 
 Every operation builds a node in a computation graph; ``backward`` walks the
 graph in reverse topological order and accumulates gradients into every
 tensor created with ``requires_grad=True``. The graph is rebuilt from scratch
 on every forward pass, so there is no state to reset between examples beyond
 zeroing parameter gradients.
+
+Training builds one node per example, whose backward is hand-written numpy
+(training.sequence_loss); the ops here build small graphs, as in demo 01.
 
 All storage is 64-bit, row-major, rank <= 3.
 """
@@ -35,10 +39,6 @@ class Tensor:
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def item(self):
         return float(self.data)
@@ -118,30 +118,17 @@ def backward(loss):
 
 
 # ---------------------------------------------------------------------------
-# elementwise and shape operations
-
-
-def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def back(g, a=a, b=b):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _node(a.data + b.data, (a, b), back)
+# products
 
 
 def mul(a, b):
-    """Elementwise product; one operand may be a scalar (rank 0)."""
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    """Elementwise product of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
 
     def back(g, a=a, b=b):
-        ga = g * b.data
-        gb = g * a.data
-        _accum(a, ga.sum() if a.data.ndim == 0 and ga.ndim != 0 else ga)
-        _accum(b, gb.sum() if b.data.ndim == 0 and gb.ndim != 0 else gb)
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), back)
 
@@ -163,62 +150,6 @@ def matmul(a, b):
         _accum(b, (A.T @ G).reshape(b.data.shape))
 
     return _node(ad @ bd, (a, b), back)
-
-
-def concat(a, b, axis=0):
-    ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim or ad.ndim == 0:
-        raise DimensionError(f"concat: shapes {ad.shape} and {bd.shape} incompatible")
-    for ax in range(ad.ndim):
-        if ax != axis and ad.shape[ax] != bd.shape[ax]:
-            raise DimensionError(f"concat: shapes {ad.shape} and {bd.shape} disagree off axis {axis}")
-    split = ad.shape[axis]
-
-    def back(g, a=a, b=b, axis=axis, split=split):
-        idx_a = tuple(slice(None) if ax != axis else slice(0, split) for ax in range(g.ndim))
-        idx_b = tuple(slice(None) if ax != axis else slice(split, None) for ax in range(g.ndim))
-        _accum(a, g[idx_a])
-        _accum(b, g[idx_b])
-
-    return _node(np.concatenate([ad, bd], axis=axis), (a, b), back)
-
-
-def stack(rows):
-    """Stack rank-1 tensors of equal length into a rank-2 tensor."""
-    rows = list(rows)
-    if not rows:
-        raise DimensionError("stack: empty row list")
-
-    def back(g, rows=rows):
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _node(np.stack([r.data for r in rows]), rows, back)
-
-
-def take(t, index):
-    """Gather along the first axis: an int picks one row (one element of a
-    vector); a list or array of ints stacks rows, summing repeated ids' gradients."""
-    n = t.data.shape[0] if t.data.ndim else 0
-    if isinstance(index, (int, np.integer)):
-        if not 0 <= index < n:  # no numpy reduction: this path runs per token
-            raise DimensionError(f"take: index {index} out of range for shape {t.data.shape}")
-        out = t.data[index].copy()
-    else:
-        index = np.asarray(index, dtype=np.intp)
-        if t.data.ndim == 0 or index.size and (index.min() < 0 or index.max() >= n):
-            raise DimensionError(f"take: index out of range for shape {t.data.shape}")
-        out = t.data[index]
-
-    def back(g, t=t, index=index):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        if isinstance(index, np.ndarray):
-            np.add.at(t.grad, index, g)
-        else:
-            t.grad[index] += g
-
-    return _node(out, (t,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -248,25 +179,6 @@ def log(a, floor=LOG_FLOOR):
     clamped = np.maximum(a.data, floor)
     return _node(np.log(clamped), (a,), lambda g, a=a, c=clamped, floor=floor:
                  _accum(a, np.where(a.data > floor, g / c, 0.0)))
-
-
-def lstm_step(cell, x, state):
-    """One LSTM cell step on vectors as one fused graph node over
-    ``lstm_forward`` and ``lstm_backward``. Returns (hidden, cell_state)."""
-    h_prev, c_prev = state
-    if x.data.ndim != 1 or h_prev.data.ndim != 1 or h_prev.data.shape != c_prev.data.shape:
-        raise DimensionError("lstm_step: inputs must be vectors, h and c of one width")
-    z = concat(x, h_prev)
-    h_new, c_new, cache = lstm_forward(cell, z.data[None], c_prev.data[None])
-    parents = (z, c_prev, *(t for _, t in cell.named_parameters()))
-
-    def back(g, z=z, c_prev=c_prev, cache=cache):
-        d_z, d_c = lstm_backward(cache, g[:1], g[1:])
-        _accum(z, d_z[0])
-        _accum(c_prev, d_c[0])
-
-    out = _node(np.concatenate([h_new, c_new]), parents, back)
-    return take(out, 0), take(out, 1)
 
 
 def lstm_forward(cell, z, c):

@@ -90,7 +90,7 @@ def beam_decode(source, params, vocab, cfg, force_p_gen=None):
     where live hypotheses join the pool unfinished. Width 1 is greedy.
     """
     ev, states, state = prepare_source(tokenize(source), params, vocab)
-    B, state, pool = cfg.beam_width, state.data[None], []
+    B, pool = cfg.beam_width, []
     live = [Hypothesis(ids=(), log_prob=0.0, finished=False)]
 
     for _ in range(cfg.max_len):
@@ -121,8 +121,10 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     as beam search did when it produced them.
     """
     ev, states, state = prepare_source(tokenize(source), params, vocab)
-    state, total, prev = state.data[None], 0.0, BOS
+    total, prev = 0.0, BOS
     for idx in ids:
+        if not (isinstance(idx, (int, np.integer)) and 0 <= idx < ev.size):
+            raise ValidationError(f"score_sequence: id {idx!r} not an int in [0, {ev.size})")
         out, _ = full_step([prev], ev, states, state, params, force_p_gen=force_p_gen)
         total += float(np.log(max(float(out.p[0, idx]), LOG_FLOOR)))
         state, prev = out.state, idx

@@ -1,5 +1,7 @@
-"""Bidirectional LSTM encoder, the source half of additive attention, and
-the model's parameters; the decoder step itself is in pointer.py.
+"""Bidirectional LSTM encoder, the bridge to the decoder's initial state, the
+source half of additive attention, and the model's parameters; the decoder
+step itself is in pointer.py. Each forward has a numpy backward and reads the
+weights through their tensors' ``.data``, which gradcheck may swap.
 
 Widths used throughout: d_emb embedding size, d_h encoder hidden size per
 direction (so encoder states are 2*d_h wide), d_s decoder state size, d_a
@@ -11,49 +13,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
-from .autograd import Tensor, lstm_step
+from .autograd import Tensor, lstm_backward, lstm_forward
 from .errors import ValidationError
 from .vocab import UNK
 
 
 @dataclass
 class EncoderStates:
-    """Per-token bidirectional states H (N x 2*d_h), the combined final state,
-    and the attention features (set by ModelParams.encode_source_ids)."""
+    """Per-token bidirectional states H (N x 2*d_h), the combined final state
+    (2*d_h), and the attention features W_H·H + b (N x d_a)."""
 
-    H: Tensor
-    h_final: Tensor
-    n: int
-    features: np.ndarray = None
+    H: np.ndarray
+    h_final: np.ndarray
+    features: np.ndarray
 
 
 def encode(embeddings, fwd, bwd):
     """Run both encoder directions over a source embedding matrix (N x d_emb).
 
-    Row i of the result holds the forward state after reading token i
-    concatenated with the backward state after reading tokens N..i. The
-    combined final state is forward-at-N alongside backward-at-1.
+    Row i of H holds the forward state after reading token i concatenated
+    with the backward state after reading tokens N..i. The combined final
+    state is forward-at-N alongside backward-at-1. Returns (H, h_final, cache).
     """
-    n = embeddings.data.shape[0]
+    n = embeddings.shape[0]
     if n < 1:
         raise ValidationError("encode: empty source")
 
     def run(cell, order):
-        d_h = cell.w_i.data.shape[0]
-        h = Tensor(np.zeros(d_h))
-        c = Tensor(np.zeros(d_h))
-        states = [None] * n
+        h = c = np.zeros((1, cell.w_i.data.shape[0]))
+        states, caches = [None] * n, []
         for i in order:
-            h, c = lstm_step(cell, ag.take(embeddings, i), (h, c))
-            states[i] = h
-        return states, h
+            h, c, cache = lstm_forward(cell, np.concatenate([embeddings[i:i + 1], h], axis=1), c)
+            states[i] = h[0]
+            caches.append((i, cache))
+        return states, caches
 
-    fwd_states, fwd_last = run(fwd, range(n))
-    bwd_states, bwd_last = run(bwd, range(n - 1, -1, -1))
-    H = ag.stack([ag.concat(fwd_states[i], bwd_states[i]) for i in range(n)])
-    h_final = ag.concat(fwd_last, bwd_last)
-    return EncoderStates(H, h_final, n)
+    fwd_states, fwd_caches = run(fwd, range(n))
+    bwd_states, bwd_caches = run(bwd, range(n - 1, -1, -1))
+    H = np.concatenate([np.stack(fwd_states), np.stack(bwd_states)], axis=1)
+    h_final = np.concatenate([fwd_states[-1], bwd_states[0]])
+    return H, h_final, (embeddings.shape[1], fwd_caches, bwd_caches)
+
+
+def encode_backward(cache, g_H, g_final):
+    """Gradients of ``encode`` for d H and d h_final: accumulates both cells'
+    weight gradients and returns d embeddings (N x d_emb)."""
+    d_emb, fwd_caches, bwd_caches = cache
+    d_h = g_H.shape[1] // 2
+    g_emb = np.zeros((g_H.shape[0], d_emb))
+    for caches, cols in ((fwd_caches, slice(0, d_h)), (bwd_caches, slice(d_h, None))):
+        g_h, g_c = g_final[cols], np.zeros((1, d_h))
+        for i, step in reversed(caches):  # the last step's h also feeds h_final
+            g_z, g_c = lstm_backward(step, (g_H[i, cols] + g_h)[None], g_c)
+            g_emb[i] += g_z[0, :d_emb]
+            g_h = g_z[0, d_emb:]
+    return g_emb
 
 
 @dataclass
@@ -154,18 +168,32 @@ class ModelParams:
         self.grad.fill(0.0)
 
     def initial_decoder_state(self, states):
-        """The decoder state [hidden | cell], bridged from the final encoder state."""
-        return ag.tanh(ag.concat(ag.matmul(self.bridge_hidden, states.h_final),
-                                 ag.matmul(self.bridge_cell, states.h_final)))
+        """The decoder state [hidden | cell] (1 x 2*d_s), bridged from the final
+        encoder state: tanh([W_h·h_final ; W_c·h_final])."""
+        return np.tanh(np.concatenate([self.bridge_hidden.data @ states.h_final,
+                                       self.bridge_cell.data @ states.h_final]))[None]
 
     def encode_source_ids(self, source_ids):
         """Embed extended source ids (OOVs fall back to UNK), run the encoder,
-        and compute the attention features, which every decoder step reuses:
-        plain numpy, whose gradient each step's backward sends to H, W_H, b."""
-        emb_ids = [i if i < self.dims.vocab_size else UNK for i in source_ids]
-        states = encode(ag.take(self.embedding, emb_ids), self.encoder_fwd, self.encoder_bwd)
-        states.features = attention_features(states.H.data, self.attention)
-        return states
+        and compute the attention features, which every decoder step reuses.
+        Returns (EncoderStates, cache for source_backward)."""
+        emb_ids = np.array([i if i < self.dims.vocab_size else UNK for i in source_ids],
+                           dtype=np.intp)
+        H, h_final, cache = encode(self.embedding.data[emb_ids],
+                                   self.encoder_fwd, self.encoder_bwd)
+        return EncoderStates(H, h_final, attention_features(H, self.attention)), (emb_ids, cache)
+
+    def source_backward(self, cache, states, state, g_H, g_state):
+        """Gradients of ``encode_source_ids`` and of the initial decoder state
+        for d H and d state: the bridge's, both encoder cells' and the
+        embedding's (repeated ids add up), accumulated into the grad views."""
+        emb_ids, encode_cache = cache
+        g_pre = g_state[0] * (1.0 - state[0] * state[0])
+        g_hidden, g_cell = g_pre[:self.dims.d_s], g_pre[self.dims.d_s:]
+        self.bridge_hidden.grad += np.outer(g_hidden, states.h_final)
+        self.bridge_cell.grad += np.outer(g_cell, states.h_final)
+        g_final = g_hidden @ self.bridge_hidden.data + g_cell @ self.bridge_cell.data
+        np.add.at(self.embedding.grad, emb_ids, encode_backward(encode_cache, g_H, g_final))
 
 
 def attention_features(H, ap):

@@ -1,7 +1,7 @@
 """The decoder step in numpy, on B rows at once: attention, LSTM update,
 vocabulary softmax, copy distribution, generation gate and their mixture.
 ``step_forward`` returns outputs and a cache for ``step_backward``; inference
-drops the cache, training wraps the pair as one graph node (training.full_step).
+drops the cache, training keeps it for the backward of training.sequence_loss.
 """
 
 from dataclasses import dataclass
@@ -88,10 +88,10 @@ class StepOutputs:
 
 
 def prepare_source(tokens, params, vocab):
-    """(ExtendedVocab, EncoderStates, initial decoder state Tensor
+    """(ExtendedVocab, EncoderStates, initial decoder state: one row
     [hidden | cell]) for source ``tokens``: all a decoder needs before step 1."""
     src_ids, ev = encode_source(tokens, vocab)
-    states = params.encode_source_ids(src_ids)
+    states, _ = params.encode_source_ids(src_ids)
     return ev, states, params.initial_decoder_state(states)
 
 
@@ -106,7 +106,7 @@ def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
         raise ValidationError(f"step: negative previous id in {prev_ids}")
     emb_ids = np.where(prev_ids < params.dims.vocab_size, prev_ids, UNK)
     emb = params.embedding.data[emb_ids]
-    H, ap, hidden = states.H.data, params.attention, state[:, :d_s]
+    H, ap, hidden = states.H, params.attention, state[:, :d_s]
     t = np.tanh(states.features + (hidden @ ap.weight.data[:, H.shape[1]:].T)[:, None, :])
     attn = softmax_rows(t @ ap.score.data)
     context = attn @ H
@@ -125,7 +125,7 @@ def step_backward(cache, g_p, g_state):
     features' share of W_H and b included; returns (d state, d H)."""
     params, states, emb_ids, hidden, t, attn, context, lstm_cache, out_cache = cache
     d_s, e, width = params.dims.d_s, params.dims.d_emb, context.shape[1]
-    ap, H = params.attention, states.H.data
+    ap, H = params.attention, states.H
     g_emb, g_hidden, g_context, g_attn = output_backward(out_cache, g_p)
     g_z, g_cell = lstm_backward(lstm_cache, g_hidden + g_state[:, :d_s], g_state[:, d_s:])
     np.add.at(params.embedding.grad, emb_ids, g_emb + g_z[:, :e])

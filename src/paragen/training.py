@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .autograd import LOG_FLOOR, Tensor, backward
+from .autograd import LOG_FLOOR, backward
 from .errors import NumericalError, ValidationError
 from .fileio import atomic_write, read_lines
 from .model import ModelDims, ModelParams, params_from_payload
-from .pointer import prepare_source, step_backward, step_forward
-from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
+from .pointer import step_backward, step_forward as full_step
+from .vocab import BOS, EOS, build_vocab, encode_source, encode_target, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -112,28 +112,9 @@ def _pair_texts(pair):
     return x, y
 
 
-def full_step(prev_id, gold_id, ev, states, state, params):
-    """One teacher-forced step as one graph node, and its StepOutputs. ``state``
-    is the initial decoder state or the previous step's node; the node holds
-    [hidden | cell | NLL so far - log max(p(gold), LOG_FLOOR)]."""
-    width = 2 * params.dims.d_s
-    out, cache = step_forward([prev_id], ev, states, state.data[None, :width], params)
-    p_gold = out.p[0, gold_id]
-    so_far = state.data[width] if state.data.shape[0] > width else 0.0
-    nll = so_far - np.log(np.maximum(p_gold, LOG_FLOOR))
-
-    def back(g, state=state, states=states, cache=cache, p_gold=p_gold):
-        g_p = np.zeros((1, ev.size))
-        g_p[0, gold_id] = -g[width] / p_gold if p_gold > LOG_FLOOR else 0.0
-        g_state, g_H = step_backward(cache, g_p, g[None, :width])
-        ag._accum(state, np.append(g_state[0], g[width])[:state.data.shape[0]])
-        ag._accum(states.H, g_H)
-
-    return ag._node(np.append(out.state[0], nll), (state, states.H), back), out
-
-
 def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
-    """Mean NLL, greedy-match count, gold ids and each gold step's gate value."""
+    """Mean NLL as one graph node over the parameter tensors, greedy-match
+    count, gold ids and each gold step's gate value."""
     x_text, y_text = _pair_texts(pair)
     src = tokenize(x_text)
     tgt = tokenize(y_text)
@@ -146,16 +127,32 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
         log.warning("target truncated from %d to %d tokens", len(tgt), max_target_len)
         tgt = tgt[:max_target_len]
 
-    ev, states, state = prepare_source(src, params, vocab)
+    src_ids, ev = encode_source(src, vocab)
+    states, encoder_cache = params.encode_source_ids(src_ids)
+    state0 = state = params.initial_decoder_state(states)
     gold = encode_target(tgt, ev) + [EOS]
 
-    prev, correct, p_gen = BOS, 0, []
+    prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
     for gold_id in gold:
-        state, out = full_step(prev, gold_id, ev, states, state, params)
+        out, cache = full_step([prev], ev, states, state, params)
+        p_gold = out.p[0, gold_id]
+        nll = nll - np.log(np.maximum(p_gold, LOG_FLOOR))
+        steps.append((cache, gold_id, p_gold))
         correct += int(np.argmax(out.p[0])) == gold_id
         p_gen.append(float(out.p_gen[0]))
-        prev = gold_id
-    loss = ag.mul(ag.take(state, state.data.shape[0] - 1), Tensor(1.0 / len(gold)))
+        state, prev = out.state, gold_id
+
+    def back(g):
+        g_nll = g * (1.0 / len(gold))
+        g_state, g_H = np.zeros_like(state0), np.zeros_like(states.H)
+        for cache, gold_id, p_gold in reversed(steps):
+            g_p = np.zeros((1, ev.size))
+            g_p[0, gold_id] = -g_nll / p_gold if p_gold > LOG_FLOOR else 0.0
+            g_state, g_step_H = step_backward(cache, g_p, g_state)
+            g_H += g_step_H
+        params.source_backward(encoder_cache, states, state0, g_H, g_state)
+
+    loss = ag._node(nll * (1.0 / len(gold)), [p for _, p in params.named_parameters()], back)
     return loss, correct, gold, p_gen
 
 

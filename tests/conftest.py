@@ -42,13 +42,12 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     from paragen.pointer import step_backward, step_forward
 
     S = Tensor(rows, requires_grad=True)
-    H = Tensor(states.H.data, requires_grad=True)
+    H = Tensor(states.H, requires_grad=True)
     wp = rng.normal(size=(len(prev_ids), ev.size))
     ws = rng.normal(size=rows.shape)
 
     def f():
-        live = EncoderStates(H, states.h_final, states.n)
-        live.features = attention_features(H.data, params.attention)
+        live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention))
         out, cache = step_forward(prev_ids, ev, live, S.data, params)
 
         def back(g):

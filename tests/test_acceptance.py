@@ -61,7 +61,7 @@ def test_c2_distribution_laws():
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
         ev, states, state = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
-        out, _ = step_forward([prev], ev, states, state.data[None], params)
+        out, _ = step_forward([prev], ev, states, state, params)
 
         assert abs(out.attn.sum() - 1.0) <= 1e-12
         assert abs(out.p_copy.sum() - 1.0) <= 1e-9
@@ -132,13 +132,13 @@ def test_c4_straight_line_oracle_equivalence():
         ev, states, state = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
 
-        out, _ = step_forward([prev], ev, states, state.data[None], params)
+        out, _ = step_forward([prev], ev, states, state, params)
         w = model_arrays(params)
         from paragen.vocab import UNK
         prev_emb = w["embedding"][prev if prev < vocab.size else UNK]
         d_s = params.dims.d_s
-        oracle = straight_line_step(w, states.H.data.copy(), ev.source_ids, ev.size,
-                                    prev_emb, state.data[:d_s].copy(), state.data[d_s:].copy())
+        oracle = straight_line_step(w, states.H.copy(), ev.source_ids, ev.size,
+                                    prev_emb, state[0, :d_s].copy(), state[0, d_s:].copy())
         for mine, theirs in ((out.p[0], oracle["p"]),
                              (out.p_vocab[0], oracle["p_vocab"]),
                              (out.p_copy[0], oracle["p_copy"]),
@@ -210,7 +210,6 @@ def test_c6_beam_sanity():
 
         def step_probs(prefix):
             _, states, state = prepare_source(tokenize(source), params, vocab)
-            state = state.data[None]
             for prev in (BOS,) + prefix:
                 out, _ = step_forward([prev], ev, states, state, params)
                 state = out.state

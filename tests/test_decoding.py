@@ -9,7 +9,7 @@ import paragen.pointer as pointer
 from paragen.decoding import (BeamConfig, Hypothesis, beam_decode, greedy_decode, render,
                               score_sequence)
 from paragen.errors import ValidationError
-from paragen.training import TrainConfig, train
+from paragen.training import TrainConfig, sequence_loss, train
 from paragen.vocab import BOS, EOS, PAD, UNK, encode_source, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model
@@ -172,25 +172,33 @@ def test_beam_tie_at_floor_breaks_to_lowest_extended_id():
 
 
 def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
+    """prepare_source, beam_decode and score_sequence build no graph node with
+    a backward closure; the training loss of one pair is exactly one."""
     params, vocab = tiny_model(seed=6)
-    counts = {"prepared": False, "after": 0}
-    node, prepare = ag._node, pointer.prepare_source
+    built, node = [], ag._node
 
     def counting_node(*args, **kwargs):
-        counts["after"] += counts["prepared"]
-        return node(*args, **kwargs)
-
-    def marking_prepare(*args, **kwargs):
-        counts["prepared"] = False
-        result = prepare(*args, **kwargs)
-        counts["prepared"] = True
-        return result
+        out = node(*args, **kwargs)
+        if out._backward is not None:
+            built.append(out)
+        return out
 
     monkeypatch.setattr(ag, "_node", counting_node)
-    monkeypatch.setattr(decoding, "prepare_source", marking_prepare)
+    pointer.prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
     hyps = beam_decode("alpha zyxxy beta", params, vocab, BeamConfig(beam_width=3, max_len=6))
     score_sequence("alpha zyxxy beta", hyps[0].ids, params, vocab)
-    assert counts["prepared"] and counts["after"] == 0
+    assert built == []
+    loss = sequence_loss(("alpha zyxxy beta", "zyxxy beta"), params, vocab)
+    assert built == [loss]
+
+
+def test_score_sequence_rejects_ids_outside_extended_vocabulary():
+    params, vocab = tiny_model(seed=6)
+    _, ev = encode_source(tokenize("alpha zyxxy beta"), vocab)
+    assert score_sequence("alpha zyxxy beta", [ev.size - 1], params, vocab) < 0.0
+    for bad in (-1, ev.size, 2.5):
+        with pytest.raises(ValidationError, match="not an int in"):
+            score_sequence("alpha zyxxy beta", [5, bad], params, vocab)
 
 
 def test_beam_scores_replayable():

@@ -81,13 +81,15 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     # the first decoded step targets the OOV; the second targets EOS, which
     # does reach the projection. Check the OOV step in isolation instead.
     params.zero_grad()
-    from paragen.pointer import prepare_source
-    from paragen.training import full_step
+    from paragen.pointer import prepare_source, step_backward, step_forward
     from paragen.vocab import BOS
 
     ev, states, state = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
-    node, _ = full_step(BOS, ev.lookup("zyxxy"), ev, states, state, params)
-    ag.backward(ag.take(node, node.data.shape[0] - 1))  # -log p(zyxxy)
+    oov = ev.lookup("zyxxy")
+    out, cache = step_forward([BOS], ev, states, state, params)
+    g_p = np.zeros((1, ev.size))
+    g_p[0, oov] = -1.0 / out.p[0, oov]  # the gradient of -log p(zyxxy)
+    step_backward(cache, g_p, np.zeros_like(state))
     assert np.all(params.projection.weight.grad == 0.0)
     assert np.all(params.projection.bias.grad == 0.0)
     assert np.any(params.attention.weight.grad != 0.0)

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 import paragen.autograd as ag
-from paragen.autograd import Tensor, lstm_step
+from paragen.autograd import lstm_forward
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.model import (EncoderStates, ModelDims, ModelParams, ParamGroup,
-                           attention_features, encode, parameter_layout, params_from_payload)
+                           attention_features, encode, encode_backward, parameter_layout,
+                           params_from_payload)
 from paragen.pointer import output_forward, step_forward
-from paragen.vocab import BOS
+from paragen.vocab import BOS, UNK, encode_source
 
-from conftest import model_part, step_loss_node, tiny_model
-from oracles import cell_arrays, lstm_step_scalar, softmax_highprec
+from conftest import TINY_TOKENS, model_part, step_loss_node, tiny_model
+from oracles import (cell_arrays, lstm_step_scalar, model_arrays, softmax_highprec,
+                     straight_line_encode)
 
 
 def _zero_cell(name="encoder_fwd", **widths):
@@ -23,8 +25,8 @@ def _zero_cell(name="encoder_fwd", **widths):
 
 def test_lstm_zero_everything():
     cell = _zero_cell(d_emb=3, d_h=4)
-    h, c = lstm_step(cell, Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
-    assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
+    h, c, _ = lstm_forward(cell, np.zeros((1, 7)), np.zeros((1, 4)))
+    assert np.all(h == 0.0) and np.all(c == 0.0)
 
 
 def test_lstm_saturated_forget_preserves_cell():
@@ -32,8 +34,8 @@ def test_lstm_saturated_forget_preserves_cell():
     cell.b_f.data[...] = 40.0   # forget gate pinned at 1
     cell.b_i.data[...] = -40.0  # input gate pinned at 0
     c0 = np.array([0.3, -1.2, 0.7, 2.0])
-    h, c = lstm_step(cell, Tensor(np.ones(3)), (Tensor(np.zeros(4)), Tensor(c0)))
-    np.testing.assert_array_equal(c.data, c0)
+    h, c, _ = lstm_forward(cell, np.concatenate([np.ones(3), np.zeros(4)])[None], c0[None])
+    np.testing.assert_array_equal(c[0], c0)
 
 
 def test_lstm_matches_scalar_loop_oracle():
@@ -42,25 +44,26 @@ def test_lstm_matches_scalar_loop_oracle():
     x = rng.normal(size=3)
     h0 = rng.normal(size=5)
     c0 = rng.normal(size=5)
-    h, c = lstm_step(cell, Tensor(x), (Tensor(h0), Tensor(c0)))
+    h, c, _ = lstm_forward(cell, np.concatenate([x, h0])[None], c0[None])
     oh, oc = lstm_step_scalar(cell_arrays(cell), list(x), list(h0), list(c0))
-    np.testing.assert_allclose(h.data, oh, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(c.data, oc, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(h[0], oh, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(c[0], oc, atol=1e-12, rtol=0)
 
 
 def test_lstm_shape_validation():
     cell = model_part("encoder_fwd", d_emb=3, d_h=4)
-    with pytest.raises(DimensionError):
-        lstm_step(cell, Tensor(np.zeros(5)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
+    for z, c in ((np.zeros((1, 9)), np.zeros((1, 4))), (np.zeros((1, 7)), np.zeros((1, 5)))):
+        with pytest.raises(DimensionError):
+            lstm_forward(cell, z, c)
 
 
 def test_encode_single_token():
     rng = np.random.default_rng(4)
     fwd = model_part("encoder_fwd", seed=4, d_emb=4, d_h=3)
     bwd = model_part("encoder_bwd", seed=4, d_emb=4, d_h=3)
-    states = encode(Tensor(rng.normal(size=(1, 4))), fwd, bwd)
-    assert states.n == 1
-    np.testing.assert_array_equal(states.H.data[0], states.h_final.data)
+    H, h_final, _ = encode(rng.normal(size=(1, 4)), fwd, bwd)
+    assert H.shape == (1, 6)
+    np.testing.assert_array_equal(H[0], h_final)
 
 
 def test_encode_palindrome_symmetry():
@@ -69,37 +72,52 @@ def test_encode_palindrome_symmetry():
     emb = rng.normal(size=(5, 4))
     emb[3] = emb[1]
     emb[4] = emb[0]  # palindrome rows
-    states = encode(Tensor(emb), shared, shared)
-    H = states.H.data
+    H, _, _ = encode(emb, shared, shared)
     d = 3
     for i in range(5):
         np.testing.assert_allclose(H[i, :d], H[5 - 1 - i, d:], atol=1e-12)
 
 
 def test_encode_matches_unrolled_cells():
+    """encode_source_ids against the straight-line transcription of the two
+    unrolled cells, on sources of 1-12 tokens with repeated and OOV words."""
+    params, vocab = tiny_model(seed=6)
     rng = np.random.default_rng(6)
-    fwd = model_part("encoder_fwd", seed=6, d_emb=4, d_h=3)
-    bwd = model_part("encoder_bwd", seed=6, d_emb=4, d_h=3)
-    emb = rng.normal(size=(3, 4))
-    states = encode(Tensor(emb), fwd, bwd)
+    words = TINY_TOKENS + ["zyxxy", "qwop"]  # the last two are OOV, embedded as UNK
+    covered = set()
+    for n in range(1, 13):
+        tokens = [words[i] for i in rng.integers(0, len(words), size=n)]
+        src_ids, _ = encode_source(tokens, vocab)
+        covered |= {"oov"} if max(src_ids) >= vocab.size else set()
+        covered |= {"repeat"} if len(set(src_ids)) < n else set()
+        states, _ = params.encode_source_ids(src_ids)
+        emb_ids = [i if i < vocab.size else UNK for i in src_ids]
+        H, h_final = straight_line_encode(model_arrays(params), emb_ids, params.dims.d_h)
+        np.testing.assert_allclose(states.H, H, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(states.h_final, h_final, atol=1e-12, rtol=0)
+    assert covered == {"oov", "repeat"}
 
-    h = Tensor(np.zeros(3))
-    c = Tensor(np.zeros(3))
-    fwd_states = []
-    for i in range(3):
-        h, c = lstm_step(fwd, Tensor(emb[i]), (h, c))
-        fwd_states.append(h.data)
-    h = Tensor(np.zeros(3))
-    c = Tensor(np.zeros(3))
-    bwd_states = {}
-    for i in (2, 1, 0):
-        h, c = lstm_step(bwd, Tensor(emb[i]), (h, c))
-        bwd_states[i] = h.data
-    for i in range(3):
-        np.testing.assert_array_equal(states.H.data[i, :3], fwd_states[i])
-        np.testing.assert_array_equal(states.H.data[i, 3:], bwd_states[i])
-    np.testing.assert_array_equal(states.h_final.data,
-                                  np.concatenate([fwd_states[-1], bwd_states[0]]))
+
+def test_encode_backward_matches_finite_differences():
+    """A random weighting of H and h_final, so the h_final path is checked
+    apart from the decoder's use of it."""
+    rng = np.random.default_rng(11)
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=3, d_h=2), seed=11)
+    E = ag.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    wH, wf = rng.normal(size=(4, 4)), rng.normal(size=4)
+    named = (params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
+             + [("E", E)])
+
+    def f():
+        H, h_final, cache = encode(E.data, params.encoder_fwd, params.encoder_bwd)
+
+        def back(g):
+            E.grad += encode_backward(cache, g * wH, g * wf)
+
+        return ag._node((H * wH).sum() + (h_final * wf).sum(), [p for _, p in named], back)
+
+    report = grad_check(f, named, h=1e-5)
+    assert report.max_rel_err <= 1e-6, repr(report)
 
 
 def test_encode_empty_source_error():
@@ -121,9 +139,8 @@ def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3, d_emb=2):
     rng = np.random.default_rng(seed)
     params = ModelParams(ModelDims(vocab_size=6, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a),
                          seed=seed)
-    H = Tensor(rng.normal(size=(n, 2 * d_h)))
-    states = EncoderStates(H, ag.take(H, n - 1), n)
-    states.features = attention_features(H.data, params.attention)
+    H = rng.normal(size=(n, 2 * d_h))
+    states = EncoderStates(H, H[n - 1], attention_features(H, params.attention))
     return params, _Source([4] * n, 6), states, rng.normal(size=(1, 2 * d_s))
 
 
@@ -136,7 +153,7 @@ def test_attend_single_state():
     params, source, states, state = _random_attend(0, n=1)
     a, ctx = _attend(params, source, states, state)
     assert a.tolist() == [1.0]
-    np.testing.assert_array_equal(ctx, states.H.data[0])
+    np.testing.assert_array_equal(ctx, states.H[0])
 
 
 def test_attend_zero_score_vector_uniform():
@@ -144,15 +161,15 @@ def test_attend_zero_score_vector_uniform():
     params.attention.score.data[...] = 0.0
     a, ctx = _attend(params, source, states, state)
     np.testing.assert_allclose(a, np.full(5, 0.2), atol=1e-15)
-    np.testing.assert_allclose(ctx, states.H.data.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(ctx, states.H.mean(axis=0), atol=1e-12)
 
 
 def test_attend_context_is_weighted_sum():
     params, source, states, state = _random_attend(2, n=6)
     a, ctx = _attend(params, source, states, state)
-    manual = np.zeros(states.H.data.shape[1])
+    manual = np.zeros(states.H.shape[1])
     for i in range(6):
-        manual += a[i] * states.H.data[i]
+        manual += a[i] * states.H[i]
     np.testing.assert_allclose(ctx, manual, atol=1e-12)
 
 
@@ -162,8 +179,8 @@ def test_attend_weights_sum_to_one_and_hull():
         a, ctx = _attend(params, source, states, state)
         assert abs(a.sum() - 1.0) <= 1e-12
         assert np.all(a >= 0.0)
-        lo = states.H.data.min(axis=0) - 1e-12
-        hi = states.H.data.max(axis=0) + 1e-12
+        lo = states.H.min(axis=0) - 1e-12
+        hi = states.H.max(axis=0) + 1e-12
         assert np.all(ctx >= lo) and np.all(ctx <= hi)
 
 
@@ -186,10 +203,10 @@ def test_decoder_step_zero_weights():
 def test_decoder_step_is_cell_on_concat():
     params, source, states, state = _random_attend(9, d_emb=3, d_h=2, d_s=4)
     out, _ = step_forward([BOS], source, states, state, params)
-    x = ag.concat(Tensor(params.embedding.data[BOS]), Tensor(out.context[0]))
-    h2, c2 = lstm_step(params.decoder, x, (Tensor(state[0, :4]), Tensor(state[0, 4:])))
-    np.testing.assert_array_equal(out.state[0, :4], h2.data)
-    np.testing.assert_array_equal(out.state[0, 4:], c2.data)
+    z = np.concatenate([params.embedding.data[BOS], out.context[0], state[0, :4]])
+    h2, c2, _ = lstm_forward(params.decoder, z[None], state[:, 4:])
+    np.testing.assert_array_equal(out.state[:, :4], h2)
+    np.testing.assert_array_equal(out.state[:, 4:], c2)
 
 
 def test_decoder_step_width_check():
@@ -305,11 +322,13 @@ def test_views_survive_grad_check_dtype_swap():
     named = params.named_parameters()
     before = params.flat.copy()
 
-    def f():
-        total = ag.mul(named[0][1], named[0][1]).sum()
-        for _, p in named[1:]:
-            total = ag.add(total, ag.mul(p, p).sum())
-        return total
+    def f():  # the sum of squares of every parameter, as one node
+        def back(g):
+            for _, p in named:
+                p.grad += 2.0 * g * p.data
+
+        return ag._node(sum((p.data * p.data).sum() for _, p in named),
+                        [p for _, p in named], back)
 
     report = grad_check(f, named, h=1e-5)
     assert report.max_rel_err <= 1e-6
@@ -321,7 +340,7 @@ def test_bridge_shapes_and_tanh_range():
     params, vocab = tiny_model(seed=2)
     from paragen.vocab import encode_source
     ids, _ = encode_source(["alpha", "beta"], vocab)
-    states = params.encode_source_ids(ids)
+    states, _ = params.encode_source_ids(ids)
     s0 = params.initial_decoder_state(states)
-    assert s0.data.shape == (16,)  # [hidden | cell]
-    assert np.all(np.abs(s0.data) < 1.0)
+    assert s0.shape == (1, 16)  # one row [hidden | cell]
+    assert np.all(np.abs(s0) < 1.0)

@@ -105,7 +105,7 @@ def test_mix_rejects_bad_gate():
 def _step_setup(seed, source=("alpha", "zyxxy", "beta", "zyxxy")):
     params, vocab = tiny_model(seed=seed)
     ev, states, state = prepare_source(list(source), params, vocab)
-    return params, vocab, ev, states, state.data[None]
+    return params, vocab, ev, states, state
 
 
 def test_full_step_deterministic():
@@ -159,7 +159,7 @@ def test_full_step_matches_straight_line_oracle():
     out, _ = step_forward([BOS], ev, states, state, params)
     w = model_arrays(params)
     d_s = params.dims.d_s
-    oracle = straight_line_step(w, states.H.data.copy(), ev.source_ids, ev.size,
+    oracle = straight_line_step(w, states.H.copy(), ev.source_ids, ev.size,
                                 w["embedding"][BOS], state[0, :d_s], state[0, d_s:])
     np.testing.assert_allclose(out.p[0], oracle["p"], atol=1e-12, rtol=0)
     np.testing.assert_allclose(out.state[0, :d_s], oracle["h"], atol=1e-12, rtol=0)
@@ -188,7 +188,7 @@ def test_step_rows_match_single_row_and_oracle():
         d_s = params.dims.d_s
         for r, prev_id in enumerate(prev):
             one, _ = step_forward([prev_id], ev, states, rows[r:r + 1], params)
-            oracle = straight_line_step(w, states.H.data, ev.source_ids, ev.size,
+            oracle = straight_line_step(w, states.H, ev.source_ids, ev.size,
                                         w["embedding"][prev_id if prev_id < vocab.size else UNK],
                                         rows[r, :d_s], rows[r, d_s:])
             for mine, single, theirs in ((out.p[r], one.p[0], oracle["p"]),
@@ -210,7 +210,7 @@ def test_step_backward_matches_finite_differences():
     ev, states, state = prepare_source(["alpha", "zyxxy", "beta", "zyxxy"], params, vocab)
     rng = np.random.default_rng(13)
     prev = [ev.lookup("zyxxy"), vocab.lookup("beta")]
-    node, named = step_loss_node(params, ev, states, state.data + rng.normal(
-        scale=0.3, size=(2, state.data.shape[0])), prev, rng)
+    node, named = step_loss_node(params, ev, states, state + rng.normal(
+        scale=0.3, size=(2, state.shape[1])), prev, rng)
     report = grad_check(node, params.named_parameters() + named, h=1e-5)
     assert report.max_rel_err <= 1e-6, repr(report)

@@ -207,16 +207,16 @@ def test_extended_vocab_token_range_error():
 def test_embedding_lookup_rows():
     # the decoder step embeds each row's previous id: a fixed id its own row,
     # an extended id the UNK row, and a negative id is rejected
-    from paragen.autograd import Tensor, concat, lstm_step
+    from paragen.autograd import lstm_forward
     from paragen.pointer import prepare_source, step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
     ev, states, state = prepare_source(["a", "oov"], params, Vocabulary(["a", "b"]))
-    rows = np.repeat(state.data[None], 3, axis=0)
+    rows = np.repeat(state, 3, axis=0)
     out, _ = step_forward([3, 17, UNK], ev, states, rows, params)
-    x = concat(Tensor(params.embedding.data[3]), Tensor(out.context[0]))
-    h, c = lstm_step(params.decoder, x, (Tensor(rows[0, :2]), Tensor(rows[0, 2:])))
-    np.testing.assert_allclose(out.state[0], np.concatenate([h.data, c.data]), atol=1e-15, rtol=0)
+    z = np.concatenate([params.embedding.data[3], out.context[0], rows[0, :2]])
+    h, c, _ = lstm_forward(params.decoder, z[None], rows[:1, 2:])
+    np.testing.assert_allclose(out.state[0], np.concatenate([h[0], c[0]]), atol=1e-15, rtol=0)
     np.testing.assert_allclose(out.state[1], out.state[2], atol=1e-15, rtol=0)
     with pytest.raises(ValidationError):
         step_forward([-1], ev, states, rows[:1], params)
