@@ -215,8 +215,9 @@ def lstm_backward(cache, g_h, g_c):
 
 
 def outer_sum(a, b):
-    """a.T @ b, the sum of the rows' outer products: einsum's loop beats BLAS
-    for so few rows, and with one row each entry is the exact product."""
+    """a.T @ b for the one-row steps of the encoder and of the teacher-forced
+    recurrence: einsum's loop beats BLAS on one row, and each entry is the
+    exact product."""
     return np.einsum("bi,bj->ij", a, b)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autograd import LOG_FLOOR
 from .errors import ValidationError
-from .pointer import prepare_source, step_forward as full_step
+from .pointer import prepare_source, step_forward as full_step, teacher_forced
 from .vocab import BOS, EOS, PAD, tokenize
 
 # Clamped probabilities whose logs round to the same double differ by under
@@ -121,11 +121,10 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     as beam search did when it produced them.
     """
     ev, states, state = prepare_source(tokenize(source), params, vocab)
-    total, prev = 0.0, BOS
     for idx in ids:
         if not (isinstance(idx, (int, np.integer)) and 0 <= idx < ev.size):
             raise ValidationError(f"score_sequence: id {idx!r} not an int in [0, {ev.size})")
-        out, _ = full_step([prev], ev, states, state, params, force_p_gen=force_p_gen)
-        total += float(np.log(max(float(out.p[0, idx]), LOG_FLOOR)))
-        state, prev = out.state, idx
-    return total
+    if len(ids) == 0:
+        return 0.0
+    (p, _, _, _), _ = teacher_forced([BOS, *ids[:-1]], ev, states, state, params, force_p_gen)
+    return float(np.log(np.maximum(p[np.arange(len(ids)), ids], LOG_FLOOR)).sum())

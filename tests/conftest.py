@@ -30,7 +30,8 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
 
 def step_loss_node(params, ev, states, rows, prev_ids, rng):
     """A loss for grad_check over one B-row decoder step: a random weighting
-    of every row's p and next state, whose graph node runs step_backward.
+    of every row's p and next state, whose graph node runs output_backward,
+    then recur_backward.
 
     Returns (f, named): f rebuilds the node from the live arrays (the
     attention features included), and named holds the step's input state
@@ -39,7 +40,7 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     import paragen.autograd as ag
     from paragen.autograd import Tensor
     from paragen.model import EncoderStates, attention_features
-    from paragen.pointer import step_backward, step_forward
+    from paragen.pointer import output_backward, recur_backward, step_forward
 
     S = Tensor(rows, requires_grad=True)
     H = Tensor(states.H, requires_grad=True)
@@ -48,10 +49,11 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
 
     def f():
         live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention))
-        out, cache = step_forward(prev_ids, ev, live, S.data, params)
+        out, (recur_cache, out_cache) = step_forward(prev_ids, ev, live, S.data, params)
 
         def back(g):
-            g_state, g_H = step_backward(cache, g * wp, g * ws)
+            g_state, g_H = recur_backward(recur_cache, *output_backward(out_cache, g * wp),
+                                          g * ws)
             S.grad += g_state
             H.grad += g_H
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written in the most direct style possible
 (scalar loops, dense matrices, exhaustive enumeration) and shares no code
-with the library beyond numpy itself.
+with the library beyond numpy itself, except where a docstring says so.
 """
 
 import math
@@ -240,6 +240,45 @@ def per_hypothesis_beam(params, vocab, src_tokens, width, max_len, length_norm,
     ranked = sorted(pool, key=lambda cand: (-cand[1] / max(len(cand[0]), 1) ** length_norm,
                                             cand[0]))
     return [(ids, log_prob) for ids, log_prob, _ in ranked]
+
+
+def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
+    """Teacher-forced training on one pair as it ran before the output layer
+    ran once per sequence: one whole step_forward per gold token, then, per
+    step in reverse, that step's output_backward and recur_backward, then the
+    bridge and the encoder. Unlike the oracles above it is built from the
+    library's own step halves, which the finite-difference tests check.
+
+    Zeroes params' gradients first and leaves the result in them; returns
+    (mean NLL, greedy-match count, per-step p_gen list)."""
+    from paragen.pointer import output_backward, recur_backward, step_forward
+    from paragen.vocab import BOS, EOS, encode_source, encode_target
+
+    src_ids, ev = encode_source(src_tokens, vocab)
+    states, encoder_cache = params.encode_source_ids(src_ids)
+    state0 = state = params.initial_decoder_state(states)
+    gold = encode_target(tgt_tokens, ev) + [EOS]
+    prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
+    for gold_id in gold:
+        out, cache = step_forward([prev], ev, states, state, params)
+        p_gold = out.p[0, gold_id]
+        nll = nll - np.log(np.maximum(p_gold, 1e-12))
+        steps.append((cache, gold_id, p_gold))
+        correct += int(np.argmax(out.p[0])) == gold_id
+        p_gen.append(float(out.p_gen[0]))
+        state, prev = out.state, gold_id
+
+    params.zero_grad()
+    g_nll = 1.0 / len(gold)
+    g_state, g_H = np.zeros_like(state0), np.zeros_like(states.H)
+    for (recur_cache, out_cache), gold_id, p_gold in reversed(steps):
+        g_p = np.zeros((1, ev.size))
+        g_p[0, gold_id] = -g_nll / p_gold if p_gold > 1e-12 else 0.0
+        g_state, g_step_H = recur_backward(recur_cache, *output_backward(out_cache, g_p),
+                                           g_state)
+        g_H += g_step_H
+    params.source_backward(encoder_cache, states, state0, g_H, g_state)
+    return nll / len(gold), correct, p_gen
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,15 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     # the first decoded step targets the OOV; the second targets EOS, which
     # does reach the projection. Check the OOV step in isolation instead.
     params.zero_grad()
-    from paragen.pointer import prepare_source, step_backward, step_forward
+    from paragen.pointer import prepare_source, teacher_forced, teacher_forced_backward
     from paragen.vocab import BOS
 
     ev, states, state = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
     oov = ev.lookup("zyxxy")
-    out, cache = step_forward([BOS], ev, states, state, params)
+    (p, _, _, _), cache = teacher_forced([BOS], ev, states, state, params)
     g_p = np.zeros((1, ev.size))
-    g_p[0, oov] = -1.0 / out.p[0, oov]  # the gradient of -log p(zyxxy)
-    step_backward(cache, g_p, np.zeros_like(state))
+    g_p[0, oov] = -1.0 / p[0, oov]  # the gradient of -log p(zyxxy)
+    teacher_forced_backward(cache, g_p)
     assert np.all(params.projection.weight.grad == 0.0)
     assert np.all(params.projection.bias.grad == 0.0)
     assert np.any(params.attention.weight.grad != 0.0)

@@ -20,7 +20,7 @@ from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, Tra
 from paragen.vocab import Vocabulary, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model, zero_params
-from oracles import PerTensorAdam, straight_line_sequence_nll
+from oracles import PerTensorAdam, per_step_sequence_loss, straight_line_sequence_nll
 
 
 def test_zero_weight_model_closed_form_loss():
@@ -47,6 +47,44 @@ def test_sequence_loss_matches_straight_line_oracle():
     mine = float(sequence_loss((" ".join(src), " ".join(tgt)), params, vocab).data)
     oracle = straight_line_sequence_nll(params, vocab, src, tgt)
     assert mine == pytest.approx(oracle, abs=1e-12)
+
+
+def test_sequence_loss_matches_per_step_oracle():
+    """One output layer over the whole sequence against one per gold token:
+    loss to 1e-12 relative, every gradient element to 1e-12 of its tensor's
+    largest, greedy-match count and per-step gates exactly.
+
+    The attention tensors are held to the model's largest gradient entry
+    instead: their gradients pass through the attention softmax's, which sums
+    to zero over positions, so they are sums of terms that nearly cancel, and
+    the last-bit differences of the batched projection reach 5e-11 (bias) and
+    6e-13 (weight) of their own largest entries."""
+    from paragen.training import _teacher_forced
+
+    cases = [("w01 name1x w02", "w02", 50),  # one target token: the shortest sequence
+             ("w03 w04 w03 w04 w03", "w04 w03 w03 w05", 50),  # repeated source tokens
+             ("w06 name2x w07 name3x", "name3x w07 name2x name2x", 50),  # OOV gold ids
+             # truncated target, holding an OOV absent from the source (trains as UNK)
+             ("w08 w09", "w09 w08 unseenx w10 w11 w12", 4)]
+    v350 = Vocabulary([f"w{i:02d}" for i in range(50)] + [f"u{i:03d}" for i in range(296)])
+    for vocab in (copy_task_vocab(), v350):
+        assert vocab.size in (54, 350)
+        for width in range(1, 17):
+            params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=width, d_h=width,
+                                           d_s=width, d_a=width), seed=width)
+            for x, y, max_target_len in cases:
+                params.zero_grad()
+                loss, correct, _, p_gen = _teacher_forced((x, y), params, vocab, 50,
+                                                          max_target_len)
+                backward(loss)
+                grads = [p.grad.copy() for _, p in params.named_parameters()]
+                want_loss, want_correct, want_p_gen = per_step_sequence_loss(
+                    params, vocab, tokenize(x), tokenize(y)[:max_target_len])
+                assert abs(float(loss.data) - want_loss) <= 1e-12 * abs(want_loss)
+                assert (correct, p_gen) == (want_correct, want_p_gen)
+                for mine, (name, p) in zip(grads, params.named_parameters()):
+                    scale = params.grad if name.startswith("attention.") else p.grad
+                    assert np.abs(mine - p.grad).max() <= 1e-12 * np.abs(scale).max(), name
 
 
 def test_sequence_loss_truncates_with_warning(caplog):
@@ -452,3 +490,16 @@ def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
     _, report = train(in_vocab_only, cfg, vocab=copy_task_vocab())
     assert report.epochs[-1].p_gen_oov_mean is None
     assert 0.0 < report.epochs[-1].p_gen_in_vocab_mean < 1.0
+
+
+def test_train_log_reports_target_tokens_per_second(tmp_path):
+    pairs, _ = copy_task_corpus(6, seed=5)
+    cfg = TrainConfig(seed=5, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    log = tmp_path / "m.log"
+    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    gold_tokens = sum(len(tokenize(y)) + 1 for _, y in pairs)  # each target ends in EOS
+    for rec in map(json.loads, log.read_text().splitlines()):
+        assert list(rec)[3:5] == ["wall_time_s", "target_tokens_per_s"]
+        assert rec["target_tokens_per_s"] > 0.0
+        assert rec["target_tokens_per_s"] * rec["wall_time_s"] == pytest.approx(gold_tokens,
+                                                                                 rel=1e-12)
