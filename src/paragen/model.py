@@ -143,8 +143,11 @@ class ModelParams:
             p.data[...] = rng.uniform(-0.1, 0.1, size=shape) if init == UNIFORM else init
 
     def _bind(self, dims, flat):
-        """Name a view of ``flat`` (and of a zeroed ``grad``) for each layout entry."""
-        self.dims, self.flat, self.grad = dims, flat, np.zeros_like(flat)
+        """Name a view of ``flat`` (and of a zeroed ``grad``) for each layout entry.
+
+        ``grad`` comes from np.zeros, whose pages are mapped on first write,
+        so a model that never computes a gradient never pays for one."""
+        self.dims, self.flat, self.grad = dims, flat, np.zeros(flat.shape)
         self._named, groups, start = [], {}, 0
         for name, (shape, _) in parameter_layout(dims).items():
             end = start + math.prod(shape)

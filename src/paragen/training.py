@@ -95,6 +95,7 @@ class EpochStats:
     clipped_fraction: float  # of examples whose norm exceeded cfg.clip
     p_gen_oov_mean: float | None  # of the gate at gold steps with an OOV (extended) target
     p_gen_in_vocab_mean: float | None  # ... with a fixed-vocabulary target; None if no such step
+    optimizer_s: float  # of wall_time_s, spent clipping gradients and in Adam.step
 
     def as_dict(self):
         return asdict(self)
@@ -164,52 +165,62 @@ def _mean(values):
     return float(np.mean(values)) if values else None
 
 
-def clip_gradients(named_params, clip):
-    """Scale all gradients so their global L2 norm is at most ``clip``.
+def clip_gradients(grad, clip):
+    """Scale the flat gradient vector ``grad`` in place so its L2 norm is at
+    most ``clip``; returns the pre-clip norm.
 
-    Returns the pre-clip norm. Direction is preserved exactly.
+    The norm is one ``np.dot(grad, grad)``, with no temporaries. Direction is
+    preserved exactly, and a norm at or below ``clip`` leaves ``grad`` untouched.
     """
-    total = 0.0
-    grads = []
-    for _, p in named_params:
-        if p.grad is not None:
-            grads.append(p.grad)
-            total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(np.dot(grad, grad)))
     if norm > clip and norm > 0.0:
-        scale = clip / norm
-        for g in grads:
-            g *= scale
+        grad *= clip / norm
     return norm
 
 
 class Adam:
     """Adam with bias correction over one parameter vector and its gradient
-    vector (ModelParams.flat and .grad), updated in place."""
+    vector (ModelParams.flat and .grad), updated in place.
+
+    ``step`` walks the vectors in blocks of ``BLOCK`` elements, so each
+    block's operands stay in cache across the update's operations. The
+    update is elementwise, so the result is bit-identical to the same
+    operations over whole vectors.
+    """
+
+    BLOCK = 1 << 15
 
     def __init__(self, data, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.data, self.grad = data, grad
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m, self.v = np.zeros_like(data), np.zeros_like(data)
-        self._scratch = np.empty_like(data), np.empty_like(data)
+        # np.zeros maps its pages on first write; zeros_like would write every one now
+        self.m, self.v = np.zeros(data.shape), np.zeros(data.shape)
+        width = min(self.BLOCK, data.size)
+        self._scratch = np.empty(width), np.empty(width)
 
     def step(self):
-        """data -= (lr * m_hat) / (sqrt(v_hat) + eps), written through scratch
-        vectors instead of temporaries; each operation's operands keep that order."""
+        """data -= (lr * m_hat) / (sqrt(v_hat) + eps), one block at a time,
+        written through two block-sized scratch vectors instead of temporaries;
+        each operation's operands keep that order."""
         self.t += 1
-        b1, b2, g, m, v = self.beta1, self.beta2, self.grad, self.m, self.v
-        a, b = self._scratch
-        m *= b1
-        m += np.multiply(g, 1 - b1, out=a)
-        v *= b2
-        np.multiply(g, g, out=a)
-        v += np.multiply(a, 1 - b2, out=a)
-        np.sqrt(np.divide(v, 1 - b2 ** self.t, out=a), out=a)
-        a += self.eps
-        np.divide(m, 1 - b1 ** self.t, out=b)
-        b *= self.lr
-        self.data -= np.divide(b, a, out=b)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        scratch_a, scratch_b = self._scratch
+        for start in range(0, self.data.size, self.BLOCK):
+            block = slice(start, start + self.BLOCK)  # the last block may be shorter
+            g, m, v = self.grad[block], self.m[block], self.v[block]
+            a, b = scratch_a[:g.size], scratch_b[:g.size]
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=a)
+            v *= b2
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1 - b2, out=a)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += eps
+            np.divide(m, c1, out=b)
+            b *= lr
+            self.data[block] -= np.divide(b, a, out=b)
 
 
 def pairs_vocab(pairs, cfg):
@@ -240,7 +251,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(pairs))
-        nll_sum, correct, total = 0.0, 0, 0
+        nll_sum, correct, total, optimizer_s = 0.0, 0, 0, 0.0
         norms, gates = [], {True: [], False: []}  # gold id is OOV -> gate values
         for idx in order:
             params.zero_grad()
@@ -249,10 +260,12 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
             backward(loss)
-            norm = clip_gradients(params.named_parameters(), cfg.clip)
+            t_opt = time.perf_counter()
+            norm = clip_gradients(params.grad, cfg.clip)
             if not np.isfinite(norm):
                 raise NumericalError(f"non-finite gradient norm at epoch {epoch}, example {idx}")
             opt.step()
+            optimizer_s += time.perf_counter() - t_opt
             nll_sum += float(loss.data)
             correct += c
             total += len(gold)
@@ -268,7 +281,8 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                            grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
                            clipped_fraction=float(np.mean(np.array(norms) > cfg.clip)),
                            p_gen_oov_mean=_mean(gates[True]),
-                           p_gen_in_vocab_mean=_mean(gates[False]))
+                           p_gen_in_vocab_mean=_mean(gates[False]),
+                           optimizer_s=optimizer_s)
         report.epochs.append(stats)
         log.info("epoch %d: %s", epoch, json.dumps(stats.as_dict()))
         if log_path is not None:

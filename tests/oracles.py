@@ -285,6 +285,16 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
 # retrieval oracles
 
 
+def per_tensor_grad_norm(named_params):
+    """Global L2 gradient norm summed tensor by tensor, each tensor's squares
+    summed through a temporary: the norm training clipped with before the
+    flat one-dot norm."""
+    total = 0.0
+    for _, p in named_params:
+        total += float((p.grad * p.grad).sum())
+    return float(np.sqrt(total))
+
+
 class PerTensorAdam:
     """Adam with bias correction, one m/v slot pair per tensor: the update
     written tensor by tensor with numpy temporaries. ``arrays`` is a dict

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paragen.autograd import Tensor, backward
+from paragen.autograd import backward
 from paragen.errors import NumericalError, ValidationError
 from paragen.model import ModelDims, ModelParams
 from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, TrainConfig,
@@ -20,7 +21,8 @@ from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, Tra
 from paragen.vocab import Vocabulary, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model, zero_params
-from oracles import PerTensorAdam, per_step_sequence_loss, straight_line_sequence_nll
+from oracles import (PerTensorAdam, per_step_sequence_loss, per_tensor_grad_norm,
+                     straight_line_sequence_nll)
 
 
 def test_zero_weight_model_closed_form_loss():
@@ -104,24 +106,46 @@ def test_empty_pair_rejected():
 
 def test_clip_gradients_norm_and_direction():
     rng = np.random.default_rng(0)
-    params = [(f"p{i}", Tensor(rng.normal(size=5), requires_grad=True)) for i in range(3)]
-    for _, p in params:
-        p.grad = rng.normal(size=5) * 10
-    flat_before = np.concatenate([p.grad.copy() for _, p in params])
-    pre_norm = clip_gradients(params, clip=2.0)
-    flat_after = np.concatenate([p.grad for _, p in params])
-    post_norm = float(np.linalg.norm(flat_after))
+    grad = rng.normal(size=15) * 10
+    flat_before = grad.copy()
+    pre_norm = clip_gradients(grad, clip=2.0)
+    post_norm = float(np.linalg.norm(grad))
     assert pre_norm == pytest.approx(float(np.linalg.norm(flat_before)), rel=1e-12)
     assert post_norm <= 2.0 + 1e-9
-    cosine = float(flat_before @ flat_after / (np.linalg.norm(flat_before) * post_norm))
+    cosine = float(flat_before @ grad / (np.linalg.norm(flat_before) * post_norm))
     assert cosine == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clip_noop_when_below_threshold():
-    p = Tensor(np.zeros(3), requires_grad=True)
-    p.grad = np.array([0.1, 0.0, 0.0])
-    clip_gradients([("p", p)], clip=2.0)
-    np.testing.assert_array_equal(p.grad, [0.1, 0.0, 0.0])
+    grad = np.array([0.1, 0.0, 0.0])
+    clip_gradients(grad, clip=2.0)
+    np.testing.assert_array_equal(grad, [0.1, 0.0, 0.0])
+
+
+def _model_gradient(seed):
+    params, vocab = tiny_model(seed=seed)
+    backward(sequence_loss(("alpha beta gamma", "gamma zyxxy alpha"), params, vocab))
+    return params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_clip_norm_matches_per_tensor_oracle(seed):
+    params = _model_gradient(seed)
+    oracle = per_tensor_grad_norm(params.named_parameters())
+    before = params.grad.copy()
+    norm = clip_gradients(params.grad, clip=oracle * 2)
+    assert norm == pytest.approx(oracle, rel=1e-12)
+    np.testing.assert_array_equal(params.grad, before)  # below the clip: untouched
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_clip_above_threshold_scales_by_exactly_clip_over_norm(seed):
+    params = _model_gradient(seed)
+    before = params.grad.copy()
+    clip = per_tensor_grad_norm(params.named_parameters()) / 3
+    norm = clip_gradients(params.grad, clip)
+    np.testing.assert_array_equal(params.grad, before * (clip / norm))
+    assert float(np.linalg.norm(params.grad)) == pytest.approx(clip, rel=1e-12)
 
 
 def test_adam_zero_lr_is_identity():
@@ -150,6 +174,34 @@ def test_flat_adam_equals_per_tensor_adam_bit_for_bit():
         for n, p in params.named_parameters():
             np.testing.assert_array_equal(p.data, reference[n], err_msg=f"step {step} {n}")
     assert not np.array_equal(params.flat, tiny_model(seed=3)[0].flat)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])  # one value per block, a ragged tail, one block
+def test_blocked_adam_equals_per_tensor_adam_across_block_boundaries(block, monkeypatch):
+    size = tiny_model(seed=3)[0].flat.size
+    assert size % 7 and size < 1 << 20
+    monkeypatch.setattr(Adam, "BLOCK", block)
+    test_flat_adam_equals_per_tensor_adam_bit_for_bit()
+
+
+def test_training_equals_oracle_adam_and_norm_loop_bit_for_bit():
+    # a clip nothing reaches: the clipping path must leave every gradient as it is
+    pairs, _ = copy_task_corpus(6, seed=7)
+    vocab = copy_task_vocab()
+    cfg = TrainConfig(seed=7, epochs=2, clip=1e6, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    trained, _ = train(pairs, cfg, vocab=vocab)
+
+    params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
+    oracle = PerTensorAdam({n: p.data for n, p in params.named_parameters()}, lr=cfg.lr)
+    shuffle_rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        for idx in shuffle_rng.permutation(len(pairs)):
+            params.zero_grad()
+            backward(sequence_loss(pairs[idx], params, vocab))
+            assert per_tensor_grad_norm(params.named_parameters()) < cfg.clip
+            oracle.step({n: p.grad for n, p in params.named_parameters()})
+    np.testing.assert_array_equal(trained.flat, params.flat)
+    assert not np.array_equal(trained.flat, ModelParams(cfg.dims(vocab.size), seed=7).flat)
 
 
 def test_non_finite_gradient_raises_before_the_step(tmp_path, monkeypatch):
@@ -466,8 +518,8 @@ def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
 
     norms = []
 
-    def recording_clip(named, clip):
-        norms.append(clip_gradients(named, clip))
+    def recording_clip(grad, clip):
+        norms.append(clip_gradients(grad, clip))
         return norms[-1]
 
     monkeypatch.setattr(training, "clip_gradients", recording_clip)
@@ -503,3 +555,24 @@ def test_train_log_reports_target_tokens_per_second(tmp_path):
         assert rec["target_tokens_per_s"] > 0.0
         assert rec["target_tokens_per_s"] * rec["wall_time_s"] == pytest.approx(gold_tokens,
                                                                                  rel=1e-12)
+
+
+def test_train_log_reports_optimizer_seconds(tmp_path, monkeypatch):
+    import paragen.training as training
+
+    def slowed(fn):
+        def run(*args):
+            time.sleep(0.005)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(training, "clip_gradients", slowed(clip_gradients))
+    monkeypatch.setattr(Adam, "step", slowed(Adam.step))
+    pairs, _ = copy_task_corpus(6, seed=5)
+    cfg = TrainConfig(seed=5, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    log = tmp_path / "m.log"
+    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    for rec in map(json.loads, log.read_text().splitlines()):
+        assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
+        assert list(rec)[-1] == "optimizer_s"
+        assert 6 * 2 * 0.005 <= rec["optimizer_s"] < rec["wall_time_s"]
