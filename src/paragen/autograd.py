@@ -1,5 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation, and the
-numpy LSTM cell with its backward.
+numpy LSTM cell: one product of its stacked gates per step, and a backward
+that leaves the gate weight gradients to one product over every step.
 
 Every operation builds a node in a computation graph; ``backward`` walks the
 graph in reverse topological order and accumulates gradients into every
@@ -181,44 +182,48 @@ def log(a, floor=LOG_FLOOR):
                  _accum(a, np.where(a.data > floor, g / c, 0.0)))
 
 
-def lstm_forward(cell, z, c):
-    """The LSTM cell on B rows of z = [x, h] and cell states c, in numpy:
-    i,f,o = sigmoid(W [x,h] + b), g = tanh(W_g [x,h] + b_g), c' = f*c + i*g,
-    h' = o*tanh(c'), each W d_h x (d_in + d_h). Returns (h', c', cache)."""
-    d_h, d_z = cell.w_i.data.shape
-    if z.shape[1] != d_z or c.shape[1] != d_h:
-        raise DimensionError(f"lstm: inputs {z.shape}/cell state {c.shape} do not match "
-                             f"cell widths (d_in={d_z - d_h}, d_h={d_h})")
-    gi = _sig(z @ cell.w_i.data.T + cell.b_i.data)
-    gf = _sig(z @ cell.w_f.data.T + cell.b_f.data)
-    gg = np.tanh(z @ cell.w_g.data.T + cell.b_g.data)
-    go = _sig(z @ cell.w_o.data.T + cell.b_o.data)
+GATES = "ifgo"  # the block order of stacked gate weights and of every (B x 4*d_h) array
+
+
+def stack_gates(cell):
+    """A cell's gate weights (4*d_h x d_z) and biases (4*d_h), stacked from its tensors' .data."""
+    return tuple(np.concatenate([getattr(cell, f"{kind}_{gate}").data for gate in GATES])
+                 for kind in "wb")
+
+
+def lstm_cell(pre, c):
+    """The LSTM cell on B rows of gate pre-activations pre = W [x, h] + b
+    (B x 4*d_h) and cell states c (B x d_h): i,f,o = sigmoid, g = tanh,
+    c' = f*c + i*g, h' = o*tanh(c'). Returns (h', c', cache)."""
+    d_h = c.shape[1]
+    if pre.shape != (c.shape[0], 4 * d_h):
+        raise DimensionError(f"lstm: gate pre-activations {pre.shape} do not fit cell "
+                             f"state {c.shape}")
+    act = _sig(pre)
+    act[:, 2 * d_h:3 * d_h] = np.tanh(pre[:, 2 * d_h:3 * d_h])
+    gi, gf, gg, go = act.reshape(-1, 4, d_h).swapaxes(0, 1)
     c_new = gf * c + gi * gg
     tc = np.tanh(c_new)
-    return go * tc, c_new, (cell, z, c, gi, gf, gg, go, tc)
+    return go * tc, c_new, (c, gi, gf, gg, go, tc)
 
 
-def lstm_backward(cache, g_h, g_c):
-    """Gradients of ``lstm_forward`` for output gradients g_h and g_c (B x d_h):
-    accumulates the gate weight and bias gradients into the cell's tensors
-    and returns (d z, d c)."""
-    cell, z, c, gi, gf, gg, go, tc = cache
+def lstm_cell_backward(cache, g_h, g_c):
+    """Gradients of ``lstm_cell`` for d h' and d c' (B x d_h): returns
+    (d pre, d c) and accumulates nothing (see ``accumulate_gates``)."""
+    c, gi, gf, gg, go, tc = cache
     d_c = g_h * go * (1.0 - tc * tc) + g_c
-    d_pre = {"i": d_c * gg * gi * (1.0 - gi), "f": d_c * c * gf * (1.0 - gf),
-             "g": d_c * gi * (1.0 - gg * gg), "o": g_h * tc * go * (1.0 - go)}
-    d_z = 0.0
-    for gate, d in d_pre.items():
-        _accum(getattr(cell, f"w_{gate}"), outer_sum(d, z))
-        _accum(getattr(cell, f"b_{gate}"), d.sum(axis=0))
-        d_z = d_z + d @ getattr(cell, f"w_{gate}").data
-    return d_z, d_c * gf
+    d_pre = np.concatenate([d_c * gg * gi * (1.0 - gi), d_c * c * gf * (1.0 - gf),
+                            d_c * gi * (1.0 - gg * gg), g_h * tc * go * (1.0 - go)], axis=1)
+    return d_pre, d_c * gf
 
 
-def outer_sum(a, b):
-    """a.T @ b for the one-row steps of the encoder and of the teacher-forced
-    recurrence: einsum's loop beats BLAS on one row, and each entry is the
-    exact product."""
-    return np.einsum("bi,bj->ij", a, b)
+def accumulate_gates(cell, D, Z):
+    """Add D.T @ Z and D.sum(0), for the d pre rows D (R x 4*d_h) of the cell
+    inputs Z (R x d_z), into the cell's gate weight and bias gradients."""
+    d_h = D.shape[1] // 4
+    for gate, g_w, g_b in zip(GATES, (D.T @ Z).reshape(4, d_h, -1), D.sum(axis=0).reshape(4, d_h)):
+        getattr(cell, f"w_{gate}").grad += g_w
+        getattr(cell, f"b_{gate}").grad += g_b
 
 
 def softmax_rows(x):

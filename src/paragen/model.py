@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, lstm_backward, lstm_forward
+from .autograd import Tensor, accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
 from .errors import ValidationError
 from .vocab import UNK
 
@@ -21,11 +21,13 @@ from .vocab import UNK
 @dataclass
 class EncoderStates:
     """Per-token bidirectional states H (N x 2*d_h), the combined final state
-    (2*d_h), and the attention features W_H·H + b (N x d_a)."""
+    (2*d_h), and what every decoder step reuses: the attention features
+    W_H·H + b (N x d_a) and the decoder cell's ``stack_gates`` (weight, bias)."""
 
     H: np.ndarray
     h_final: np.ndarray
     features: np.ndarray
+    gates: tuple
 
 
 def encode(embeddings, fwd, bwd):
@@ -33,40 +35,44 @@ def encode(embeddings, fwd, bwd):
 
     Row i of H holds the forward state after reading token i concatenated
     with the backward state after reading tokens N..i. The combined final
-    state is forward-at-N alongside backward-at-1. Returns (H, h_final, cache).
+    state is forward-at-N alongside backward-at-1. A direction's input half
+    of the gates is one product over all tokens. Returns (H, h_final, cache).
     """
-    n = embeddings.shape[0]
+    n, d_emb = embeddings.shape
     if n < 1:
         raise ValidationError("encode: empty source")
 
     def run(cell, order):
-        h = c = np.zeros((1, cell.w_i.data.shape[0]))
-        states, caches = [None] * n, []
+        W, b = stack_gates(cell)
+        X, W_hT = embeddings @ W[:, :d_emb].T + b, W[:, d_emb:].T
+        Z = np.concatenate([embeddings, np.zeros((n, W_hT.shape[0]))], axis=1)  # steps' [x, h]
+        h = c = np.zeros((1, W_hT.shape[0]))
+        states, caches = [None] * n, [None] * n
         for i in order:
-            h, c, cache = lstm_forward(cell, np.concatenate([embeddings[i:i + 1], h], axis=1), c)
+            Z[i, d_emb:] = h[0]
+            h, c, caches[i] = lstm_cell(X[i:i + 1] + h @ W_hT, c)
             states[i] = h[0]
-            caches.append((i, cache))
-        return states, caches
+        return states, (cell, W, Z, order, caches)
 
-    fwd_states, fwd_caches = run(fwd, range(n))
-    bwd_states, bwd_caches = run(bwd, range(n - 1, -1, -1))
+    fwd_states, fwd_cache = run(fwd, range(n))
+    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1))
     H = np.concatenate([np.stack(fwd_states), np.stack(bwd_states)], axis=1)
     h_final = np.concatenate([fwd_states[-1], bwd_states[0]])
-    return H, h_final, (embeddings.shape[1], fwd_caches, bwd_caches)
+    return H, h_final, (fwd_cache, bwd_cache)
 
 
 def encode_backward(cache, g_H, g_final):
-    """Gradients of ``encode`` for d H and d h_final: accumulates both cells'
-    weight gradients and returns d embeddings (N x d_emb)."""
-    d_emb, fwd_caches, bwd_caches = cache
-    d_h = g_H.shape[1] // 2
-    g_emb = np.zeros((g_H.shape[0], d_emb))
-    for caches, cols in ((fwd_caches, slice(0, d_h)), (bwd_caches, slice(d_h, None))):
-        g_h, g_c = g_final[cols], np.zeros((1, d_h))
-        for i, step in reversed(caches):  # the last step's h also feeds h_final
-            g_z, g_c = lstm_backward(step, (g_H[i, cols] + g_h)[None], g_c)
-            g_emb[i] += g_z[0, :d_emb]
-            g_h = g_z[0, d_emb:]
+    """Gradients of ``encode`` for d H and d h_final: per direction, one
+    ``accumulate_gates`` over every step's d pre, and one product for the
+    embeddings' share. Returns d embeddings (N x d_emb)."""
+    d_h, g_emb = g_H.shape[1] // 2, 0.0
+    for (cell, W, Z, order, caches), cols in zip(cache, (slice(0, d_h), slice(d_h, None))):
+        D, g_h, g_c = np.empty((len(caches), 4 * d_h)), g_final[None, cols], np.zeros((1, d_h))
+        for i in reversed(order):  # the last step's h also feeds h_final
+            d_pre, g_c = lstm_cell_backward(caches[i], g_H[i:i + 1, cols] + g_h, g_c)
+            D[i], g_h = d_pre[0], d_pre @ W[:, -d_h:]
+        accumulate_gates(cell, D, Z)
+        g_emb = g_emb + D @ W[:, :-d_h]
     return g_emb
 
 
@@ -178,13 +184,14 @@ class ModelParams:
 
     def encode_source_ids(self, source_ids):
         """Embed extended source ids (OOVs fall back to UNK), run the encoder,
-        and compute the attention features, which every decoder step reuses.
-        Returns (EncoderStates, cache for source_backward)."""
+        and compute the attention features and the decoder's stacked gates,
+        which every decoder step reuses. Returns (EncoderStates, source_backward's cache)."""
         emb_ids = np.array([i if i < self.dims.vocab_size else UNK for i in source_ids],
                            dtype=np.intp)
         H, h_final, cache = encode(self.embedding.data[emb_ids],
                                    self.encoder_fwd, self.encoder_bwd)
-        return EncoderStates(H, h_final, attention_features(H, self.attention)), (emb_ids, cache)
+        return (EncoderStates(H, h_final, attention_features(H, self.attention),
+                              stack_gates(self.decoder)), (emb_ids, cache))
 
     def source_backward(self, cache, states, state, g_H, g_state):
         """Gradients of ``encode_source_ids`` and of the initial decoder state

@@ -8,13 +8,15 @@ gate, copy scatter, mixture) reads one step's rows and nothing later reads it.
 ``teacher_forced`` runs the recurrence over a whole given sequence and then
 the output layer once over all its rows; training.sequence_loss keeps its
 cache for ``teacher_forced_backward``, and decoding.score_sequence drops it.
+Going back, ``recur_backward`` carries the state step by step, and
+``recur_grads`` forms each parameter gradient once over every step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import _sig, lstm_backward, lstm_forward, outer_sum, softmax_rows
+from .autograd import _sig, accumulate_gates, lstm_cell, lstm_cell_backward, softmax_rows
 from .errors import ValidationError
 from .vocab import UNK, encode_source
 
@@ -117,36 +119,47 @@ def recur_forward(prev_ids, states, state, params):
     t = np.tanh(states.features + (hidden @ ap.weight.data[:, H.shape[1]:].T)[:, None, :])
     attn = softmax_rows(t @ ap.score.data)
     context = attn @ H
-    new_h, new_c, lstm_cache = lstm_forward(
-        params.decoder, np.concatenate([emb, context, hidden], axis=1), state[:, d_s:])
+    z = np.concatenate([emb, context, hidden], axis=1)
+    new_h, new_c, lstm_cache = lstm_cell(z @ states.gates[0].T + states.gates[1], state[:, d_s:])
     return ((emb, attn, context, np.concatenate([new_h, new_c], axis=1)),
-            (params, states, emb_ids, hidden, t, attn, lstm_cache))
+            (params, states, emb_ids, z, t, attn, lstm_cache))
 
 
 def recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_state):
     """Gradients of ``recur_forward`` for the output layer's d emb, d hidden,
     d context and d attn (``output_backward``'s results) and d next state.
-    Accumulates the gradients of the decoder cell, the embedding and the
-    attention, the features' share of W_H and b included; returns
-    (d incoming state, d H)."""
-    params, states, emb_ids, hidden, t, attn, lstm_cache = cache
+    Returns (d incoming state, pieces), and accumulates nothing: the
+    parameter gradients wait for ``recur_grads`` over every step's pieces."""
+    params, states, emb_ids, z, t, attn, lstm_cache = cache
     d_s, e, width = params.dims.d_s, params.dims.d_emb, states.H.shape[1]
-    ap, H = params.attention, states.H
-    g_z, g_cell = lstm_backward(lstm_cache, g_hidden + g_state[:, :d_s], g_state[:, d_s:])
-    np.add.at(params.embedding.grad, emb_ids, g_emb + g_z[:, :e])
+    d_pre, g_cell = lstm_cell_backward(lstm_cache, g_hidden + g_state[:, :d_s], g_state[:, d_s:])
+    g_z = d_pre @ states.gates[0]
     g_context = g_context + g_z[:, e:e + width]
     # context = attn @ H, attn = softmax(tanh(features + W_s h) @ score)
-    g_attn = g_attn + g_context @ H.T
+    g_attn = g_attn + g_context @ states.H.T
     g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
-    ap.score.grad += np.einsum("bn,bna->a", g_scores, t)
-    g_pre = g_scores[:, :, None] * ap.score.data * (1.0 - t * t)
-    g_features, g_hs = g_pre.sum(axis=0), g_pre.sum(axis=1)
-    ap.weight.grad[:, width:] += outer_sum(g_hs, hidden)
+    g_pre = g_scores[:, :, None] * params.attention.score.data * (1.0 - t * t)
+    g_h = g_z[:, e + width:] + g_pre.sum(axis=1) @ params.attention.weight.data[:, width:]
+    return (np.concatenate([g_h, g_cell], axis=1),
+            (emb_ids, z, t, attn, d_pre, g_emb + g_z[:, :e], g_context, g_scores, g_pre))
+
+
+def recur_grads(params, states, pieces):
+    """Accumulate the parameter gradients of ``recur_forward`` steps on one
+    source from their ``recur_backward`` pieces, each as one product or
+    scatter over all their rows: the decoder cell's, the embedding's and the
+    attention's, the features' share of W_H and b included. Returns d H."""
+    emb_ids, Z, T, attn, D, g_emb, g_context, g_scores, g_pre = (
+        np.concatenate(column) for column in zip(*pieces))
+    ap, H, width = params.attention, states.H, states.H.shape[1]
+    accumulate_gates(params.decoder, D, Z)
+    np.add.at(params.embedding.grad, emb_ids, g_emb)
+    ap.score.grad += np.einsum("bn,bna->a", g_scores, T)
+    ap.weight.grad[:, width:] += g_pre.sum(axis=1).T @ Z[:, -params.dims.d_s:]
+    g_features = g_pre.sum(axis=0)
     ap.weight.grad[:, :width] += g_features.T @ H
     ap.bias.grad += g_features.sum(axis=0)
-    g_H = attn.T @ g_context + g_features @ ap.weight.data[:, :width]
-    g_h = g_z[:, e + width:] + g_hs @ ap.weight.data[:, width:]
-    return np.concatenate([g_h, g_cell], axis=1), g_H
+    return attn.T @ g_context + g_features @ ap.weight.data[:, :width]
 
 
 def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
@@ -179,15 +192,14 @@ def teacher_forced(prev_ids, ev, states, state, params, force_p_gen=None):
 
 def teacher_forced_backward(cache, g_p):
     """Gradients of ``teacher_forced`` (learned gate) for d p, a row per step:
-    one ``output_backward`` over every row, then ``recur_backward`` step by
-    step in reverse. Accumulates every decoder parameter gradient; returns
-    (d initial state, d H)."""
+    one ``output_backward`` over every row, ``recur_backward`` step by step
+    in reverse, then one ``recur_grads`` over all steps. Accumulates every
+    decoder parameter gradient; returns (d initial state, d H)."""
     params, states, caches, out_cache = cache
     g_emb, g_hidden, g_context, g_attn = output_backward(out_cache, g_p)
-    g_state, g_H = np.zeros((1, 2 * params.dims.d_s)), np.zeros_like(states.H)
+    g_state, pieces = np.zeros((1, 2 * params.dims.d_s)), [None] * len(caches)
     for t in reversed(range(len(caches))):
         r = slice(t, t + 1)
-        g_state, g_step_H = recur_backward(caches[t], g_emb[r], g_hidden[r], g_context[r],
-                                           g_attn[r], g_state)
-        g_H += g_step_H
-    return g_state, g_H
+        g_state, pieces[t] = recur_backward(caches[t], g_emb[r], g_hidden[r], g_context[r],
+                                            g_attn[r], g_state)
+    return g_state, recur_grads(params, states, pieces)

@@ -96,6 +96,7 @@ class EpochStats:
     p_gen_oov_mean: float | None  # of the gate at gold steps with an OOV (extended) target
     p_gen_in_vocab_mean: float | None  # ... with a fixed-vocabulary target; None if no such step
     optimizer_s: float  # of wall_time_s, spent clipping gradients and in Adam.step
+    backward_s: float  # of wall_time_s, spent in backward(loss)
 
     def as_dict(self):
         return asdict(self)
@@ -251,7 +252,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(pairs))
-        nll_sum, correct, total, optimizer_s = 0.0, 0, 0, 0.0
+        nll_sum, correct, total, optimizer_s, backward_s = 0.0, 0, 0, 0.0, 0.0
         norms, gates = [], {True: [], False: []}  # gold id is OOV -> gate values
         for idx in order:
             params.zero_grad()
@@ -259,14 +260,17 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                                                    cfg.max_source_len, cfg.max_target_len)
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
+            t_back = time.perf_counter()
             backward(loss)
             t_opt = time.perf_counter()
+            backward_s += t_opt - t_back
             norm = clip_gradients(params.grad, cfg.clip)
             if not np.isfinite(norm):
                 raise NumericalError(f"non-finite gradient norm at epoch {epoch}, example {idx}")
             opt.step()
             optimizer_s += time.perf_counter() - t_opt
             nll_sum += float(loss.data)
+            del loss  # the graph holds the stacked gates; free them before the next example
             correct += c
             total += len(gold)
             norms.append(norm)
@@ -282,7 +286,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                            clipped_fraction=float(np.mean(np.array(norms) > cfg.clip)),
                            p_gen_oov_mean=_mean(gates[True]),
                            p_gen_in_vocab_mean=_mean(gates[False]),
-                           optimizer_s=optimizer_s)
+                           optimizer_s=optimizer_s, backward_s=backward_s)
         report.epochs.append(stats)
         log.info("epoch %d: %s", epoch, json.dumps(stats.as_dict()))
         if log_path is not None:
@@ -349,6 +353,8 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     widths = struct.unpack_from("<5I", blob, 6)
     dims = ModelDims(vocab_size=widths[0], d_emb=widths[1], d_h=widths[2],
                      d_s=widths[3], d_a=widths[4])
+    if min(widths) < 1:
+        raise CorruptCheckpointError(f"{path}: widths {dims} include one below 1")
     if expected_dims is not None:
         for name in ("vocab_size", "d_emb", "d_h", "d_s", "d_a"):
             want = getattr(expected_dims, name)
@@ -359,6 +365,9 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     fingerprint = blob[26:58]
     if expected_vocab is not None and expected_vocab.fingerprint() != fingerprint:
         raise VocabMismatchError(f"{path}: checkpoint was trained with a different vocabulary")
+    if expected_vocab is not None and dims.vocab_size != expected_vocab.size:
+        raise VocabMismatchError(f"{path}: checkpoint vocab_size={dims.vocab_size}, "
+                                 f"the vocabulary holds {expected_vocab.size} ids")
     (payload_len,) = struct.unpack_from("<Q", blob, 58)
     payload = memoryview(blob)[66:]
     if len(payload) != payload_len:

@@ -31,16 +31,17 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
 def step_loss_node(params, ev, states, rows, prev_ids, rng):
     """A loss for grad_check over one B-row decoder step: a random weighting
     of every row's p and next state, whose graph node runs output_backward,
-    then recur_backward.
+    then recur_backward and recur_grads.
 
     Returns (f, named): f rebuilds the node from the live arrays (the
-    attention features included), and named holds the step's input state
-    rows and encoder states H as gradient-tracking tensors.
+    attention features and the decoder's stacked gates included), and named
+    holds the step's input state rows and encoder states H as
+    gradient-tracking tensors.
     """
     import paragen.autograd as ag
-    from paragen.autograd import Tensor
+    from paragen.autograd import Tensor, stack_gates
     from paragen.model import EncoderStates, attention_features
-    from paragen.pointer import output_backward, recur_backward, step_forward
+    from paragen.pointer import output_backward, recur_backward, recur_grads, step_forward
 
     S = Tensor(rows, requires_grad=True)
     H = Tensor(states.H, requires_grad=True)
@@ -48,14 +49,15 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     ws = rng.normal(size=rows.shape)
 
     def f():
-        live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention))
+        live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention),
+                             stack_gates(params.decoder))
         out, (recur_cache, out_cache) = step_forward(prev_ids, ev, live, S.data, params)
 
         def back(g):
-            g_state, g_H = recur_backward(recur_cache, *output_backward(out_cache, g * wp),
-                                          g * ws)
+            g_state, pieces = recur_backward(recur_cache, *output_backward(out_cache, g * wp),
+                                             g * ws)
             S.grad += g_state
-            H.grad += g_H
+            H.grad += recur_grads(params, live, [pieces])
 
         return ag._node((out.p * wp).sum() + (out.state * ws).sum(), (S, H), back)
 

@@ -242,20 +242,115 @@ def per_hypothesis_beam(params, vocab, src_tokens, width, max_len, length_norm,
     return [(ids, log_prob) for ids, log_prob, _ in ranked]
 
 
+def four_product_lstm_forward(cell, z, c):
+    """The LSTM cell as the library ran it before its gates were stacked: one
+    product per gate on B rows of z = [x, h]. Returns (h', c', cache), the
+    cache in ``lstm_cell``'s form (c, i, f, g, o, tanh c')."""
+    gi = _sig_np(z @ cell.w_i.data.T + cell.b_i.data)
+    gf = _sig_np(z @ cell.w_f.data.T + cell.b_f.data)
+    gg = np.tanh(z @ cell.w_g.data.T + cell.b_g.data)
+    go = _sig_np(z @ cell.w_o.data.T + cell.b_o.data)
+    c_new = gf * c + gi * gg
+    tc = np.tanh(c_new)
+    return go * tc, c_new, (c, gi, gf, gg, go, tc)
+
+
+def four_product_lstm_backward(cell, z, cache, g_h, g_c):
+    """The cell's backward before its gates were stacked, for the cell inputs
+    z and an ``lstm_cell`` cache: per gate, adds one einsum outer product
+    and one bias sum into the cell's gradients, and one product into d z.
+    Returns (d z, d c)."""
+    c, gi, gf, gg, go, tc = cache
+    d_c = g_h * go * (1.0 - tc * tc) + g_c
+    d_pre = {"i": d_c * gg * gi * (1.0 - gi), "f": d_c * c * gf * (1.0 - gf),
+             "g": d_c * gi * (1.0 - gg * gg), "o": g_h * tc * go * (1.0 - go)}
+    d_z = 0.0
+    for gate, d in d_pre.items():
+        getattr(cell, f"w_{gate}").grad += np.einsum("bi,bj->ij", d, z)
+        getattr(cell, f"b_{gate}").grad += d.sum(axis=0)
+        d_z = d_z + d @ getattr(cell, f"w_{gate}").data
+    return d_z, d_c * gf
+
+
+def per_step_encode(embeddings, fwd, bwd):
+    """``model.encode`` as it ran before the input half of the gates was
+    hoisted: ``four_product_lstm_forward`` on one row [x_i, h] per token.
+    Returns (H, h_final, cache), the cache in ``model.encode``'s form."""
+    n, d_emb = embeddings.shape
+
+    def run(cell, order):
+        d_h = cell.w_i.data.shape[0]
+        h = c = np.zeros((1, d_h))
+        Z, states, caches = np.zeros((n, d_emb + d_h)), np.zeros((n, d_h)), [None] * n
+        for i in order:
+            Z[i] = np.concatenate([embeddings[i], h[0]])
+            h, c, caches[i] = four_product_lstm_forward(cell, Z[i:i + 1], c)
+            states[i] = h[0]
+        return states, (cell, None, Z, order, caches)
+
+    fwd_states, fwd_cache = run(fwd, range(n))
+    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1))
+    return (np.concatenate([fwd_states, bwd_states], axis=1),
+            np.concatenate([fwd_states[-1], bwd_states[0]]), (fwd_cache, bwd_cache))
+
+
+def per_step_encode_backward(cache, g_H, g_final):
+    """``model.encode_backward`` as it ran before: ``four_product_lstm_backward``
+    step by step, each step adding into the weight gradients and its row of
+    d embeddings. Reads a cache of either encoder; returns d embeddings."""
+    d_h = g_H.shape[1] // 2
+    d_emb = cache[0][2].shape[1] - d_h  # Z holds the rows [x, h]
+    g_emb = np.zeros((g_H.shape[0], d_emb))
+    for (cell, _, Z, order, caches), cols in zip(cache, (slice(0, d_h), slice(d_h, None))):
+        g_h, g_c = g_final[cols], np.zeros((1, d_h))
+        for i in reversed(order):
+            g_z, g_c = four_product_lstm_backward(cell, Z[i:i + 1], caches[i],
+                                                  (g_H[i, cols] + g_h)[None], g_c)
+            g_emb[i] += g_z[0, :d_emb]
+            g_h = g_z[0, d_emb:]
+    return g_emb
+
+
+def accumulating_recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_state):
+    """``pointer.recur_backward`` as it ran before its parameter gradients
+    were deferred: the step adds its own decoder-cell (per gate), embedding
+    and attention gradients. Returns (d incoming state, d H)."""
+    params, states, emb_ids, z, t, attn, lstm_cache = cache
+    d_s, e, width = params.dims.d_s, params.dims.d_emb, states.H.shape[1]
+    ap, H, hidden = params.attention, states.H, z[:, -d_s:]
+    g_z, g_cell = four_product_lstm_backward(params.decoder, z, lstm_cache,
+                                             g_hidden + g_state[:, :d_s], g_state[:, d_s:])
+    np.add.at(params.embedding.grad, emb_ids, g_emb + g_z[:, :e])
+    g_context = g_context + g_z[:, e:e + width]
+    g_attn = g_attn + g_context @ H.T
+    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
+    ap.score.grad += np.einsum("bn,bna->a", g_scores, t)
+    g_pre = g_scores[:, :, None] * ap.score.data * (1.0 - t * t)
+    g_features, g_hs = g_pre.sum(axis=0), g_pre.sum(axis=1)
+    ap.weight.grad[:, width:] += np.einsum("bi,bj->ij", g_hs, hidden)
+    ap.weight.grad[:, :width] += g_features.T @ H
+    ap.bias.grad += g_features.sum(axis=0)
+    g_H = attn.T @ g_context + g_features @ ap.weight.data[:, :width]
+    g_h = g_z[:, e + width:] + g_hs @ ap.weight.data[:, width:]
+    return np.concatenate([g_h, g_cell], axis=1), g_H
+
+
 def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     """Teacher-forced training on one pair as it ran before the output layer
-    ran once per sequence: one whole step_forward per gold token, then, per
-    step in reverse, that step's output_backward and recur_backward, then the
-    bridge and the encoder. Unlike the oracles above it is built from the
-    library's own step halves, which the finite-difference tests check.
+    ran once per sequence and before the gate gradients were deferred: one
+    whole step_forward per gold token, then, per step in reverse, that
+    step's output_backward and ``accumulating_recur_backward``, then the
+    bridge and ``per_step_encode_backward``. Unlike the oracles above its
+    forward is the library's own (encode_source_ids and step_forward), which
+    the straight-line and finite-difference tests check.
 
     Zeroes params' gradients first and leaves the result in them; returns
     (mean NLL, greedy-match count, per-step p_gen list)."""
-    from paragen.pointer import output_backward, recur_backward, step_forward
+    from paragen.pointer import output_backward, step_forward
     from paragen.vocab import BOS, EOS, encode_source, encode_target
 
     src_ids, ev = encode_source(src_tokens, vocab)
-    states, encoder_cache = params.encode_source_ids(src_ids)
+    states, (emb_ids, encode_cache) = params.encode_source_ids(src_ids)
     state0 = state = params.initial_decoder_state(states)
     gold = encode_target(tgt_tokens, ev) + [EOS]
     prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
@@ -274,10 +369,17 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     for (recur_cache, out_cache), gold_id, p_gold in reversed(steps):
         g_p = np.zeros((1, ev.size))
         g_p[0, gold_id] = -g_nll / p_gold if p_gold > 1e-12 else 0.0
-        g_state, g_step_H = recur_backward(recur_cache, *output_backward(out_cache, g_p),
-                                           g_state)
+        g_state, g_step_H = accumulating_recur_backward(
+            recur_cache, *output_backward(out_cache, g_p), g_state)
         g_H += g_step_H
-    params.source_backward(encoder_cache, states, state0, g_H, g_state)
+    # the bridge state0 = tanh([W_h ; W_c] h_final), then the encoder
+    d_s = params.dims.d_s
+    g_pre = g_state[0] * (1.0 - state0[0] * state0[0])
+    params.bridge_hidden.grad += np.outer(g_pre[:d_s], states.h_final)
+    params.bridge_cell.grad += np.outer(g_pre[d_s:], states.h_final)
+    g_final = g_pre[:d_s] @ params.bridge_hidden.data + g_pre[d_s:] @ params.bridge_cell.data
+    np.add.at(params.embedding.grad, emb_ids,
+              per_step_encode_backward(encode_cache, g_H, g_final))
     return nll / len(gold), correct, p_gen
 
 

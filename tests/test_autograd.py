@@ -192,11 +192,13 @@ def test_lstm_backward_matches_finite_differences():
     wh, wc = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
 
     def f():
-        h, c, cache = ag.lstm_forward(cell, z.data, c0.data)
+        W, b = ag.stack_gates(cell)
+        h, c, cache = ag.lstm_cell(z.data @ W.T + b, c0.data)
 
         def back(g):
-            g_z, g_c = ag.lstm_backward(cache, g * wh, g * wc)
-            z.grad += g_z
+            d_pre, g_c = ag.lstm_cell_backward(cache, g * wh, g * wc)
+            ag.accumulate_gates(cell, d_pre, z.data)
+            z.grad += d_pre @ W
             c0.grad += g_c
 
         return ag._node((h * wh).sum() + (c * wc).sum(),

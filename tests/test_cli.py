@@ -9,7 +9,9 @@ from paragen.cli import main
 from paragen.decoding import BeamConfig
 from paragen.errors import ValidationError
 from paragen.miner import MineConfig
+from paragen.model import ModelParams
 from paragen.training import TrainConfig, save_checkpoint
+from paragen.vocab import Vocabulary
 
 from conftest import copy_task_corpus, three_source_docs, tiny_model, write_doc_fixture
 
@@ -389,6 +391,40 @@ def test_generate_non_finite_checkpoint_exit_2(tmp_path, capsys):
     ckpt.write_bytes(bytes(blob))
     assert _generate(ckpt, src, out) == 2
     assert "non-finite" in capsys.readouterr().err
+    _assert_kept(out, before)
+
+
+def _rewrite_checkpoint(ckpt, vocab, **widths):
+    """Overwrite ``ckpt`` with an untrained model of the tiny widths changed
+    by ``widths``, its payload sized to match, under ``vocab``'s fingerprint."""
+    params, _ = tiny_model(seed=0)
+    save_checkpoint(ModelParams(dataclasses.replace(params.dims, **widths), seed=0), ckpt, vocab)
+
+
+@pytest.mark.parametrize("width", ["d_h", "d_s", "d_a"])
+def test_generate_zero_width_checkpoint_exit_2(width, tmp_path, capsys):
+    ckpt, src = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "h.tsv"
+    assert _generate(ckpt, src, out) == 0
+    before = out.read_bytes()
+    _rewrite_checkpoint(ckpt, Vocabulary.load(str(ckpt) + ".vocab"), **{width: 0})
+    assert _generate(ckpt, src, out) == 2
+    assert f"{width}=0" in capsys.readouterr().err
+    _assert_kept(out, before)
+
+
+@pytest.mark.parametrize("vocab_size", [5, 20])
+def test_generate_checkpoint_vocab_size_mismatch_exit_2(vocab_size, tmp_path, capsys):
+    # the header's fingerprint is the vocabulary file's, but its vocab_size is not its size
+    ckpt, src = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "h.tsv"
+    assert _generate(ckpt, src, out) == 0
+    before = out.read_bytes()
+    vocab = Vocabulary.load(str(ckpt) + ".vocab")
+    assert vocab.size == 12
+    _rewrite_checkpoint(ckpt, vocab, vocab_size=vocab_size)
+    assert _generate(ckpt, src, out) == 2
+    assert f"vocab_size={vocab_size}" in capsys.readouterr().err
     _assert_kept(out, before)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import paragen.autograd as ag
-from paragen.autograd import lstm_forward
+from paragen.autograd import lstm_cell, stack_gates
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.model import (EncoderStates, ModelDims, ModelParams, ParamGroup,
@@ -12,8 +12,14 @@ from paragen.pointer import output_forward, step_forward
 from paragen.vocab import BOS, UNK, encode_source
 
 from conftest import TINY_TOKENS, model_part, step_loss_node, tiny_model
-from oracles import (cell_arrays, lstm_step_scalar, model_arrays, softmax_highprec,
-                     straight_line_encode)
+from oracles import (cell_arrays, lstm_step_scalar, model_arrays, per_step_encode,
+                     per_step_encode_backward, softmax_highprec, straight_line_encode)
+
+
+def _cell_step(cell, z, c):
+    """The cell on rows z = [x, h] through its stacked gates: (h', c', cache)."""
+    W, b = stack_gates(cell)
+    return lstm_cell(z @ W.T + b, c)
 
 
 def _zero_cell(name="encoder_fwd", **widths):
@@ -25,7 +31,7 @@ def _zero_cell(name="encoder_fwd", **widths):
 
 def test_lstm_zero_everything():
     cell = _zero_cell(d_emb=3, d_h=4)
-    h, c, _ = lstm_forward(cell, np.zeros((1, 7)), np.zeros((1, 4)))
+    h, c, _ = _cell_step(cell, np.zeros((1, 7)), np.zeros((1, 4)))
     assert np.all(h == 0.0) and np.all(c == 0.0)
 
 
@@ -34,7 +40,7 @@ def test_lstm_saturated_forget_preserves_cell():
     cell.b_f.data[...] = 40.0   # forget gate pinned at 1
     cell.b_i.data[...] = -40.0  # input gate pinned at 0
     c0 = np.array([0.3, -1.2, 0.7, 2.0])
-    h, c, _ = lstm_forward(cell, np.concatenate([np.ones(3), np.zeros(4)])[None], c0[None])
+    h, c, _ = _cell_step(cell, np.concatenate([np.ones(3), np.zeros(4)])[None], c0[None])
     np.testing.assert_array_equal(c[0], c0)
 
 
@@ -44,17 +50,18 @@ def test_lstm_matches_scalar_loop_oracle():
     x = rng.normal(size=3)
     h0 = rng.normal(size=5)
     c0 = rng.normal(size=5)
-    h, c, _ = lstm_forward(cell, np.concatenate([x, h0])[None], c0[None])
+    h, c, _ = _cell_step(cell, np.concatenate([x, h0])[None], c0[None])
     oh, oc = lstm_step_scalar(cell_arrays(cell), list(x), list(h0), list(c0))
     np.testing.assert_allclose(h[0], oh, atol=1e-12, rtol=0)
     np.testing.assert_allclose(c[0], oc, atol=1e-12, rtol=0)
 
 
 def test_lstm_shape_validation():
-    cell = model_part("encoder_fwd", d_emb=3, d_h=4)
-    for z, c in ((np.zeros((1, 9)), np.zeros((1, 4))), (np.zeros((1, 7)), np.zeros((1, 5)))):
+    # pre-activations must be four cell-state widths wide, a row per state row
+    for pre, c in ((np.zeros((1, 15)), np.zeros((1, 4))), (np.zeros((1, 16)), np.zeros((1, 5))),
+                   (np.zeros((2, 16)), np.zeros((1, 4)))):
         with pytest.raises(DimensionError):
-            lstm_forward(cell, z, c)
+            lstm_cell(pre, c)
 
 
 def test_encode_single_token():
@@ -120,6 +127,33 @@ def test_encode_backward_matches_finite_differences():
     assert report.max_rel_err <= 1e-6, repr(report)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_encode_matches_per_step_oracle(n):
+    """The hoisted input half and the once-per-direction gate gradients
+    against the per-step four-product encoder they replaced: H and h_final
+    to 1e-12, d embeddings and each cell tensor's gradient to 1e-12 of its
+    largest entry, over widths 1-16 (d_emb = 17 - d_h, so W is never square)."""
+    for width in range(1, 17):
+        rng = np.random.default_rng([n, width])
+        params = ModelParams(ModelDims(vocab_size=6, d_emb=17 - width, d_h=width), seed=width)
+        emb = rng.normal(size=(n, 17 - width))
+        g_H, g_final = rng.normal(size=(n, 2 * width)), rng.normal(size=2 * width)
+        cells = params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
+        results = []
+        for run, run_backward in ((encode, encode_backward),
+                                  (per_step_encode, per_step_encode_backward)):
+            params.zero_grad()
+            H, h_final, cache = run(emb, params.encoder_fwd, params.encoder_bwd)
+            g_emb = run_backward(cache, g_H, g_final)
+            results.append((H, h_final, g_emb, [p.grad.copy() for _, p in cells]))
+        (H, h_final, g_emb, grads), (want_H, want_final, want_emb, want_grads) = results
+        np.testing.assert_allclose(H, want_H, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(h_final, want_final, atol=1e-12, rtol=0)
+        assert np.abs(g_emb - want_emb).max() <= 1e-12 * np.abs(want_emb).max()
+        for mine, want, (name, _) in zip(grads, want_grads, cells):
+            assert np.abs(mine - want).max() <= 1e-12 * np.abs(want).max(), (width, name)
+
+
 def test_encode_empty_source_error():
     params, _ = tiny_model()
     with pytest.raises(ValidationError):
@@ -140,7 +174,8 @@ def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3, d_emb=2):
     params = ModelParams(ModelDims(vocab_size=6, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a),
                          seed=seed)
     H = rng.normal(size=(n, 2 * d_h))
-    states = EncoderStates(H, H[n - 1], attention_features(H, params.attention))
+    states = EncoderStates(H, H[n - 1], attention_features(H, params.attention),
+                           stack_gates(params.decoder))
     return params, _Source([4] * n, 6), states, rng.normal(size=(1, 2 * d_s))
 
 
@@ -196,6 +231,7 @@ def test_decoder_step_zero_weights():
     params, source, states, state = _random_attend(3, d_emb=3, d_h=2, d_s=4)  # 7+4 inputs
     for _, p in params.decoder.named_parameters():
         p.data[...] = 0.0
+    states.gates = stack_gates(params.decoder)  # the states hold a copy of the gates
     out, _ = step_forward([BOS], source, states, np.zeros_like(state), params)
     assert np.all(out.state == 0.0)
 
@@ -204,7 +240,7 @@ def test_decoder_step_is_cell_on_concat():
     params, source, states, state = _random_attend(9, d_emb=3, d_h=2, d_s=4)
     out, _ = step_forward([BOS], source, states, state, params)
     z = np.concatenate([params.embedding.data[BOS], out.context[0], state[0, :4]])
-    h2, c2, _ = lstm_forward(params.decoder, z[None], state[:, 4:])
+    h2, c2, _ = _cell_step(params.decoder, z[None], state[:, 4:])
     np.testing.assert_array_equal(out.state[:, :4], h2)
     np.testing.assert_array_equal(out.state[:, 4:], c2)
 

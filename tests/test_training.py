@@ -574,5 +574,23 @@ def test_train_log_reports_optimizer_seconds(tmp_path, monkeypatch):
     train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
     for rec in map(json.loads, log.read_text().splitlines()):
         assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
-        assert list(rec)[-1] == "optimizer_s"
+        assert list(rec)[-2] == "optimizer_s"
         assert 6 * 2 * 0.005 <= rec["optimizer_s"] < rec["wall_time_s"]
+
+
+def test_train_log_reports_backward_seconds(tmp_path, monkeypatch):
+    import paragen.training as training
+
+    def slowed(loss):
+        time.sleep(0.005)
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", slowed)
+    pairs, _ = copy_task_corpus(6, seed=5)
+    cfg = TrainConfig(seed=5, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    log = tmp_path / "m.log"
+    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+    for rec in map(json.loads, log.read_text().splitlines()):
+        assert list(rec)[-2:] == ["optimizer_s", "backward_s"]
+        assert 6 * 0.005 <= rec["backward_s"]
+        assert rec["backward_s"] + rec["optimizer_s"] <= rec["wall_time_s"]

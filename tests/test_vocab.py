@@ -207,7 +207,7 @@ def test_extended_vocab_token_range_error():
 def test_embedding_lookup_rows():
     # the decoder step embeds each row's previous id: a fixed id its own row,
     # an extended id the UNK row, and a negative id is rejected
-    from paragen.autograd import lstm_forward
+    from paragen.autograd import lstm_cell
     from paragen.pointer import prepare_source, step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
@@ -215,7 +215,8 @@ def test_embedding_lookup_rows():
     rows = np.repeat(state, 3, axis=0)
     out, _ = step_forward([3, 17, UNK], ev, states, rows, params)
     z = np.concatenate([params.embedding.data[3], out.context[0], rows[0, :2]])
-    h, c, _ = lstm_forward(params.decoder, z[None], rows[:1, 2:])
+    W, b = states.gates
+    h, c, _ = lstm_cell(z[None] @ W.T + b, rows[:1, 2:])
     np.testing.assert_allclose(out.state[0], np.concatenate([h[0], c[0]]), atol=1e-15, rtol=0)
     np.testing.assert_allclose(out.state[1], out.state[2], atol=1e-15, rtol=0)
     with pytest.raises(ValidationError):
