@@ -26,7 +26,7 @@ for i in range(300):
     oovs.append(oov)
 
 vocab = build_vocab([[w] for w in base], max_size=54)
-cfg = TrainConfig(seed=1, epochs=6, vocab_size=54, d_emb=32, d_h=32, d_s=32, d_a=32)
+cfg = TrainConfig(seed=1, epochs=6, lr=8e-3, vocab_size=54, d_emb=32, d_h=32, d_s=32, d_a=32)
 print(f"training on {len(pairs) - 40} pairs, vocab {vocab.size} ids ...")
 params, report = train(pairs[:-40], cfg, vocab=vocab)
 for e in report.epochs:

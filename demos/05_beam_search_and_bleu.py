@@ -20,7 +20,7 @@ for i in range(200):
     pairs.append((" ".join(tokens), " ".join(tokens)))
 
 vocab = build_vocab([[w] for w in base], max_size=34)
-params, _ = train(pairs, TrainConfig(seed=2, epochs=5, vocab_size=34,
+params, _ = train(pairs, TrainConfig(seed=2, epochs=5, lr=8e-3, vocab_size=34,
                                      d_emb=24, d_h=24, d_s=24, d_a=24), vocab=vocab)
 
 source = pairs[0][0]

@@ -92,7 +92,8 @@ def build_parser():
              d_s="decoder state width", d_a="attention width",
              max_source_len="source truncation length",
              max_target_len="target truncation length",
-             checkpoint_interval="epochs between checkpoints")
+             checkpoint_interval="epochs between checkpoints",
+             batch_size="sentence pairs per optimizer update")
     tr.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("generate", help="decode paraphrases for a file of sentences")

@@ -22,7 +22,11 @@ from .vocab import UNK
 class EncoderStates:
     """Per-token bidirectional states H (N x 2*d_h), the combined final state
     (2*d_h), and what every decoder step reuses: the attention features
-    W_H·H + b (N x d_a) and the decoder cell's ``stack_gates`` (weight, bias)."""
+    W_H·H + b (N x d_a) and the decoder cell's ``stack_gates`` (weight, bias).
+
+    Both are copies taken from the weights at encoding time, so the states are
+    valid only until the next optimizer update; training encodes every pair
+    afresh, so each batch runs on the weights the previous update left."""
 
     H: np.ndarray
     h_final: np.ndarray

@@ -1,10 +1,12 @@
 """Teacher-forced NLL training with Adam, gradient clipping, and checkpoints.
 
-Training runs one example at a time. Within an example the output layer runs
-once over every target step (pointer.teacher_forced); across examples there
-is no shared output width to batch over, since each sentence pair carries its
-own extended vocabulary. The whole loop is a pure function of
-(dataset, config, seed).
+Training takes one optimizer update per batch of ``batch_size`` pairs. Each
+pair of a batch runs its own forward and backward, and within a pair the
+output layer runs once over every target step (pointer.teacher_forced); the
+pairs' gradients accumulate in the one flat gradient vector, which is then
+scaled to the batch mean, clipped and stepped once. Pairs are not padded into
+one output layer: each carries its own extended vocabulary. The whole loop is
+a pure function of (dataset, config, seed).
 """
 
 import json
@@ -65,12 +67,14 @@ class TrainConfig:
     d_s: int = ModelDims.d_s
     d_a: int = ModelDims.d_a
     checkpoint_interval: int = 10
+    batch_size: int = 8
 
     def __post_init__(self):
         if self.seed is None:
             raise ValidationError("TrainConfig: seed is mandatory")
-        if self.epochs < 1 or self.checkpoint_interval < 1:
-            raise ValidationError("TrainConfig: epochs and checkpoint_interval must be >= 1")
+        if min(self.epochs, self.checkpoint_interval, self.batch_size) < 1:
+            raise ValidationError(
+                "TrainConfig: epochs, checkpoint_interval and batch_size must be >= 1")
         if self.lr < 0 or self.clip <= 0:
             raise ValidationError("TrainConfig: lr must be >= 0 and clip > 0")
         if min(self.max_source_len, self.max_target_len) < 1:
@@ -90,13 +94,14 @@ class EpochStats:
     token_accuracy: float
     wall_time_s: float
     target_tokens_per_s: float  # gold tokens (EOS included) over wall_time_s
-    grad_norm_mean: float  # of the pre-clip global gradient norms
+    grad_norm_mean: float  # of each update's pre-clip norm of the batch-mean gradient
     grad_norm_max: float
-    clipped_fraction: float  # of examples whose norm exceeded cfg.clip
+    clipped_fraction: float  # of updates whose norm exceeded cfg.clip
     p_gen_oov_mean: float | None  # of the gate at gold steps with an OOV (extended) target
     p_gen_in_vocab_mean: float | None  # ... with a fixed-vocabulary target; None if no such step
-    optimizer_s: float  # of wall_time_s, spent clipping gradients and in Adam.step
-    backward_s: float  # of wall_time_s, spent in backward(loss)
+    updates: int  # optimizer steps, one per batch
+    optimizer_s: float  # of wall_time_s, spent scaling and clipping gradients and in Adam.step
+    backward_s: float  # of wall_time_s, spent in backward(loss), summed over every pair
 
     def as_dict(self):
         return asdict(self)
@@ -231,7 +236,8 @@ def pairs_vocab(pairs, cfg):
 
 
 def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
-    """Train a fresh model on (source, target) text pairs.
+    """Train a fresh model on (source, target) text pairs, one update per
+    batch of ``cfg.batch_size`` consecutive pairs of each epoch's shuffle.
 
     Returns (ModelParams, TrainReport). When ``vocab`` is None one is built
     by ``pairs_vocab``. Each epoch replaces ``log_path`` whole with one JSON
@@ -254,28 +260,33 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         order = shuffle_rng.permutation(len(pairs))
         nll_sum, correct, total, optimizer_s, backward_s = 0.0, 0, 0, 0.0, 0.0
         norms, gates = [], {True: [], False: []}  # gold id is OOV -> gate values
-        for idx in order:
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]  # the last batch may be shorter
             params.zero_grad()
-            loss, c, gold, p_gen = _teacher_forced(pairs[idx], params, vocab,
-                                                   cfg.max_source_len, cfg.max_target_len)
-            if not np.isfinite(loss.data):
-                raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
-            t_back = time.perf_counter()
-            backward(loss)
+            for idx in batch:
+                loss, c, gold, p_gen = _teacher_forced(pairs[idx], params, vocab,
+                                                       cfg.max_source_len, cfg.max_target_len)
+                if not np.isfinite(loss.data):
+                    raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
+                t_back = time.perf_counter()
+                backward(loss)  # adds this pair's gradient to params.grad
+                backward_s += time.perf_counter() - t_back
+                nll_sum += float(loss.data)
+                del loss  # the graph holds the stacked gates; free them before the next pair
+                correct += c
+                total += len(gold)
+                for gold_id, g in zip(gold, p_gen):
+                    gates[gold_id >= vocab.size].append(g)
             t_opt = time.perf_counter()
-            backward_s += t_opt - t_back
+            if len(batch) > 1:  # at one pair the sum is the mean, bit for bit
+                params.grad /= len(batch)
             norm = clip_gradients(params.grad, cfg.clip)
             if not np.isfinite(norm):
-                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, example {idx}")
+                raise NumericalError(f"non-finite gradient norm at epoch {epoch}, "
+                                     f"batch of examples {batch.tolist()}")
             opt.step()
             optimizer_s += time.perf_counter() - t_opt
-            nll_sum += float(loss.data)
-            del loss  # the graph holds the stacked gates; free them before the next example
-            correct += c
-            total += len(gold)
             norms.append(norm)
-            for gold_id, g in zip(gold, p_gen):
-                gates[gold_id >= vocab.size].append(g)
         wall_time_s = time.perf_counter() - t0
         stats = EpochStats(epoch=epoch,
                            mean_nll=nll_sum / len(pairs),
@@ -285,7 +296,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                            grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
                            clipped_fraction=float(np.mean(np.array(norms) > cfg.clip)),
                            p_gen_oov_mean=_mean(gates[True]),
-                           p_gen_in_vocab_mean=_mean(gates[False]),
+                           p_gen_in_vocab_mean=_mean(gates[False]), updates=len(norms),
                            optimizer_s=optimizer_s, backward_s=backward_s)
         report.epochs.append(stats)
         log.info("epoch %d: %s", epoch, json.dumps(stats.as_dict()))

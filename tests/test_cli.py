@@ -97,8 +97,9 @@ def test_full_copy_pipeline_reaches_high_token_accuracy(tmp_path, capsys):
     data = tmp_path / "train.tsv"
     data.write_text("".join(f"{x}\t{y}\n" for x, y in pairs[:70]), encoding="utf-8")
     ckpt = tmp_path / "model.ckpt"
+    # --lr scaled with the default batch of 8 pairs, which takes 8x fewer updates
     assert run_cli("--seed", "1", "train", "--data", str(data), "--out", str(ckpt),
-                   "--epochs", "14", "--vocab-size", "54", "--d-emb", "16",
+                   "--epochs", "14", "--lr", "8e-3", "--vocab-size", "54", "--d-emb", "16",
                    "--d-h", "16", "--d-s", "16", "--d-a", "16") == 0
 
     src = tmp_path / "in.txt"
@@ -242,6 +243,7 @@ def test_flag_defaults_come_from_config_dataclass(cmd, required, field, key, tmp
     ({"train": {"d_h": True}}, "d_h"),
     ({"generate": {"greedy": "yes"}}, "greedy"),
     ({"mine": 5}, "mine"),
+    ({"train": {"batch_size": "8"}}, "batch_size"),
 ])
 def test_config_file_value_of_wrong_type_exit_2(section, expected, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -369,6 +371,21 @@ def test_generate_failure_midway_keeps_existing_output(tmp_path, monkeypatch):
     assert _generate(ckpt, src, out, "--beam", "2") == 2
     assert len(calls) == 2
     _assert_kept(out, before)
+
+
+def test_train_batch_size_zero_exit_2_keeps_existing_outputs(tmp_path, capsys):
+    data, _ = _write_pairs_tsv(tmp_path, n=4)
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+            "--vocab-size", "60", "--d-emb", "4", "--d-h", "4", "--d-s", "4", "--d-a", "4"]
+    assert run_cli(*argv) == 0
+    outputs = [ckpt, tmp_path / "m.ckpt.vocab", tmp_path / "m.ckpt.log"]
+    before = [p.read_bytes() for p in outputs]
+    capsys.readouterr()
+    assert run_cli(*argv, "--batch-size", "0") == 2
+    assert "batch_size" in capsys.readouterr().err
+    for path, content in zip(outputs, before):
+        _assert_kept(path, content)
 
 
 def test_train_on_reserved_token_strings(tmp_path):

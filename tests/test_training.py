@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paragen.autograd import backward
+from paragen.autograd import backward, stack_gates
 from paragen.errors import NumericalError, ValidationError
 from paragen.model import ModelDims, ModelParams
 from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, TrainConfig,
@@ -188,7 +188,8 @@ def test_training_equals_oracle_adam_and_norm_loop_bit_for_bit():
     # a clip nothing reaches: the clipping path must leave every gradient as it is
     pairs, _ = copy_task_corpus(6, seed=7)
     vocab = copy_task_vocab()
-    cfg = TrainConfig(seed=7, epochs=2, clip=1e6, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    cfg = TrainConfig(seed=7, epochs=2, clip=1e6, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4,
+                      batch_size=1)
     trained, _ = train(pairs, cfg, vocab=vocab)
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
@@ -204,6 +205,68 @@ def test_training_equals_oracle_adam_and_norm_loop_bit_for_bit():
     assert not np.array_equal(trained.flat, ModelParams(cfg.dims(vocab.size), seed=7).flat)
 
 
+@pytest.mark.parametrize("batch_size", [3, 12])  # batches of 3, 3, 3, 1; one batch per epoch
+def test_batched_training_equals_mean_gradient_oracle(batch_size, monkeypatch):
+    """Each update steps the clipped mean of its pairs' gradients: against an
+    oracle that collects per-example gradients, averages, clips and steps them
+    tensor by tensor. The clip lies between the updates' norms, so both the
+    clipped and the unclipped path run."""
+    pairs, _ = copy_task_corpus(10, seed=7)
+    vocab = copy_task_vocab()
+    cfg = TrainConfig(seed=7, epochs=2, lr=1e-2, clip=0.318, vocab_size=60,
+                      d_emb=4, d_h=4, d_s=4, d_a=4, batch_size=batch_size)
+    encoded = []  # the decoder gates each of train()'s encodings ran with
+
+    def recording_encode(self, source_ids):
+        states, cache = encode_source_ids(self, source_ids)
+        encoded.append(states.gates[0].copy())
+        return states, cache
+
+    encode_source_ids = ModelParams.encode_source_ids
+    with monkeypatch.context() as m:
+        m.setattr(ModelParams, "encode_source_ids", recording_encode)
+        trained, report = train(pairs, cfg, vocab=vocab)
+
+    # the oracle: per-example gradients, their mean tensor by tensor, clipped and stepped
+    params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
+    oracle = PerTensorAdam({n: p.data for n, p in params.named_parameters()}, lr=cfg.lr)
+    shuffle_rng = np.random.default_rng(cfg.seed)
+    expected_gates, norms = [], []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(pairs))
+        for start in range(0, len(order), batch_size):
+            batch = order[start:start + batch_size]
+            gates = stack_gates(params.decoder)[0].copy()
+            expected_gates += [gates] * len(batch)
+            grads = []
+            for idx in batch:
+                params.zero_grad()
+                backward(sequence_loss(pairs[idx], params, vocab))
+                grads.append({n: p.grad.copy() for n, p in params.named_parameters()})
+            mean = {n: np.mean([g[n] for g in grads], axis=0) for n in grads[0]}
+            norms.append(float(np.sqrt(sum((g * g).sum() for g in mean.values()))))
+            scale = min(1.0, cfg.clip / norms[-1])
+            oracle.step({n: g * scale for n, g in mean.items()})
+    updates = math.ceil(len(pairs) / batch_size)
+    assert len(norms) == cfg.epochs * updates
+    assert [e.updates for e in report.epochs] == [updates] * cfg.epochs
+    assert min(norms) < cfg.clip < max(norms)  # both the clipped and the unclipped path ran
+    # attention tensors are held to the model's largest entry, as in the per-step oracle
+    # test: their gradients are sums that nearly cancel, so a last-bit difference in
+    # the mean reaches 2e-12 of their own largest entry after Adam's normalisation
+    for (name, p), (_, q) in zip(trained.named_parameters(), params.named_parameters()):
+        scale = params.flat if name.startswith("attention.") else q.data
+        assert np.max(np.abs(p.data - q.data)) <= 1e-12 * np.max(np.abs(scale)), name
+
+    # every encoding used the gates of the weights its batch started from, and the
+    # second batch's gates are the first update's, not the initial copy
+    assert len(encoded) == len(expected_gates) == cfg.epochs * len(pairs)
+    for got, want in zip(encoded, expected_gates):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    second = min(batch_size, len(pairs))
+    assert not np.allclose(encoded[second], encoded[0], rtol=0, atol=1e-6)
+
+
 def test_non_finite_gradient_raises_before_the_step(tmp_path, monkeypatch):
     built = []
 
@@ -213,16 +276,21 @@ def test_non_finite_gradient_raises_before_the_step(tmp_path, monkeypatch):
 
     def nan_backward(loss):
         backward(loss)
-        built[0].decoder.w_i.grad[0, 0] = np.nan
+        built[-1].decoder.w_i.grad[0, 0] = np.nan
 
     monkeypatch.setattr("paragen.training.ModelParams", keep)
     monkeypatch.setattr("paragen.training.backward", nan_backward)
-    cfg = TrainConfig(seed=5, epochs=1, vocab_size=30, d_emb=4, d_h=4, d_s=4, d_a=4)
-    ckpt = tmp_path / "m.ckpt"
-    with pytest.raises(NumericalError, match="gradient"):
-        train([("alpha beta", "beta alpha")], cfg, checkpoint_path=ckpt)
-    np.testing.assert_array_equal(built[0].flat, ModelParams(built[0].dims, seed=5).flat)
-    assert not ckpt.exists()
+    pairs = [("alpha beta", "beta alpha"), ("gamma delta", "delta"), ("beta", "beta gamma")]
+    for batch_size in (1, TrainConfig.batch_size):
+        cfg = TrainConfig(seed=5, epochs=1, vocab_size=30, d_emb=4, d_h=4, d_s=4, d_a=4,
+                          batch_size=batch_size)
+        ckpt = tmp_path / f"b{batch_size}.ckpt"
+        with pytest.raises(NumericalError, match="gradient") as err:
+            train(pairs, cfg, checkpoint_path=ckpt)
+        first = np.random.default_rng(5).permutation(len(pairs))[:batch_size]
+        assert f"epoch 1, batch of examples {first.tolist()}" in str(err.value)
+        np.testing.assert_array_equal(built[-1].flat, ModelParams(built[-1].dims, seed=5).flat)
+        assert not ckpt.exists()
 
 
 def test_train_zero_lr_bit_identical(tmp_path):
@@ -248,7 +316,9 @@ def test_train_deterministic_checkpoints(tmp_path):
 
 def test_train_nll_decreases_on_copy_task():
     pairs, _ = copy_task_corpus(60, seed=1)
-    cfg = TrainConfig(seed=1, epochs=5, vocab_size=60, d_emb=16, d_h=16, d_s=16, d_a=16)
+    # lr scaled with the default batch of 8 pairs, which takes 8x fewer updates
+    cfg = TrainConfig(seed=1, epochs=5, lr=8e-3, vocab_size=60, d_emb=16, d_h=16, d_s=16,
+                      d_a=16)
     _, report = train(pairs, cfg, vocab=copy_task_vocab())
     nlls = [e.mean_nll for e in report.epochs]
     assert all(b < a for a, b in zip(nlls, nlls[1:])), nlls
@@ -265,6 +335,9 @@ def test_train_config_validation():
         TrainConfig(seed=None)
     with pytest.raises(ValidationError):
         TrainConfig(seed=0, epochs=0)
+    for batch_size in (0, -1):
+        with pytest.raises(ValidationError, match="batch_size"):
+            TrainConfig(seed=0, batch_size=batch_size)
     with pytest.raises(ValidationError):
         TrainConfig(seed=0, clip=0.0)
     with pytest.raises(ValidationError):
@@ -494,23 +567,27 @@ def test_train_writes_log_and_interval_checkpoints(tmp_path):
 
 def test_failed_run_keeps_previous_log(tmp_path, monkeypatch):
     pairs, _ = copy_task_corpus(4, seed=2)
-    cfg = TrainConfig(seed=2, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
-    log = tmp_path / "m.log"
-    log.write_text('{"epoch": 1, "note": "an earlier run"}\n', encoding="utf-8")
-    before = log.read_bytes()
 
     def fail(loss):
         raise NumericalError("backward failed")
 
-    with monkeypatch.context() as m:
-        m.setattr("paragen.training.backward", fail)
-        with pytest.raises(NumericalError):
-            train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
-    assert log.read_bytes() == before
+    for batch_size in (1, TrainConfig.batch_size):
+        cfg = TrainConfig(seed=2, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4,
+                          batch_size=batch_size)
+        run_dir = tmp_path / f"b{batch_size}"
+        run_dir.mkdir()
+        log = run_dir / "m.log"
+        log.write_text('{"epoch": 1, "note": "an earlier run"}\n', encoding="utf-8")
+        before = log.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr("paragen.training.backward", fail)
+            with pytest.raises(NumericalError):
+                train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+        assert log.read_bytes() == before
 
-    train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
-    assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1, 2]
-    assert [p.name for p in tmp_path.iterdir()] == ["m.log"]
+        train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
+        assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1, 2]
+        assert [p.name for p in run_dir.iterdir()] == ["m.log"]
 
 
 def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
@@ -524,16 +601,20 @@ def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(training, "clip_gradients", recording_clip)
     pairs, _ = copy_task_corpus(8, seed=4)  # every target holds one source OOV
-    cfg = TrainConfig(seed=4, epochs=2, clip=0.5, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    # batches of 3, 3 and 2 pairs: three updates, so three norms, per epoch
+    cfg = TrainConfig(seed=4, epochs=2, clip=0.5, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4,
+                      batch_size=3)
     log = tmp_path / "m.log"
     train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
     records = [json.loads(line) for line in log.read_text().splitlines()]
-    for rec, epoch_norms in zip(records, (norms[:8], norms[8:])):
+    assert len(norms) == 6
+    for rec, epoch_norms in zip(records, (norms[:3], norms[3:])):
         assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
+        assert rec["updates"] == 3
         assert rec["grad_norm_mean"] == pytest.approx(np.mean(epoch_norms), rel=1e-12)
         assert rec["grad_norm_max"] == max(epoch_norms)
         assert 0.0 < rec["grad_norm_mean"] <= rec["grad_norm_max"]
-        assert rec["clipped_fraction"] == sum(n > 0.5 for n in epoch_norms) / 8
+        assert rec["clipped_fraction"] == sum(n > 0.5 for n in epoch_norms) / 3
         assert 0.0 <= rec["clipped_fraction"] <= 1.0
         for key in ("p_gen_oov_mean", "p_gen_in_vocab_mean"):
             assert 0.0 < rec[key] < 1.0
@@ -574,8 +655,9 @@ def test_train_log_reports_optimizer_seconds(tmp_path, monkeypatch):
     train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
     for rec in map(json.loads, log.read_text().splitlines()):
         assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
-        assert list(rec)[-2] == "optimizer_s"
-        assert 6 * 2 * 0.005 <= rec["optimizer_s"] < rec["wall_time_s"]
+        assert list(rec)[-3:-1] == ["updates", "optimizer_s"]
+        assert rec["updates"] == 1  # 6 pairs, one batch
+        assert rec["updates"] * 2 * 0.005 <= rec["optimizer_s"] < rec["wall_time_s"]
 
 
 def test_train_log_reports_backward_seconds(tmp_path, monkeypatch):
