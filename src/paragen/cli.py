@@ -84,7 +84,8 @@ def build_parser():
                     help="checkpoint path (vocab: <out>.vocab, log: <out>.log)")
     tr.add_argument("--vocab", default=None,
                     help="load a fixed vocabulary file instead of building one")
-    _options(tr, TRAIN_DEFAULTS, epochs="training epochs", lr="Adam learning rate",
+    _options(tr, TRAIN_DEFAULTS, epochs="training epochs",
+             lr="Adam learning rate, per update: scale it with the batch size",
              clip="global gradient-norm clip",
              vocab_size="max vocabulary size including reserved ids",
              min_count="min token frequency for the vocabulary",
@@ -93,7 +94,8 @@ def build_parser():
              max_source_len="source truncation length",
              max_target_len="target truncation length",
              checkpoint_interval="epochs between checkpoints",
-             batch_size="sentence pairs per optimizer update")
+             batch_size="sentence pairs per optimizer update; B pairs take B times fewer "
+                        "updates per epoch")
     tr.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("generate", help="decode paraphrases for a file of sentences")

@@ -67,7 +67,7 @@ class TrainConfig:
     d_s: int = ModelDims.d_s
     d_a: int = ModelDims.d_a
     checkpoint_interval: int = 10
-    batch_size: int = 8
+    batch_size: int = 8  # pairs per update: B times fewer updates per epoch, so scale lr with it
 
     def __post_init__(self):
         if self.seed is None:
@@ -171,16 +171,21 @@ def _mean(values):
     return float(np.mean(values)) if values else None
 
 
-def clip_gradients(grad, clip):
-    """Scale the flat gradient vector ``grad`` in place so its L2 norm is at
-    most ``clip``; returns the pre-clip norm.
+def clip_gradients(grad, clip, batch_size=1):
+    """Scale the flat gradient vector ``grad``, the sum of ``batch_size``
+    pairs' gradients, in place to their mean with an L2 norm of at most
+    ``clip``; returns the mean's pre-clip norm.
 
-    The norm is one ``np.dot(grad, grad)``, with no temporaries. Direction is
-    preserved exactly, and a norm at or below ``clip`` leaves ``grad`` untouched.
+    The norm is one ``np.dot(grad, grad)``, with no temporaries, over
+    ``batch_size``. The mean and the clip are one multiply by
+    ``min(1, clip / norm) / batch_size``, skipped when that factor is exactly
+    1.0: at one pair, a norm at or below ``clip`` leaves ``grad`` untouched.
+    Direction is preserved exactly.
     """
-    norm = float(np.sqrt(np.dot(grad, grad)))
-    if norm > clip and norm > 0.0:
-        grad *= clip / norm
+    norm = float(np.sqrt(np.dot(grad, grad))) / batch_size
+    factor = (clip / norm if norm > clip and norm > 0.0 else 1.0) / batch_size
+    if factor != 1.0:
+        grad *= factor
     return norm
 
 
@@ -278,9 +283,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                 for gold_id, g in zip(gold, p_gen):
                     gates[gold_id >= vocab.size].append(g)
             t_opt = time.perf_counter()
-            if len(batch) > 1:  # at one pair the sum is the mean, bit for bit
-                params.grad /= len(batch)
-            norm = clip_gradients(params.grad, cfg.clip)
+            norm = clip_gradients(params.grad, cfg.clip, len(batch))
             if not np.isfinite(norm):
                 raise NumericalError(f"non-finite gradient norm at epoch {epoch}, "
                                      f"batch of examples {batch.tolist()}")

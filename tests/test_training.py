@@ -118,8 +118,20 @@ def test_clip_gradients_norm_and_direction():
 
 def test_clip_noop_when_below_threshold():
     grad = np.array([0.1, 0.0, 0.0])
+    grad.setflags(write=False)  # a factor of exactly 1.0 skips the multiply
     clip_gradients(grad, clip=2.0)
     np.testing.assert_array_equal(grad, [0.1, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("clip", [1e6, 0.5])  # the mean below the clip; above it
+def test_clip_gradients_of_a_sum_clips_its_mean(clip):
+    rng = np.random.default_rng(1)
+    grads = rng.normal(size=(3, 15))
+    grad = grads.sum(axis=0)
+    mean = grads.mean(axis=0)
+    norm = clip_gradients(grad, clip, batch_size=3)
+    assert norm == pytest.approx(float(np.linalg.norm(mean)), rel=1e-12)
+    np.testing.assert_allclose(grad, mean * min(1.0, clip / norm), rtol=1e-12, atol=0)
 
 
 def _model_gradient(seed):
@@ -208,9 +220,9 @@ def test_training_equals_oracle_adam_and_norm_loop_bit_for_bit():
 @pytest.mark.parametrize("batch_size", [3, 12])  # batches of 3, 3, 3, 1; one batch per epoch
 def test_batched_training_equals_mean_gradient_oracle(batch_size, monkeypatch):
     """Each update steps the clipped mean of its pairs' gradients: against an
-    oracle that collects per-example gradients, averages, clips and steps them
-    tensor by tensor. The clip lies between the updates' norms, so both the
-    clipped and the unclipped path run."""
+    oracle that collects per-example gradients, sums them, scales the sum to
+    its clipped mean and steps it, tensor by tensor. The clip lies between the
+    updates' norms, so both the clipped and the unclipped path run."""
     pairs, _ = copy_task_corpus(10, seed=7)
     vocab = copy_task_vocab()
     cfg = TrainConfig(seed=7, epochs=2, lr=1e-2, clip=0.318, vocab_size=60,
@@ -227,7 +239,9 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, monkeypatch):
         m.setattr(ModelParams, "encode_source_ids", recording_encode)
         trained, report = train(pairs, cfg, vocab=vocab)
 
-    # the oracle: per-example gradients, their mean tensor by tensor, clipped and stepped
+    # the oracle: per-example gradients, summed tensor by tensor, scaled once to their
+    # mean clipped to cfg.clip, and stepped (the one factor min(1, clip / norm) / B
+    # leaves the last bits of each entry as train's single multiply does)
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
     oracle = PerTensorAdam({n: p.data for n, p in params.named_parameters()}, lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
@@ -243,10 +257,10 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, monkeypatch):
                 params.zero_grad()
                 backward(sequence_loss(pairs[idx], params, vocab))
                 grads.append({n: p.grad.copy() for n, p in params.named_parameters()})
-            mean = {n: np.mean([g[n] for g in grads], axis=0) for n in grads[0]}
-            norms.append(float(np.sqrt(sum((g * g).sum() for g in mean.values()))))
-            scale = min(1.0, cfg.clip / norms[-1])
-            oracle.step({n: g * scale for n, g in mean.items()})
+            total = {n: np.sum([g[n] for g in grads], axis=0) for n in grads[0]}
+            norms.append(float(np.sqrt(sum((g * g).sum() for g in total.values()))) / len(batch))
+            scale = min(1.0, cfg.clip / norms[-1]) / len(batch)
+            oracle.step({n: g * scale for n, g in total.items()})
     updates = math.ceil(len(pairs) / batch_size)
     assert len(norms) == cfg.epochs * updates
     assert [e.updates for e in report.epochs] == [updates] * cfg.epochs
@@ -595,8 +609,8 @@ def test_train_log_reports_gradient_and_gate_telemetry(tmp_path, monkeypatch):
 
     norms = []
 
-    def recording_clip(grad, clip):
-        norms.append(clip_gradients(grad, clip))
+    def recording_clip(grad, clip, batch_size):
+        norms.append(clip_gradients(grad, clip, batch_size))
         return norms[-1]
 
     monkeypatch.setattr(training, "clip_gradients", recording_clip)
@@ -650,13 +664,15 @@ def test_train_log_reports_optimizer_seconds(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "clip_gradients", slowed(clip_gradients))
     monkeypatch.setattr(Adam, "step", slowed(Adam.step))
     pairs, _ = copy_task_corpus(6, seed=5)
-    cfg = TrainConfig(seed=5, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4)
+    # batches of 2 pairs: three updates per epoch, so optimizer_s must sum over updates
+    cfg = TrainConfig(seed=5, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4,
+                      batch_size=2)
     log = tmp_path / "m.log"
     train(pairs, cfg, vocab=copy_task_vocab(), log_path=log)
     for rec in map(json.loads, log.read_text().splitlines()):
         assert list(rec)[:4] == ["epoch", "mean_nll", "token_accuracy", "wall_time_s"]
         assert list(rec)[-3:-1] == ["updates", "optimizer_s"]
-        assert rec["updates"] == 1  # 6 pairs, one batch
+        assert rec["updates"] == 3
         assert rec["updates"] * 2 * 0.005 <= rec["optimizer_s"] < rec["wall_time_s"]
 
 
