@@ -1,5 +1,6 @@
-"""Tour of the tensor core: build a graph, run backward, verify with finite
-differences.
+"""Finite-difference checks of the numpy layers: one LSTM cell step written as
+a loss whose backward closure is hand-written numpy, checked element by
+element against central differences; then the layers' stability corners.
 
 Run: python demos/01_autograd_and_gradient_checking.py
 """
@@ -7,42 +8,44 @@ Run: python demos/01_autograd_and_gradient_checking.py
 import numpy as np
 
 import paragen.autograd as ag
-from paragen.autograd import Tensor, backward
+from paragen.autograd import Tensor
 from paragen.gradcheck import grad_check
+from paragen.layers import (LOG_FLOOR, accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid,
+                            softmax_rows, stack_gates)
+from paragen.model import ModelDims, ModelParams
 
-print("== a tiny expression graph ==")
-x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
-W = Tensor(np.arange(6.0).reshape(2, 3) / 10, requires_grad=True)
+print("== one LSTM cell step, as a loss with a hand-written backward ==")
+rng = np.random.default_rng(0)
+cell = ModelParams(ModelDims(vocab_size=6, d_emb=3, d_h=4), seed=0).encoder_fwd
+z_data, c_data = rng.normal(size=(2, 7)), rng.normal(size=(2, 4))  # two rows of [x, h], and c
+z, c0 = Tensor(z_data, np.zeros_like(z_data)), Tensor(c_data, np.zeros_like(c_data))
+w_h, w_c = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
 
-y = ag.tanh(ag.matmul(W, x))          # (2,)
-loss = ag.mul(y, y).sum()             # sum of squares
-print("loss =", float(loss.data))
 
-backward(loss)
-print("dloss/dx =", x.grad)
-print("dloss/dW =\n", W.grad)
+def loss():
+    """sum(w_h * h' + w_c * c') of the step, recomputed from the live .data."""
+    W, b = stack_gates(cell)
+    h, c, cache = lstm_cell(z.data @ W.T + b, c0.data)
 
-print()
-print("== the same gradients, checked against central differences ==")
-x.zero_grad()
-W.zero_grad()
-report = grad_check(lambda: ag.mul(ag.tanh(ag.matmul(W, x)),
-                                   ag.tanh(ag.matmul(W, x))).sum(),
-                    [("x", x), ("W", W)], h=1e-5)
+    def back(g):
+        d_pre, g_c = lstm_cell_backward(cache, g * w_h, g * w_c)
+        accumulate_gates(cell, d_pre, z.data)  # gate weight and bias gradients
+        z.grad += d_pre @ W
+        c0.grad += g_c
+
+    return ag._node((h * w_h).sum() + (c * w_c).sum(), back)
+
+
+print("loss =", float(loss().data))
+report = grad_check(loss, cell.named_parameters() + [("z", z), ("c0", c0)], h=1e-5)
 for row in report.rows[:4]:
-    print(f"  {row.name}{list(row.index)}: analytic {row.analytic:+.6f} "
+    print(f"  {row.name}{[int(i) for i in row.index]}: analytic {row.analytic:+.6f} "
           f"numeric {row.numeric:+.6f} rel {row.rel_err:.1e}")
-print("max relative error:", f"{report.max_rel_err:.3e}")
-
-print()
-print("== softmax conserves mass, so its summed gradient vanishes ==")
-z = Tensor([0.3, -1.0, 2.0], requires_grad=True)
-backward(ag.softmax(z).sum())
-print("softmax sum gradient:", z.grad, "(zero: the output always sums to 1)")
+print(f"{len(report.rows)} elements, max relative error: {report.max_rel_err:.3e}")
 
 print()
 print("== stability corners ==")
-print("softmax([1000,1000,1000]) =", ag.softmax(Tensor([1000.0] * 3)).data)
-print("sigmoid(+40) =", ag.sigmoid(Tensor(40.0)).item())
-print("sigmoid(-40) =", ag.sigmoid(Tensor(-40.0)).item())
-print("log(0) clamps at 1e-12 ->", ag.log(Tensor([0.0])).data)
+print("softmax([1000,1000,1000]) =", softmax_rows(np.array([1000.0] * 3)))
+print("sigmoid(+40) =", float(sigmoid(np.array(40.0))))
+print("sigmoid(-40) =", float(sigmoid(np.array(-40.0))))
+print(f"log(0) clamps at {LOG_FLOOR:g} ->", np.log(np.maximum(np.array([0.0]), LOG_FLOOR)))

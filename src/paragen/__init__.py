@@ -1,8 +1,8 @@
 """paragen: paraphrase mining and pointer-style sequence-to-sequence learning.
 
-Pure-numpy implementation with reverse-mode autodiff, built so every
-gradient is checkable against finite differences and every retrieval result
-against brute force.
+Pure-numpy implementation with hand-written forward and backward passes,
+built so every gradient is checkable against finite differences and every
+retrieval result against brute force.
 """
 
 from . import autograd

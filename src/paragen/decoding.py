@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import LOG_FLOOR
 from .errors import ValidationError
+from .layers import LOG_FLOOR
 from .pointer import prepare_source, step_forward as full_step, teacher_forced
 from .vocab import BOS, EOS, PAD, tokenize
 

@@ -2,8 +2,8 @@
 
 The checker perturbs every element of every named parameter by +-h, evaluates
 the loss function twice, and compares the central difference against the
-gradient produced by the reverse-mode pass. The loss function must rebuild
-its graph from the live parameter tensors on every call.
+gradient that the loss's backward closure adds. The loss function must
+recompute its loss from the live parameter tensors' .data on every call.
 
 The two probe evaluations run at extended precision (numpy longdouble) by
 default. A float64 loss value is quantized to about 2e-16 relative, which
@@ -63,9 +63,10 @@ def relative_error(analytic, numeric, floor=1e-8):
 def grad_check(f, params, h=1e-5, probe_dtype=np.longdouble):
     """Compare analytic and central-difference gradients element by element.
 
-    f: zero-argument callable returning a scalar-loss Tensor, recomputed from
-       the current contents of the parameter tensors.
-    params: iterable of (name, Tensor) pairs with requires_grad set.
+    f: zero-argument callable returning a loss built by autograd._node,
+       recomputed from the current contents of the parameter tensors.
+    params: iterable of (name, Tensor) pairs, each with a .grad array that
+       the loss's backward adds into; the checker zeroes it first.
     h: finite-difference step, sensible range [1e-6, 1e-4].
 
     Returns a GradCheckReport; rel err per element is
@@ -73,7 +74,7 @@ def grad_check(f, params, h=1e-5, probe_dtype=np.longdouble):
     """
     params = list(params)
     for _, p in params:
-        p.zero_grad()
+        p.grad.fill(0.0)
     loss = f()
     if not np.isfinite(loss.data):
         raise NumericalError("loss is non-finite at the evaluation point")

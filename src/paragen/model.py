@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
+from .autograd import Tensor
 from .errors import ValidationError
+from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
 from .vocab import UNK
 
 
@@ -161,9 +162,7 @@ class ModelParams:
         self._named, groups, start = [], {}, 0
         for name, (shape, _) in parameter_layout(dims).items():
             end = start + math.prod(shape)
-            tensor = Tensor(0.0, requires_grad=True)
-            tensor.data = flat[start:end].reshape(shape)
-            tensor.grad = self.grad[start:end].reshape(shape)
+            tensor = Tensor(flat[start:end].reshape(shape), self.grad[start:end].reshape(shape))
             self._named.append((name, tensor))
             start = end
             prefix = name.rpartition(".")[0]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import _sig, accumulate_gates, lstm_cell, lstm_cell_backward, softmax_rows
 from .errors import ValidationError
+from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
 from .vocab import UNK, encode_source
 
 
@@ -54,7 +54,7 @@ def output_forward(emb, hidden, context, attn, source_ids, size, params, force_p
     z_g = np.concatenate([emb, hidden, context], axis=1)
     if force_p_gen is None:
         # a dot product per row, so a row's gate does not depend on B
-        p_gen = _sig(np.einsum("bk,k->b", z_g, gp.weight.data) + gp.bias.data)
+        p_gen = sigmoid(np.einsum("bk,k->b", z_g, gp.weight.data) + gp.bias.data)
     else:
         p_gen = np.full(len(z_g), float(force_p_gen))
     p_copy = copy_distribution(attn, source_ids, size)

@@ -18,9 +18,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .autograd import LOG_FLOOR, backward
+from .autograd import backward
 from .errors import NumericalError, ValidationError
 from .fileio import atomic_write, read_lines
+from .layers import LOG_FLOOR
 from .model import ModelDims, ModelParams, params_from_payload
 from .pointer import step_forward as full_step  # noqa: F401 (perfbench traces this name)
 from .pointer import teacher_forced, teacher_forced_backward
@@ -124,8 +125,8 @@ def _pair_texts(pair):
 
 
 def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
-    """Mean NLL as one graph node over the parameter tensors, greedy-match
-    count, gold ids and each gold step's gate value."""
+    """Mean NLL as one loss whose backward adds its gradient into
+    params.grad, greedy-match count, gold ids and each gold step's gate value."""
     x_text, y_text = _pair_texts(pair)
     src = tokenize(x_text)
     tgt = tokenize(y_text)
@@ -157,7 +158,7 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
         g_state, g_H = teacher_forced_backward(cache, g_p)
         params.source_backward(encoder_cache, states, state0, g_H, g_state)
 
-    loss = ag._node(nll * (1.0 / len(gold)), [t for _, t in params.named_parameters()], back)
+    loss = ag._node(nll * (1.0 / len(gold)), back)
     return loss, correct, gold, p_gen.tolist()
 
 
@@ -277,7 +278,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
                 backward(loss)  # adds this pair's gradient to params.grad
                 backward_s += time.perf_counter() - t_back
                 nll_sum += float(loss.data)
-                del loss  # the graph holds the stacked gates; free them before the next pair
+                del loss  # its closure holds the stacked gates; free them before the next pair
                 correct += c
                 total += len(gold)
                 for gold_id, g in zip(gold, p_gen):

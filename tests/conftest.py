@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from paragen import ModelDims, ModelParams, Vocabulary
+from paragen.autograd import Tensor
 from paragen.miner import Document
 
 
@@ -22,6 +23,12 @@ def tiny_model(seed=0, n_tokens=8, width=8):
     return ModelParams(dims, seed=seed), vocab
 
 
+def leaf(data):
+    """A float64 tensor with a zeroed gradient, for a test loss to read and grad_check to probe."""
+    data = np.array(data, dtype=np.float64)
+    return Tensor(data, np.zeros_like(data))
+
+
 def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
     """One parameter group (or bare tensor) of a small model with these widths."""
     dims = ModelDims(vocab_size=vocab_size, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a)
@@ -30,21 +37,21 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
 
 def step_loss_node(params, ev, states, rows, prev_ids, rng):
     """A loss for grad_check over one B-row decoder step: a random weighting
-    of every row's p and next state, whose graph node runs output_backward,
-    then recur_backward and recur_grads.
+    of every row's p and next state, whose backward closure runs
+    output_backward, then recur_backward and recur_grads.
 
-    Returns (f, named): f rebuilds the node from the live arrays (the
+    Returns (f, named): f rebuilds the loss from the live arrays (the
     attention features and the decoder's stacked gates included), and named
-    holds the step's input state rows and encoder states H as
-    gradient-tracking tensors.
+    holds the step's input state rows and encoder states H as ``leaf``
+    tensors.
     """
     import paragen.autograd as ag
-    from paragen.autograd import Tensor, stack_gates
+    from paragen.layers import stack_gates
     from paragen.model import EncoderStates, attention_features
     from paragen.pointer import output_backward, recur_backward, recur_grads, step_forward
 
-    S = Tensor(rows, requires_grad=True)
-    H = Tensor(states.H, requires_grad=True)
+    S = leaf(rows)
+    H = leaf(states.H)
     wp = rng.normal(size=(len(prev_ids), ev.size))
     ws = rng.normal(size=rows.shape)
 
@@ -59,7 +66,7 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
             S.grad += g_state
             H.grad += recur_grads(params, live, [pieces])
 
-        return ag._node((out.p * wp).sum() + (out.state * ws).sum(), (S, H), back)
+        return ag._node((out.p * wp).sum() + (out.state * ws).sum(), back)
 
     return f, [("state", S), ("H", H)]
 

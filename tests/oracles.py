@@ -10,22 +10,6 @@ import math
 import numpy as np
 
 
-def matmul_triple_loop(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
 def softmax_highprec(x):
     """Exp-normalize evaluated at extended precision, rounded back to f64."""
     x = np.asarray(x, dtype=np.longdouble)

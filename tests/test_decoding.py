@@ -172,7 +172,7 @@ def test_beam_tie_at_floor_breaks_to_lowest_extended_id():
 
 
 def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
-    """prepare_source, beam_decode and score_sequence build no graph node with
+    """prepare_source, beam_decode and score_sequence build no loss node with
     a backward closure; the training loss of one pair is exactly one."""
     params, vocab = tiny_model(seed=6)
     built, node = [], ag._node

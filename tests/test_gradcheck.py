@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 import paragen.autograd as ag
-from paragen.autograd import Tensor
 from paragen.errors import NumericalError
 from paragen.gradcheck import grad_check, relative_error
+from paragen.layers import softmax_rows
 from paragen.training import sequence_loss
 
-from conftest import tiny_model
+from conftest import leaf, tiny_model
+
+
+def square_loss(x):
+    """sum(x * x) as one loss, whose backward adds 2 g x."""
+    def back(g):
+        x.grad += 2.0 * g * x.data
+
+    return ag._node((x.data * x.data).sum(), back)
 
 
 def test_square_function():
-    x = Tensor(3.0, requires_grad=True)
-    report = grad_check(lambda: ag.mul(x, x), [("x", x)], h=1e-5)
+    x = leaf(3.0)
+    report = grad_check(lambda: square_loss(x), [("x", x)], h=1e-5)
     row = report.rows[0]
     assert row.analytic == pytest.approx(6.0, abs=1e-12)
     assert row.numeric == pytest.approx(6.0, abs=1e-9)
@@ -20,8 +28,18 @@ def test_square_function():
 
 
 def test_softmax_sum_has_zero_gradient():
-    x = Tensor(np.array([0.3, -1.2, 2.0, 0.0]), requires_grad=True)
-    report = grad_check(lambda: ag.softmax(x).sum(), [("x", x)], h=1e-5)
+    x = leaf([0.3, -1.2, 2.0, 0.0])
+
+    def f():  # sum(softmax(x)), with softmax's backward y * (g - g . y)
+        y = softmax_rows(x.data)
+
+        def back(g):
+            g_y = np.broadcast_to(g, y.shape)
+            x.grad += y * (g_y - np.dot(g_y, y))
+
+        return ag._node(y.sum(), back)
+
+    report = grad_check(f, [("x", x)], h=1e-5)
     for row in report.rows:
         assert abs(row.analytic) <= 1e-12  # conservation: output always sums to 1
         assert abs(row.numeric) <= 1e-9
@@ -34,12 +52,12 @@ def test_relative_error_floor():
 
 
 def test_nonfinite_loss_reports_parameter_name():
-    w = Tensor(np.array([3.0, 1.0]), requires_grad=True)
+    w = leaf([3.0, 1.0])
 
     def f():
         if w.data[0] > 3.0:  # only true once the checker perturbs w[0] upward
-            return Tensor(np.inf).sum()
-        return ag.mul(w, w).sum()
+            return ag._node(np.inf, lambda g: None)
+        return square_loss(w)
 
     with pytest.raises(NumericalError) as err:
         grad_check(f, [("w", w)], h=1e-5)
@@ -47,15 +65,15 @@ def test_nonfinite_loss_reports_parameter_name():
 
 
 def test_nonfinite_loss_at_start():
-    w = Tensor(np.nan, requires_grad=True)
+    w = leaf(np.nan)
     with pytest.raises(NumericalError):
-        grad_check(lambda: ag.mul(w, w), [("w", w)], h=1e-5)
+        grad_check(lambda: square_loss(w), [("w", w)], h=1e-5)
 
 
 def test_params_restored_after_check():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    x = leaf([1.0, 2.0])
     before = x.data.copy()
-    grad_check(lambda: ag.mul(x, x).sum(), [("x", x)], h=1e-5)
+    grad_check(lambda: square_loss(x), [("x", x)], h=1e-5)
     assert x.data.dtype == np.float64
     np.testing.assert_array_equal(x.data, before)
 

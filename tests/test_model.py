@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import paragen.autograd as ag
-from paragen.autograd import lstm_cell, stack_gates
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
+from paragen.layers import lstm_cell, stack_gates
 from paragen.model import (EncoderStates, ModelDims, ModelParams, ParamGroup,
                            attention_features, encode, encode_backward, parameter_layout,
                            params_from_payload)
 from paragen.pointer import output_forward, step_forward
 from paragen.vocab import BOS, UNK, encode_source
 
-from conftest import TINY_TOKENS, model_part, step_loss_node, tiny_model
+from conftest import TINY_TOKENS, leaf, model_part, step_loss_node, tiny_model
 from oracles import (cell_arrays, lstm_step_scalar, model_arrays, per_step_encode,
                      per_step_encode_backward, softmax_highprec, straight_line_encode)
 
@@ -110,7 +110,7 @@ def test_encode_backward_matches_finite_differences():
     apart from the decoder's use of it."""
     rng = np.random.default_rng(11)
     params = ModelParams(ModelDims(vocab_size=6, d_emb=3, d_h=2), seed=11)
-    E = ag.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    E = leaf(rng.normal(size=(4, 3)))
     wH, wf = rng.normal(size=(4, 4)), rng.normal(size=4)
     named = (params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
              + [("E", E)])
@@ -121,7 +121,7 @@ def test_encode_backward_matches_finite_differences():
         def back(g):
             E.grad += encode_backward(cache, g * wH, g * wf)
 
-        return ag._node((H * wH).sum() + (h_final * wf).sum(), [p for _, p in named], back)
+        return ag._node((H * wH).sum() + (h_final * wf).sum(), back)
 
     report = grad_check(f, named, h=1e-5)
     assert report.max_rel_err <= 1e-6, repr(report)
@@ -317,7 +317,7 @@ def test_named_parameters_follow_layout_and_groups():
     assert [n for n, _ in params.named_parameters()] == list(layout)
     for name, p in params.named_parameters():
         shape, init = layout[name]
-        assert p.data.shape == shape and p.requires_grad, name
+        assert p.data.shape == shape == p.grad.shape, name
         if isinstance(init, float):
             assert np.all(p.data == init), name
         else:
@@ -363,8 +363,7 @@ def test_views_survive_grad_check_dtype_swap():
             for _, p in named:
                 p.grad += 2.0 * g * p.data
 
-        return ag._node(sum((p.data * p.data).sum() for _, p in named),
-                        [p for _, p in named], back)
+        return ag._node(sum((p.data * p.data).sum() for _, p in named), back)
 
     report = grad_check(f, named, h=1e-5)
     assert report.max_rel_err <= 1e-6

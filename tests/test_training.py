@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paragen.autograd import backward, stack_gates
+from paragen.autograd import backward
 from paragen.errors import NumericalError, ValidationError
+from paragen.layers import stack_gates
 from paragen.model import ModelDims, ModelParams
 from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, TrainConfig,
                               VersionMismatchError,
@@ -217,66 +219,83 @@ def test_training_equals_oracle_adam_and_norm_loop_bit_for_bit():
     assert not np.array_equal(trained.flat, ModelParams(cfg.dims(vocab.size), seed=7).flat)
 
 
-@pytest.mark.parametrize("batch_size", [3, 12])  # batches of 3, 3, 3, 1; one batch per epoch
-def test_batched_training_equals_mean_gradient_oracle(batch_size, monkeypatch):
-    """Each update steps the clipped mean of its pairs' gradients: against an
-    oracle that collects per-example gradients, sums them, scales the sum to
-    its clipped mean and steps it, tensor by tensor. The clip lies between the
-    updates' norms, so both the clipped and the unclipped path run."""
+@pytest.mark.parametrize("seed", [7, 8, 9])
+@pytest.mark.parametrize("batch_size", [3, 4, 12])  # 3, 3, 3, 1; 4, 4, 2; one batch per epoch
+def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypatch):
+    """Each update steps the clipped mean of its pairs' gradients. Every Adam
+    step of train() is recorded with the weights it started from and the
+    scaled, clipped gradient it stepped. From those same weights an oracle
+    collects per-example gradients, sums them tensor by tensor and scales the
+    sum once by min(1, clip / norm) / B, the same order of rounding as train.
+    Comparing update by update keeps Adam from growing the last-bit
+    differences of nearly cancelling sums over later updates; the weights are
+    then held bit for bit to Adam stepping train's own gradients. The clip is
+    the median norm of an unclipped run's updates, so both the clipped and
+    the unclipped path run."""
     pairs, _ = copy_task_corpus(10, seed=7)
     vocab = copy_task_vocab()
-    cfg = TrainConfig(seed=7, epochs=2, lr=1e-2, clip=0.318, vocab_size=60,
+    cfg = TrainConfig(seed=seed, epochs=2, lr=1e-2, clip=1e6, vocab_size=60,
                       d_emb=4, d_h=4, d_s=4, d_a=4, batch_size=batch_size)
-    encoded = []  # the decoder gates each of train()'s encodings ran with
+    encoded, updates = [], []  # the decoder gates each encoding ran with; (weights, gradient)
 
     def recording_encode(self, source_ids):
         states, cache = encode_source_ids(self, source_ids)
         encoded.append(states.gates[0].copy())
         return states, cache
 
-    encode_source_ids = ModelParams.encode_source_ids
-    with monkeypatch.context() as m:
-        m.setattr(ModelParams, "encode_source_ids", recording_encode)
-        trained, report = train(pairs, cfg, vocab=vocab)
+    def recording_step(self):
+        updates.append((self.data.copy(), self.grad.copy()))
+        step(self)
 
-    # the oracle: per-example gradients, summed tensor by tensor, scaled once to their
-    # mean clipped to cfg.clip, and stepped (the one factor min(1, clip / norm) / B
-    # leaves the last bits of each entry as train's single multiply does)
+    def recorded_train(cfg):
+        encoded.clear()
+        updates.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ModelParams, "encode_source_ids", recording_encode)
+            m.setattr(Adam, "step", recording_step)
+            return train(pairs, cfg, vocab=vocab)
+
+    encode_source_ids, step = ModelParams.encode_source_ids, Adam.step
+    recorded_train(cfg)  # unclipped, each update steps its mean gradient
+    cfg = replace(cfg, clip=float(np.median([np.linalg.norm(g) for _, g in updates])))
+    trained, report = recorded_train(cfg)
+
+    n_updates = math.ceil(len(pairs) / batch_size)
+    assert len(updates) == cfg.epochs * n_updates
+    assert [e.updates for e in report.epochs] == [n_updates] * cfg.epochs
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
-    oracle = PerTensorAdam({n: p.data for n, p in params.named_parameters()}, lr=cfg.lr)
+    stepped = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
+    oracle = PerTensorAdam({n: p.data for n, p in stepped.named_parameters()}, lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
+    batches = [order[start:start + batch_size] for order in
+               (shuffle_rng.permutation(len(pairs)) for _ in range(cfg.epochs))
+               for start in range(0, len(pairs), batch_size)]
     expected_gates, norms = [], []
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(pairs))
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            gates = stack_gates(params.decoder)[0].copy()
-            expected_gates += [gates] * len(batch)
-            grads = []
-            for idx in batch:
-                params.zero_grad()
-                backward(sequence_loss(pairs[idx], params, vocab))
-                grads.append({n: p.grad.copy() for n, p in params.named_parameters()})
-            total = {n: np.sum([g[n] for g in grads], axis=0) for n in grads[0]}
-            norms.append(float(np.sqrt(sum((g * g).sum() for g in total.values()))) / len(batch))
-            scale = min(1.0, cfg.clip / norms[-1]) / len(batch)
-            oracle.step({n: g * scale for n, g in total.items()})
-    updates = math.ceil(len(pairs) / batch_size)
-    assert len(norms) == cfg.epochs * updates
-    assert [e.updates for e in report.epochs] == [updates] * cfg.epochs
+    for batch, (weights, got) in zip(batches, updates):
+        np.testing.assert_array_equal(weights, stepped.flat)
+        params.flat[...] = weights
+        expected_gates += [stack_gates(params.decoder)[0].copy()] * len(batch)
+        grads = []
+        for idx in batch:
+            params.zero_grad()
+            backward(sequence_loss(pairs[idx], params, vocab))
+            grads.append({n: p.grad.copy() for n, p in params.named_parameters()})
+        total = {n: np.sum([g[n] for g in grads], axis=0) for n in grads[0]}
+        norms.append(float(np.sqrt(sum((g * g).sum() for g in total.values()))) / len(batch))
+        scale = min(1.0, cfg.clip / norms[-1]) / len(batch)
+        params.grad[...] = got  # read train's gradient through the named views
+        for name, p in params.named_parameters():
+            want = total[name] * scale
+            assert np.max(np.abs(p.grad - want)) <= 1e-12 * np.max(np.abs(want)), name
+        oracle.step({n: p.grad for n, p in params.named_parameters()})
+    np.testing.assert_array_equal(trained.flat, stepped.flat)
     assert min(norms) < cfg.clip < max(norms)  # both the clipped and the unclipped path ran
-    # attention tensors are held to the model's largest entry, as in the per-step oracle
-    # test: their gradients are sums that nearly cancel, so a last-bit difference in
-    # the mean reaches 2e-12 of their own largest entry after Adam's normalisation
-    for (name, p), (_, q) in zip(trained.named_parameters(), params.named_parameters()):
-        scale = params.flat if name.startswith("attention.") else q.data
-        assert np.max(np.abs(p.data - q.data)) <= 1e-12 * np.max(np.abs(scale)), name
 
     # every encoding used the gates of the weights its batch started from, and the
     # second batch's gates are the first update's, not the initial copy
     assert len(encoded) == len(expected_gates) == cfg.epochs * len(pairs)
     for got, want in zip(encoded, expected_gates):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_array_equal(got, want)
     second = min(batch_size, len(pairs))
     assert not np.allclose(encoded[second], encoded[0], rtol=0, atol=1e-6)
 

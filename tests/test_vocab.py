@@ -207,7 +207,7 @@ def test_extended_vocab_token_range_error():
 def test_embedding_lookup_rows():
     # the decoder step embeds each row's previous id: a fixed id its own row,
     # an extended id the UNK row, and a negative id is rejected
-    from paragen.autograd import lstm_cell
+    from paragen.layers import lstm_cell
     from paragen.pointer import prepare_source, step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
