@@ -39,7 +39,7 @@ def loss():
 print("loss =", float(loss().data))
 report = grad_check(loss, cell.named_parameters() + [("z", z), ("c0", c0)], h=1e-5)
 for row in report.rows[:4]:
-    print(f"  {row.name}{[int(i) for i in row.index]}: analytic {row.analytic:+.6f} "
+    print(f"  {row.name}{list(row.index)}: analytic {row.analytic:+.6f} "
           f"numeric {row.numeric:+.6f} rel {row.rel_err:.1e}")
 print(f"{len(report.rows)} elements, max relative error: {report.max_rel_err:.3e}")
 

@@ -49,15 +49,9 @@ class Hypothesis:
 
 
 def render(ids, ev):
-    """Surface tokens for extended ids; specials stripped, UNK kept literal."""
-    out = []
-    for idx in ids:
-        if idx >= ev.size or idx < 0:
-            raise ValidationError(f"render: id {idx} out of range [0, {ev.size})")
-        if idx in (PAD, BOS, EOS):
-            continue
-        out.append(ev.token(idx))
-    return out
+    """Surface tokens for extended ids through ``ev.token``, which rejects an
+    id out of range; specials stripped, UNK kept literal."""
+    return [ev.token(idx) for idx in ids if idx not in (PAD, BOS, EOS)]
 
 
 def greedy_decode(source, params, vocab, max_len=BeamConfig.max_len, force_p_gen=None):
@@ -89,7 +83,7 @@ def beam_decode(source, params, vocab, cfg, force_p_gen=None):
     search stops once the pool holds beam_width hypotheses or at max_len,
     where live hypotheses join the pool unfinished. Width 1 is greedy.
     """
-    ev, states, state = prepare_source(tokenize(source), params, vocab)
+    ev, states, state, _ = prepare_source(tokenize(source), params, vocab)
     B, pool = cfg.beam_width, []
     live = [Hypothesis(ids=(), log_prob=0.0, finished=False)]
 
@@ -120,7 +114,7 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     The decoder consumes the sequence's own tokens as previous words, exactly
     as beam search did when it produced them.
     """
-    ev, states, state = prepare_source(tokenize(source), params, vocab)
+    ev, states, state, _ = prepare_source(tokenize(source), params, vocab)
     for idx in ids:
         if not (isinstance(idx, (int, np.integer)) and 0 <= idx < ev.size):
             raise ValidationError(f"score_sequence: id {idx!r} not an int in [0, {ev.size})")

@@ -103,7 +103,7 @@ def grad_check(f, params, h=1e-5, probe_dtype=np.longdouble):
                 a = float(a_flat[j])
                 rows.append(GradCheckRow(
                     name=name,
-                    index=np.unravel_index(j, p.data.shape),
+                    index=tuple(int(i) for i in np.unravel_index(j, p.data.shape)),
                     analytic=a,
                     numeric=numeric,
                     rel_err=relative_error(a, numeric),

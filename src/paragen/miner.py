@@ -235,12 +235,11 @@ class InvertedIndex:
         block = self._dense_scores(queries)
         own = np.array([self.sources.get(rec.source, -1) for rec in queries])
         block *= own[:, None] != self.source_ids  # same-source cosines to 0, the rest exact
-        if k < self.width:
-            # every candidate tied with the k-th largest stays for the sid tie-break
-            kth = np.partition(block, self.width - k, axis=1)[:, self.width - k, None]
-            hits = np.flatnonzero((block >= kth) & (block > 0.0))
-        else:
-            hits = np.flatnonzero(block)
+        # every candidate tied with the k-th largest stays for the sid tie-break; at
+        # k >= width the k-th is the row minimum, so every nonzero cosine stays
+        cut = self.width - min(k, self.width)
+        kth = np.partition(block, cut, axis=1)[:, cut, None]
+        hits = np.flatnonzero((block >= kth) & (block > 0.0))
         rows, sids = np.divmod(hits, self.width)
         sims = block.ravel()[hits]
         order = np.lexsort((sids, -sims, rows))

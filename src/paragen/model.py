@@ -15,7 +15,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import ValidationError
-from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
+from .layers import GATES, accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
 from .vocab import UNK
 
 
@@ -108,7 +108,7 @@ def parameter_layout(dims):
     # LSTM cells: each gate maps [input, hidden] to hidden; forget bias starts at 1
     for cell, d_in, d_out in (("encoder_fwd", e, h), ("encoder_bwd", e, h),
                               ("decoder", e + 2 * h, s)):
-        for gate in "ifgo":
+        for gate in GATES:
             layout[f"{cell}.w_{gate}"] = ((d_out, d_in + d_out), UNIFORM)
             layout[f"{cell}.b_{gate}"] = ((d_out,), 1.0 if gate == "f" else 0.0)
     layout.update({
@@ -185,12 +185,17 @@ class ModelParams:
         return np.tanh(np.concatenate([self.bridge_hidden.data @ states.h_final,
                                        self.bridge_cell.data @ states.h_final]))[None]
 
+    def embedding_rows(self, ids):
+        """The embedding row each extended id reads: a fixed id its own, an
+        id past the fixed vocabulary (a copied OOV) UNK's."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return np.where(ids < self.dims.vocab_size, ids, UNK)
+
     def encode_source_ids(self, source_ids):
-        """Embed extended source ids (OOVs fall back to UNK), run the encoder,
+        """Embed extended source ids (``embedding_rows``), run the encoder,
         and compute the attention features and the decoder's stacked gates,
         which every decoder step reuses. Returns (EncoderStates, source_backward's cache)."""
-        emb_ids = np.array([i if i < self.dims.vocab_size else UNK for i in source_ids],
-                           dtype=np.intp)
+        emb_ids = self.embedding_rows(source_ids)
         H, h_final, cache = encode(self.embedding.data[emb_ids],
                                    self.encoder_fwd, self.encoder_bwd)
         return (EncoderStates(H, h_final, attention_features(H, self.attention),

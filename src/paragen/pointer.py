@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
-from .vocab import UNK, encode_source
+from .vocab import encode_source
 
 
 def copy_distribution(attn, source_ids, size):
@@ -98,22 +98,24 @@ class StepOutputs:
 
 def prepare_source(tokens, params, vocab):
     """(ExtendedVocab, EncoderStates, initial decoder state: one row
-    [hidden | cell]) for source ``tokens``: all a decoder needs before step 1."""
+    [hidden | cell], encoder cache) for source ``tokens``: all a decoder
+    needs before step 1. Training and decoding both start here; only
+    training keeps the cache, for ``ModelParams.source_backward``."""
     src_ids, ev = encode_source(tokens, vocab)
-    states, _ = params.encode_source_ids(src_ids)
-    return ev, states, params.initial_decoder_state(states)
+    states, encoder_cache = params.encode_source_ids(src_ids)
+    return ev, states, params.initial_decoder_state(states), encoder_cache
 
 
 def recur_forward(prev_ids, states, state, params):
     """The recurrence half of a decoder step for B rows: attend with the
     incoming state (B x 2*d_s), then update the LSTM on [embedding of prev_ids
-    (extended ids embed as UNK), context]. Returns
+    (``params.embedding_rows``), context]. Returns
     ((emb, attn, context, next state), cache)."""
     prev_ids = np.asarray(prev_ids, dtype=np.intp)
     d_s = params.dims.d_s
     if prev_ids.size and prev_ids.min() < 0:
         raise ValidationError(f"step: negative previous id in {prev_ids}")
-    emb_ids = np.where(prev_ids < params.dims.vocab_size, prev_ids, UNK)
+    emb_ids = params.embedding_rows(prev_ids)
     emb = params.embedding.data[emb_ids]
     H, ap, hidden = states.H, params.attention, state[:, :d_s]
     t = np.tanh(states.features + (hidden @ ap.weight.data[:, H.shape[1]:].T)[:, None, :])

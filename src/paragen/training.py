@@ -11,9 +11,10 @@ a pure function of (dataset, config, seed).
 
 import json
 import logging
+import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -24,13 +25,17 @@ from .fileio import atomic_write, read_lines
 from .layers import LOG_FLOOR
 from .model import ModelDims, ModelParams, params_from_payload
 from .pointer import step_forward as full_step  # noqa: F401 (perfbench traces this name)
-from .pointer import teacher_forced, teacher_forced_backward
-from .vocab import BOS, EOS, build_vocab, encode_source, encode_target, tokenize
+from .pointer import prepare_source, teacher_forced, teacher_forced_backward
+from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"CPFG"
 CHECKPOINT_VERSION = 1
+# The one definition of the checkpoint header, little-endian and unpadded:
+# magic, version, the ModelDims widths in field order, the vocabulary
+# fingerprint (SHA-256) and the payload's byte count. The payload follows.
+CHECKPOINT_HEADER = struct.Struct("<4sH5I32sQ")
 
 
 class CheckpointError(Exception):
@@ -76,8 +81,8 @@ class TrainConfig:
         if min(self.epochs, self.checkpoint_interval, self.batch_size) < 1:
             raise ValidationError(
                 "TrainConfig: epochs, checkpoint_interval and batch_size must be >= 1")
-        if self.lr < 0 or self.clip <= 0:
-            raise ValidationError("TrainConfig: lr must be >= 0 and clip > 0")
+        if not 0 <= self.lr < math.inf or not self.clip > 0:  # NaN fails both; clip inf: no clip
+            raise ValidationError("TrainConfig: lr must be finite and >= 0, and clip > 0")
         if min(self.max_source_len, self.max_target_len) < 1:
             raise ValidationError("TrainConfig: length limits must be >= 1")
         if self.vocab_size <= 4 or min(self.d_emb, self.d_h, self.d_s, self.d_a) < 1:
@@ -139,9 +144,7 @@ def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
         log.warning("target truncated from %d to %d tokens", len(tgt), max_target_len)
         tgt = tgt[:max_target_len]
 
-    src_ids, ev = encode_source(src, vocab)
-    states, encoder_cache = params.encode_source_ids(src_ids)
-    state0 = params.initial_decoder_state(states)
+    ev, states, state0, encoder_cache = prepare_source(src, params, vocab)
     gold = encode_target(tgt, ev) + [EOS]
     (p, _, _, p_gen), cache = teacher_forced([BOS] + gold[:-1], ev, states, state0, params)
     steps = np.arange(len(gold))
@@ -338,14 +341,10 @@ def save_pairs_tsv(pairs, path):
 
 
 def save_checkpoint(params, path, vocab):
-    """Binary checkpoint: magic, version, widths, vocab fingerprint, then
-    params.flat (every tensor in parameter_layout order) as little-endian float64."""
-    d = params.dims
-    header = CHECKPOINT_MAGIC
-    header += struct.pack("<H", CHECKPOINT_VERSION)
-    header += struct.pack("<5I", d.vocab_size, d.d_emb, d.d_h, d.d_s, d.d_a)
-    header += vocab.fingerprint()
-    header += struct.pack("<Q", 8 * d.parameter_count())
+    """Binary checkpoint: the ``CHECKPOINT_HEADER`` fields, then params.flat
+    (every tensor in parameter_layout order) as little-endian float64."""
+    header = CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(params.dims),
+                                    vocab.fingerprint(), 8 * params.dims.parameter_count())
     with atomic_write(path, binary=True) as fh:
         fh.write(header)
         fh.write(params.flat.astype("<f8", copy=False))
@@ -358,33 +357,26 @@ def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    fixed = len(CHECKPOINT_MAGIC) + 2 + 20 + 32 + 8
-    if len(blob) < fixed or blob[:4] != CHECKPOINT_MAGIC:
+    if len(blob) < CHECKPOINT_HEADER.size or not blob.startswith(CHECKPOINT_MAGIC):
         raise CorruptCheckpointError(f"{path}: not a model checkpoint")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    _, version, *widths, fingerprint, payload_len = CHECKPOINT_HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(
             f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
-    widths = struct.unpack_from("<5I", blob, 6)
-    dims = ModelDims(vocab_size=widths[0], d_emb=widths[1], d_h=widths[2],
-                     d_s=widths[3], d_a=widths[4])
+    dims = ModelDims(*widths)
     if min(widths) < 1:
         raise CorruptCheckpointError(f"{path}: widths {dims} include one below 1")
     if expected_dims is not None:
-        for name in ("vocab_size", "d_emb", "d_h", "d_s", "d_a"):
-            want = getattr(expected_dims, name)
-            got = getattr(dims, name)
+        for f, got, want in zip(fields(ModelDims), widths, astuple(expected_dims)):
             if want != got:
                 raise WidthMismatchError(
-                    f"{path}: checkpoint {name}={got}, run expects {name}={want}")
-    fingerprint = blob[26:58]
+                    f"{path}: checkpoint {f.name}={got}, run expects {f.name}={want}")
     if expected_vocab is not None and expected_vocab.fingerprint() != fingerprint:
         raise VocabMismatchError(f"{path}: checkpoint was trained with a different vocabulary")
     if expected_vocab is not None and dims.vocab_size != expected_vocab.size:
         raise VocabMismatchError(f"{path}: checkpoint vocab_size={dims.vocab_size}, "
                                  f"the vocabulary holds {expected_vocab.size} ids")
-    (payload_len,) = struct.unpack_from("<Q", blob, 58)
-    payload = memoryview(blob)[66:]
+    payload = memoryview(blob)[CHECKPOINT_HEADER.size:]
     if len(payload) != payload_len:
         raise CorruptCheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares {payload_len}")

@@ -113,15 +113,20 @@ def build_vocab(corpus, max_size, min_count=1):
 class ExtendedVocab:
     """A fixed vocabulary plus the distinct OOV tokens of one source sentence.
 
-    OOV tokens get ids V_fixed, V_fixed+1, ... in first-occurrence order;
-    ``source_ids`` holds the full source sentence in this extended id space.
+    Built from the source ``tokens``: each OOV surface form gets one id, the
+    first V_fixed, the next V_fixed+1, ... in first-occurrence order, and
+    ``source_ids`` holds the whole sentence in this extended id space, as
+    ``lookup`` maps it.
     """
 
-    def __init__(self, base, source_oovs, source_ids):
+    def __init__(self, base, tokens):
         self.base = base
-        self.source_oovs = list(source_oovs)
-        self.source_ids = list(source_ids)
-        self._oov_to_id = {tok: base.size + i for i, tok in enumerate(self.source_oovs)}
+        self._oov_to_id = {}
+        for tok in tokens:
+            if tok not in base:
+                self._oov_to_id.setdefault(tok, base.size + len(self._oov_to_id))
+        self.source_oovs = list(self._oov_to_id)
+        self.source_ids = [self.lookup(tok) for tok in tokens]
 
     @property
     def size(self):
@@ -141,24 +146,14 @@ class ExtendedVocab:
 
 
 def encode_source(tokens, vocab):
-    """Map source tokens to extended ids, minting ids for OOV words.
-
-    Returns (ids, ExtendedVocab). A repeated OOV surface form gets one id.
+    """Map source tokens to extended ids, minting ids for OOV words through
+    ``ExtendedVocab``. Returns (ids, ExtendedVocab); a repeated OOV surface
+    form gets one id.
     """
     if not tokens:
         raise ValidationError("encode_source: empty token list")
-    oovs = []
-    oov_ids = {}
-    ids = []
-    for tok in tokens:
-        if tok in vocab:
-            ids.append(vocab.lookup(tok))
-        else:
-            if tok not in oov_ids:
-                oov_ids[tok] = vocab.size + len(oovs)
-                oovs.append(tok)
-            ids.append(oov_ids[tok])
-    return ids, ExtendedVocab(vocab, oovs, ids)
+    ev = ExtendedVocab(vocab, tokens)
+    return ev.source_ids, ev
 
 
 def encode_target(tokens, ev):

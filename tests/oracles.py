@@ -407,6 +407,30 @@ class PerTensorAdam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+# ---------------------------------------------------------------------------
+# vocabulary oracle
+
+
+def straight_line_oov_minting(tokens, vocab):
+    """The per-sentence extended vocabulary written out by hand: a token of
+    the fixed vocabulary keeps its position in ``vocab.id_to_token`` (a
+    reserved string such as "<eos>" maps to UNK, id 1), and each new OOV
+    surface form, scanning left to right, takes the next id past the fixed
+    range. Returns (ids, OOVs in id order, extended size)."""
+    reserved = {"<pad>", "<unk>", "<bos>", "<eos>"}
+    oovs, ids = [], []
+    for tok in tokens:
+        if tok in reserved:
+            ids.append(1)
+        elif tok in vocab.id_to_token:
+            ids.append(vocab.id_to_token.index(tok))
+        else:
+            if tok not in oovs:
+                oovs.append(tok)
+            ids.append(len(vocab.id_to_token) + oovs.index(tok))
+    return ids, oovs, len(vocab.id_to_token) + len(oovs)
+
+
 def dense_tfidf(records):
     """Dense, brute-force version of the index weighting: rows are sentences."""
     terms = sorted({t for r in records for t in r.tokens})

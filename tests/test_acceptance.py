@@ -59,7 +59,7 @@ def test_c2_distribution_laws():
             p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        ev, states, state = prepare_source(tokens, params, vocab)
+        ev, states, state, _ = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
         out, _ = step_forward([prev], ev, states, state, params)
 
@@ -129,7 +129,7 @@ def test_c4_straight_line_oracle_equivalence():
         params, vocab = tiny_model(seed=case, n_tokens=8, width=8)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        ev, states, state = prepare_source(tokens, params, vocab)
+        ev, states, state, _ = prepare_source(tokens, params, vocab)
         prev = int(rng.integers(0, ev.size))
 
         out, _ = step_forward([prev], ev, states, state, params)
@@ -209,7 +209,7 @@ def test_c6_beam_sanity():
         top = beam_decode(source, params, vocab, cfg)[0]
 
         def step_probs(prefix):
-            _, states, state = prepare_source(tokenize(source), params, vocab)
+            _, states, state, _ = prepare_source(tokenize(source), params, vocab)
             for prev in (BOS,) + prefix:
                 out, _ = step_forward([prev], ev, states, state, params)
                 state = out.state

@@ -388,6 +388,18 @@ def test_train_batch_size_zero_exit_2_keeps_existing_outputs(tmp_path, capsys):
         _assert_kept(path, content)
 
 
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--clip", "nan")])
+def test_train_non_finite_lr_or_clip_exit_2_writes_nothing(tmp_path, capsys, flag, value):
+    data, _ = _write_pairs_tsv(tmp_path, n=4)
+    ckpt = tmp_path / "m.ckpt"
+    assert run_cli("train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+                   "--vocab-size", "60", "--d-emb", "4", "--d-h", "4", "--d-s", "4",
+                   "--d-a", "4", flag, value) == 2
+    assert flag[2:] in capsys.readouterr().err
+    for path in (ckpt, tmp_path / "m.ckpt.vocab", tmp_path / "m.ckpt.log"):
+        assert not path.exists()
+
+
 def test_train_on_reserved_token_strings(tmp_path):
     data = tmp_path / "ptb.tsv"
     data.write_text("the <unk> sat down\tthe <unk> sat\n<eos> <pad> went\t<bos> went\n",

@@ -45,6 +45,22 @@ def test_softmax_sum_has_zero_gradient():
         assert abs(row.numeric) <= 1e-9
 
 
+def test_report_names_worst_element_with_plain_ints():
+    w = leaf([[1.0, 2.0], [3.0, 4.0]])
+
+    def f():
+        def back(g):
+            w.grad += 2.0 * g * w.data
+            w.grad[0, 1] += 1.0  # a wrong gradient at one element
+
+        return ag._node((w.data * w.data).sum(), back)
+
+    report = grad_check(f, [("w", w)], h=1e-5)
+    assert report.worst.index == (0, 1)
+    assert all(type(i) is int for row in report.rows for i in row.index)
+    assert "(worst w[0, 1])" in repr(report)
+
+
 def test_relative_error_floor():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(2.0, 1.0) == 0.5
@@ -102,7 +118,7 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     from paragen.pointer import prepare_source, teacher_forced, teacher_forced_backward
     from paragen.vocab import BOS
 
-    ev, states, state = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
+    ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
     oov = ev.lookup("zyxxy")
     (p, _, _, _), cache = teacher_forced([BOS], ev, states, state, params)
     g_p = np.zeros((1, ev.size))

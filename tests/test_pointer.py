@@ -104,7 +104,7 @@ def test_mix_rejects_bad_gate():
 
 def _step_setup(seed, source=("alpha", "zyxxy", "beta", "zyxxy")):
     params, vocab = tiny_model(seed=seed)
-    ev, states, state = prepare_source(list(source), params, vocab)
+    ev, states, state, _ = prepare_source(list(source), params, vocab)
     return params, vocab, ev, states, state
 
 
@@ -207,7 +207,7 @@ def test_step_backward_matches_finite_differences():
     # step, so every parameter, the encoder states and the incoming state
     # get checked
     params, vocab = tiny_model(seed=13, width=3)
-    ev, states, state = prepare_source(["alpha", "zyxxy", "beta", "zyxxy"], params, vocab)
+    ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta", "zyxxy"], params, vocab)
     rng = np.random.default_rng(13)
     prev = [ev.lookup("zyxxy"), vocab.lookup("beta")]
     node, named = step_loss_node(params, ev, states, state + rng.normal(

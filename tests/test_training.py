@@ -3,7 +3,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -375,7 +375,11 @@ def test_train_config_validation():
         TrainConfig(seed=0, clip=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(seed=0, lr=-1.0)
+    for bad in ({"lr": math.nan}, {"lr": math.inf}, {"clip": math.nan}):
+        with pytest.raises(ValidationError, match="finite"):
+            TrainConfig(seed=0, **bad)
     TrainConfig(seed=0, lr=0.0)  # null update is allowed
+    TrainConfig(seed=0, clip=math.inf)  # no clipping
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -520,14 +524,17 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_width_mismatch_names_both(tmp_path):
-    params, vocab = tiny_model(seed=9, width=8)
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)])
+def test_checkpoint_width_mismatch_names_both(tmp_path, name):
+    # every width distinct, so a name paired with another field's value shows
+    vocab = Vocabulary(["a", "b", "c"])
+    dims = ModelDims(vocab_size=vocab.size, d_emb=3, d_h=4, d_s=5, d_a=6)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, path, vocab)
-    want = ModelDims(vocab_size=vocab.size, d_emb=8, d_h=4, d_s=8, d_a=8)
+    save_checkpoint(ModelParams(dims, seed=9), path, vocab)
+    got = getattr(dims, name)
     with pytest.raises(WidthMismatchError) as err:
-        load_checkpoint(path, expected_dims=want)
-    assert "8" in str(err.value) and "4" in str(err.value)
+        load_checkpoint(path, expected_dims=replace(dims, **{name: got + 10}))
+    assert f"checkpoint {name}={got}, run expects {name}={got + 10}" in str(err.value)
 
 
 def test_checkpoint_vocab_fingerprint_mismatch(tmp_path):

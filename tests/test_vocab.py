@@ -11,6 +11,8 @@ from paragen.model import ModelDims, ModelParams
 from paragen.vocab import (EOS, PAD, RESERVED_TOKENS, UNK, Vocabulary, build_vocab, decode_ids,
                            encode_source, encode_target, tokenize)
 
+from oracles import straight_line_oov_minting
+
 
 def test_tokenize_punctuation():
     assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
@@ -156,6 +158,18 @@ def test_encode_source_empty_error():
         encode_source([], Vocabulary(["x"]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["a", "b", "c", "oov", "zz", *RESERVED_TOKENS]),
+                          st.text(min_size=1, max_size=2)), min_size=1, max_size=20))
+def test_encode_source_equals_minting_oracle(tokens):
+    v = Vocabulary(["a", "b", "c"])
+    ids, ev = encode_source(tokens, v)
+    want_ids, want_oovs, want_size = straight_line_oov_minting(tokens, v)
+    assert ids == ev.source_ids == want_ids
+    assert ev.source_oovs == want_oovs
+    assert ev.size == want_size
+
+
 def test_encode_target_oov_in_source():
     v = Vocabulary(["the"])
     _, ev = encode_source(["the", "zyxxy"], v)
@@ -211,7 +225,7 @@ def test_embedding_lookup_rows():
     from paragen.pointer import prepare_source, step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
-    ev, states, state = prepare_source(["a", "oov"], params, Vocabulary(["a", "b"]))
+    ev, states, state, _ = prepare_source(["a", "oov"], params, Vocabulary(["a", "b"]))
     rows = np.repeat(state, 3, axis=0)
     out, _ = step_forward([3, 17, UNK], ev, states, rows, params)
     z = np.concatenate([params.embedding.data[3], out.context[0], rows[0, :2]])
