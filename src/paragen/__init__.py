@@ -15,8 +15,8 @@ from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceR
                     align, build_index, ingest, query_similar, segment)
 from .model import EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout
 from .pointer import (StepOutputs, copy_distribution, mix, output_backward, output_forward,
-                      prepare_source, recur_backward, recur_forward, recur_grads, step_forward,
-                      teacher_forced, teacher_forced_backward)
+                      prepare_source, recur_backward, recur_forward, recur_grads, recur_sequence,
+                      step_forward, vocab_forward)
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,
                        load_pairs_tsv, save_checkpoint, save_pairs_tsv, sequence_loss,
                        train)

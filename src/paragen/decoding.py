@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .layers import LOG_FLOOR
-from .pointer import prepare_source, step_forward as full_step, teacher_forced
+from .pointer import output_forward, prepare_source, recur_sequence, step_forward as full_step
 from .vocab import BOS, EOS, PAD, tokenize
 
 # Clamped probabilities whose logs round to the same double differ by under
@@ -120,5 +120,6 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
             raise ValidationError(f"score_sequence: id {idx!r} not an int in [0, {ev.size})")
     if len(ids) == 0:
         return 0.0
-    (p, _, _, _), _ = teacher_forced([BOS, *ids[:-1]], ev, states, state, params, force_p_gen)
+    rows, _ = recur_sequence([BOS, *ids[:-1]], states, state, params)
+    p = output_forward(*rows, ev.source_ids, ev.size, params, force_p_gen)[0][0]
     return float(np.log(np.maximum(p[np.arange(len(ids)), ids], LOG_FLOOR)).sum())

@@ -53,10 +53,12 @@ def accumulate_gates(cell, D, Z):
         getattr(cell, f"b_{gate}").grad += g_b
 
 
-def softmax_rows(x):
-    """Stable softmax along the last axis (max-subtracted exp-normalize)."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(x, out=None):
+    """Stable softmax along the last axis, into ``out`` (which may be x) if given."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def sigmoid(x):

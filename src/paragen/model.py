@@ -9,6 +9,7 @@ attention size.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ class EncoderStates:
 
     Both are copies taken from the weights at encoding time, so the states are
     valid only until the next optimizer update; training encodes every pair
-    afresh, so each batch runs on the weights the previous update left."""
+    afresh, so each batch runs on the weights the previous update left (its
+    pairs share one copy of the gates: ``ModelParams.holding_gates``)."""
 
     H: np.ndarray
     h_final: np.ndarray
@@ -35,20 +37,21 @@ class EncoderStates:
     gates: tuple
 
 
-def encode(embeddings, fwd, bwd):
+def encode(embeddings, fwd, bwd, gates=None):
     """Run both encoder directions over a source embedding matrix (N x d_emb).
 
     Row i of H holds the forward state after reading token i concatenated
     with the backward state after reading tokens N..i. The combined final
     state is forward-at-N alongside backward-at-1. A direction's input half
-    of the gates is one product over all tokens. Returns (H, h_final, cache).
+    of the gates is one product over all tokens. ``gates``: each direction's
+    ``stack_gates``, if already stacked. Returns (H, h_final, cache).
     """
     n, d_emb = embeddings.shape
     if n < 1:
         raise ValidationError("encode: empty source")
 
-    def run(cell, order):
-        W, b = stack_gates(cell)
+    def run(cell, order, stacked):
+        W, b = stacked
         X, W_hT = embeddings @ W[:, :d_emb].T + b, W[:, d_emb:].T
         Z = np.concatenate([embeddings, np.zeros((n, W_hT.shape[0]))], axis=1)  # steps' [x, h]
         h = c = np.zeros((1, W_hT.shape[0]))
@@ -59,8 +62,9 @@ def encode(embeddings, fwd, bwd):
             states[i] = h[0]
         return states, (cell, W, Z, order, caches)
 
-    fwd_states, fwd_cache = run(fwd, range(n))
-    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1))
+    gates = gates or (stack_gates(fwd), stack_gates(bwd))
+    fwd_states, fwd_cache = run(fwd, range(n), gates[0])
+    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1), gates[1])
     H = np.concatenate([np.stack(fwd_states), np.stack(bwd_states)], axis=1)
     h_final = np.concatenate([fwd_states[-1], bwd_states[0]])
     return H, h_final, (fwd_cache, bwd_cache)
@@ -150,8 +154,13 @@ class ModelParams:
     def __init__(self, dims, seed):
         self._bind(dims, np.empty(dims.parameter_count()))
         rng = np.random.default_rng(seed)
-        for (_, p), (shape, init) in zip(self._named, parameter_layout(dims).values()):
-            p.data[...] = rng.uniform(-0.1, 0.1, size=shape) if init == UNIFORM else init
+        for (_, p), (_, init) in zip(self._named, parameter_layout(dims).values()):
+            if init == UNIFORM:  # uniform(-0.1, 0.1)'s arithmetic, in place
+                rng.random(out=p.data)
+                p.data *= 0.2
+                p.data += -0.1
+            else:
+                p.data[...] = init
 
     def _bind(self, dims, flat):
         """Name a view of ``flat`` (and of a zeroed ``grad``) for each layout entry.
@@ -191,15 +200,28 @@ class ModelParams:
         ids = np.asarray(ids, dtype=np.intp)
         return np.where(ids < self.dims.vocab_size, ids, UNK)
 
+    def _stack_cells(self):
+        return [stack_gates(c) for c in (self.encoder_fwd, self.encoder_bwd, self.decoder)]
+
+    @contextmanager
+    def holding_gates(self):
+        """Inside, every encoding shares one ``stack_gates`` copy per LSTM cell."""
+        self._held_gates = self._stack_cells()
+        try:
+            yield
+        finally:
+            del self._held_gates
+
     def encode_source_ids(self, source_ids):
         """Embed extended source ids (``embedding_rows``), run the encoder,
         and compute the attention features and the decoder's stacked gates,
         which every decoder step reuses. Returns (EncoderStates, source_backward's cache)."""
+        *gates, decoder = getattr(self, "_held_gates", None) or self._stack_cells()
         emb_ids = self.embedding_rows(source_ids)
         H, h_final, cache = encode(self.embedding.data[emb_ids],
-                                   self.encoder_fwd, self.encoder_bwd)
-        return (EncoderStates(H, h_final, attention_features(H, self.attention),
-                              stack_gates(self.decoder)), (emb_ids, cache))
+                                   self.encoder_fwd, self.encoder_bwd, gates)
+        return (EncoderStates(H, h_final, attention_features(H, self.attention), decoder),
+                (emb_ids, cache))
 
     def source_backward(self, cache, states, state, g_H, g_state):
         """Gradients of ``encode_source_ids`` and of the initial decoder state

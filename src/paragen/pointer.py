@@ -1,15 +1,15 @@
 """The decoder step in numpy, on B rows at once: attention, LSTM update,
 vocabulary softmax, copy distribution, generation gate and their mixture.
 
-A step is two halves. ``recur_forward`` (attention and the LSTM update)
-carries the state from step to step; ``output_forward`` (projection, softmax,
-gate, copy scatter, mixture) reads one step's rows and nothing later reads it.
-``step_forward`` composes them for inference, one step at a time.
-``teacher_forced`` runs the recurrence over a whole given sequence and then
-the output layer once over all its rows; training.sequence_loss keeps its
-cache for ``teacher_forced_backward``, and decoding.score_sequence drops it.
-Going back, ``recur_backward`` carries the state step by step, and
-``recur_grads`` forms each parameter gradient once over every step.
+``recur_forward`` (attention and the LSTM update) carries the state from step
+to step; the output layer reads a step's rows, and nothing later reads it.
+Its vocabulary half (``vocab_forward``) has independent rows, always V wide,
+so training runs it once per batch; its copy half (``copy_distribution``,
+``mix``) reads each row's source. ``step_forward`` composes a whole step and
+``recur_sequence`` runs the recurrence under teacher forcing. Going back,
+``output_backward`` reads only each row's gold column, ``recur_backward``
+carries the state one step, and ``recur_grads`` forms each parameter
+gradient once over every step.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
 from .vocab import encode_source
+
+PROJECTION_BLOCK = 256  # vocabulary rows per product of the projection's weight gradient
 
 
 def copy_distribution(attn, source_ids, size):
@@ -43,44 +45,63 @@ def mix(p_vocab, p_copy, p_gen):
     return out
 
 
-def output_forward(emb, hidden, context, attn, source_ids, size, params, force_p_gen=None):
-    """The output layer on B rows: softmax(W [hidden, context] + b) over the
-    fixed vocabulary, the gate sigmoid(w . [emb, hidden, context] + b) or
-    force_p_gen, the copy scatter of ``attn`` and the mixture.
-    Returns ((p, p_vocab, p_copy, p_gen), cache)."""
+def vocab_forward(emb, hidden, context, params, force_p_gen=None):
+    """The vocabulary half of the output layer on R rows: softmax(W [hidden,
+    context] + b), in place over the logits, and the gate sigmoid(w . [emb,
+    hidden, context] + b) or force_p_gen. Returns ((p_vocab, p_gen), cache)."""
     pp, gp = params.projection, params.copy_gate
     z_p = np.concatenate([hidden, context], axis=1)
-    p_vocab = softmax_rows(z_p @ pp.weight.data.T + pp.bias.data)
-    z_g = np.concatenate([emb, hidden, context], axis=1)
+    z_g = np.concatenate([emb, z_p], axis=1)
+    logits = z_p @ pp.weight.data.T
+    logits += pp.bias.data
+    p_vocab = softmax_rows(logits, out=logits)
     if force_p_gen is None:
-        # a dot product per row, so a row's gate does not depend on B
+        # a dot product per row, so a row's gate does not depend on R
         p_gen = sigmoid(np.einsum("bk,k->b", z_g, gp.weight.data) + gp.bias.data)
     else:
         p_gen = np.full(len(z_g), float(force_p_gen))
+    return (p_vocab, p_gen), (params, z_p, z_g, p_vocab, p_gen)
+
+
+def output_forward(emb, hidden, context, attn, source_ids, size, params, force_p_gen=None):
+    """The output layer on B rows of one source: ``vocab_forward``, the copy
+    scatter of ``attn`` and the mixture. Returns ((p, p_vocab, p_copy, p_gen),
+    ``vocab_forward``'s cache)."""
+    (p_vocab, p_gen), cache = vocab_forward(emb, hidden, context, params, force_p_gen)
     p_copy = copy_distribution(attn, source_ids, size)
-    p = mix(p_vocab, p_copy, p_gen)
-    return (p, p_vocab, p_copy, p_gen), (params, z_p, z_g, p_vocab, p_copy, p_gen, source_ids)
+    return (mix(p_vocab, p_copy, p_gen), p_vocab, p_copy, p_gen), cache
 
 
-def output_backward(cache, g_p):
-    """Gradients of ``output_forward`` (learned gate) for d p: accumulates the
-    projection and gate gradients; returns (d emb, d hidden, d context, d attn)."""
-    params, z_p, z_g, p_vocab, p_copy, p_gen, source_ids = cache
+def output_backward(cache, gold, g_gold, p_copy_gold):
+    """Gradients of the output layer (learned gate) on R rows whose d p is
+    ``g_gold`` at extended id ``gold`` (an int array) and zero elsewhere, as
+    under an NLL. Writes d logits over the cache's p_vocab, and adds the
+    projection's weight gradient PROJECTION_BLOCK rows at a time. Returns
+    (d emb, d hidden, d context, d copy), d copy being each row's d attn at
+    every source position that holds its gold id."""
+    params, z_p, z_g, g_logits, p_gen = cache
     pp, gp = params.projection, params.copy_gate
-    v, e, s = p_vocab.shape[1], params.dims.d_emb, params.dims.d_s
-    g_gen = (g_p[:, :v] * p_vocab).sum(axis=1) - (g_p * p_copy).sum(axis=1)
-    g_vocab = g_p[:, :v] * p_gen[:, None]
-    g_logits = p_vocab * (g_vocab - (g_vocab * p_vocab).sum(axis=1, keepdims=True))
-    pp.weight.grad += g_logits.T @ z_p
+    e, s, v = params.dims.d_emb, params.dims.d_s, g_logits.shape[1]
+    rows, fixed = np.arange(len(gold)), gold < v
+    cols = np.where(fixed, gold, 0)  # an id past V has no p_vocab column: its zero p_gold
+    p_gold = np.where(fixed, g_logits[rows, cols], 0.0)  # zeroes its whole d logits row
+    g_vocab = g_gold * p_gen  # d p_vocab at gold
+    g_dot = g_vocab * p_gold
+    g_logits *= -g_dot[:, None]  # d logits = p_vocab * (d p_vocab - d p_vocab . p_vocab)
+    g_logits[rows, cols] = p_gold * (g_vocab - g_dot)
     pp.bias.grad += g_logits.sum(axis=0)
-    g_pre = g_gen * p_gen * (1.0 - p_gen)
+    block = np.empty((min(PROJECTION_BLOCK, v), z_p.shape[1]))
+    for start in range(0, v, PROJECTION_BLOCK):
+        g_block = g_logits[:, start:start + PROJECTION_BLOCK]
+        pp.weight.grad[start:start + PROJECTION_BLOCK] += np.matmul(
+            g_block.T, z_p, out=block[:g_block.shape[1]])
+    g_pre = (g_gold * p_gold - g_gold * p_copy_gold) * p_gen * (1.0 - p_gen)
     gp.weight.grad += g_pre @ z_g
     gp.bias.grad += g_pre.sum()
     g_zp = g_logits @ pp.weight.data
     g_zg = g_pre[:, None] * gp.weight.data
-    g_attn = (g_p * (1.0 - p_gen)[:, None])[:, np.asarray(source_ids, dtype=np.intp)]
     return (g_zg[:, :e], g_zp[:, :s] + g_zg[:, e:e + s], g_zp[:, s:] + g_zg[:, e + s:],
-            g_attn)
+            g_gold * (1.0 - p_gen))
 
 
 @dataclass
@@ -129,7 +150,7 @@ def recur_forward(prev_ids, states, state, params):
 
 def recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_state):
     """Gradients of ``recur_forward`` for the output layer's d emb, d hidden,
-    d context and d attn (``output_backward``'s results) and d next state.
+    d context and d attn (the output layer's) and d next state.
     Returns (d incoming state, pieces), and accumulates nothing: the
     parameter gradients wait for ``recur_grads`` over every step's pieces."""
     params, states, emb_ids, z, t, attn, lstm_cache = cache
@@ -176,32 +197,13 @@ def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
             (recur_cache, out_cache))
 
 
-def teacher_forced(prev_ids, ev, states, state, params, force_p_gen=None):
-    """Decode with the given previous ids (teacher forcing), one row a step:
-    ``recur_forward`` step by step from ``state`` (1 x 2*d_s), then one
-    ``output_forward`` over every step's row, since no later step reads the
-    output layer. Returns ((p, p_vocab, p_copy, p_gen), cache), a row per id."""
+def recur_sequence(prev_ids, states, state, params):
+    """``recur_forward`` step by step over the given previous ids (teacher
+    forcing), one row a step, from ``state`` (1 x 2*d_s). Returns
+    ((emb, hidden, context, attn), caches), a row and a cache per id."""
     rows, caches = [], []
     for prev in prev_ids:
         (emb, attn, context, state), cache = recur_forward([prev], states, state, params)
         rows.append((emb, state[:, :params.dims.d_s], context, attn))
         caches.append(cache)
-    emb, hidden, context, attn = (np.concatenate(column) for column in zip(*rows))
-    outputs, out_cache = output_forward(emb, hidden, context, attn, ev.source_ids, ev.size,
-                                        params, force_p_gen)
-    return outputs, (params, states, caches, out_cache)
-
-
-def teacher_forced_backward(cache, g_p):
-    """Gradients of ``teacher_forced`` (learned gate) for d p, a row per step:
-    one ``output_backward`` over every row, ``recur_backward`` step by step
-    in reverse, then one ``recur_grads`` over all steps. Accumulates every
-    decoder parameter gradient; returns (d initial state, d H)."""
-    params, states, caches, out_cache = cache
-    g_emb, g_hidden, g_context, g_attn = output_backward(out_cache, g_p)
-    g_state, pieces = np.zeros((1, 2 * params.dims.d_s)), [None] * len(caches)
-    for t in reversed(range(len(caches))):
-        r = slice(t, t + 1)
-        g_state, pieces[t] = recur_backward(caches[t], g_emb[r], g_hidden[r], g_context[r],
-                                            g_attn[r], g_state)
-    return g_state, recur_grads(params, states, pieces)
+    return tuple(np.concatenate(column) for column in zip(*rows)), caches

@@ -1,12 +1,11 @@
 """Teacher-forced NLL training with Adam, gradient clipping, and checkpoints.
 
 Training takes one optimizer update per batch of ``batch_size`` pairs. Each
-pair of a batch runs its own forward and backward, and within a pair the
-output layer runs once over every target step (pointer.teacher_forced); the
-pairs' gradients accumulate in the one flat gradient vector, which is then
-scaled to the batch mean, clipped and stepped once. Pairs are not padded into
-one output layer: each carries its own extended vocabulary. The whole loop is
-a pure function of (dataset, config, seed).
+pair runs its own encoder and recurrence; the vocabulary half of the output
+layer then runs once over every pair's rows, unpadded since it is always V
+wide, and the copy half per pair. One backward adds the summed gradient into
+the flat gradient vector, which is scaled to the batch mean, clipped and
+stepped once. The whole loop is a pure function of (dataset, config, seed).
 """
 
 import json
@@ -25,7 +24,8 @@ from .fileio import atomic_write, read_lines
 from .layers import LOG_FLOOR
 from .model import ModelDims, ModelParams, params_from_payload
 from .pointer import step_forward as full_step  # noqa: F401 (perfbench traces this name)
-from .pointer import prepare_source, teacher_forced, teacher_forced_backward
+from .pointer import (copy_distribution, mix, output_backward, prepare_source, recur_backward,
+                      recur_grads, recur_sequence, vocab_forward)
 from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
@@ -107,7 +107,7 @@ class EpochStats:
     p_gen_in_vocab_mean: float | None  # ... with a fixed-vocabulary target; None if no such step
     updates: int  # optimizer steps, one per batch
     optimizer_s: float  # of wall_time_s, spent scaling and clipping gradients and in Adam.step
-    backward_s: float  # of wall_time_s, spent in backward(loss), summed over every pair
+    backward_s: float  # of wall_time_s, spent in backward(loss), one call per batch
 
     def as_dict(self):
         return asdict(self)
@@ -129,46 +129,66 @@ def _pair_texts(pair):
     return x, y
 
 
-def _teacher_forced(pair, params, vocab, max_source_len, max_target_len):
-    """Mean NLL as one loss whose backward adds its gradient into
-    params.grad, greedy-match count, gold ids and each gold step's gate value."""
-    x_text, y_text = _pair_texts(pair)
-    src = tokenize(x_text)
-    tgt = tokenize(y_text)
-    if not src or not tgt:
-        raise ValidationError("sequence_loss: empty source or target after tokenization")
-    if len(src) > max_source_len:
-        log.warning("source truncated from %d to %d tokens", len(src), max_source_len)
-        src = src[:max_source_len]
-    if len(tgt) > max_target_len:
-        log.warning("target truncated from %d to %d tokens", len(tgt), max_target_len)
-        tgt = tgt[:max_target_len]
-
-    ev, states, state0, encoder_cache = prepare_source(src, params, vocab)
-    gold = encode_target(tgt, ev) + [EOS]
-    (p, _, _, p_gen), cache = teacher_forced([BOS] + gold[:-1], ev, states, state0, params)
-    steps = np.arange(len(gold))
-    p_gold = p[steps, gold]
-    # summed in step order, so the loss equals a step-by-step sum bit for bit
-    nll = np.cumsum(-np.log(np.maximum(p_gold, LOG_FLOOR)))[-1]
-    correct = int((np.argmax(p, axis=1) == gold).sum())
+def _teacher_forced(pairs, params, vocab, max_source_len, max_target_len):
+    """The NLL of a batch of pairs as one loss, the sum of each pair's mean
+    NLL, whose backward adds their summed gradient into params.grad. Returns
+    (loss, each pair's mean NLL, greedy-match count, gold ids, their gates)."""
+    seqs = []
+    with params.holding_gates():
+        for x_text, y_text in map(_pair_texts, pairs):
+            src, tgt = tokenize(x_text), tokenize(y_text)
+            if not src or not tgt:
+                raise ValidationError("sequence_loss: empty source or target after tokenization")
+            for side, tokens, limit in (("source", src, max_source_len),
+                                        ("target", tgt, max_target_len)):
+                if len(tokens) > limit:
+                    log.warning("%s truncated from %d to %d tokens", side, len(tokens), limit)
+                    del tokens[limit:]
+            ev, states, state0, encoder_cache = prepare_source(src, params, vocab)
+            gold = np.array(encode_target(tgt, ev) + [EOS])
+            seqs.append((ev, states, state0, encoder_cache, gold,
+                         *recur_sequence([BOS, *gold[:-1]], states, state0, params)))
+    lengths = [len(gold) for *_, gold, _, _ in seqs]
+    ends = np.cumsum(lengths)[:-1]  # each pair's rows end here
+    (p_vocab, p_gen), vocab_cache = vocab_forward(
+        *(np.concatenate(column) for column in zip(*(rows[:3] for *_, rows, _ in seqs))), params)
+    p_gold, p_copy_gold, correct = [], [], 0
+    for (ev, *_, gold, (*_, attn), _), rows_p_vocab, rows_p_gen in zip(
+            seqs, np.split(p_vocab, ends), np.split(p_gen, ends)):
+        p_copy = copy_distribution(attn, ev.source_ids, ev.size)
+        p = mix(rows_p_vocab, p_copy, rows_p_gen)
+        correct += int((np.argmax(p, axis=1) == gold).sum())
+        p_gold.append(p[np.arange(len(gold)), gold])
+        p_copy_gold.append(p_copy[np.arange(len(gold)), gold])
+    golds = np.concatenate([gold for *_, gold, _, _ in seqs])
+    p_gold, p_copy_gold = np.concatenate(p_gold), np.concatenate(p_copy_gold)
+    # summed in step order, so each loss equals a step-by-step sum bit for bit
+    nlls = [np.cumsum(terms)[-1] * (1.0 / len(terms))
+            for terms in np.split(-np.log(np.maximum(p_gold, LOG_FLOOR)), ends)]
 
     def back(g):
-        g_nll = g * (1.0 / len(gold))
-        g_p = np.zeros_like(p)
-        g_p[steps, gold] = np.divide(
-            -g_nll, p_gold, out=np.zeros_like(p_gold), where=p_gold > LOG_FLOOR)
-        g_state, g_H = teacher_forced_backward(cache, g_p)
-        params.source_backward(encoder_cache, states, state0, g_H, g_state)
+        g_nll = np.repeat([g * (1.0 / n) for n in lengths], lengths)
+        g_gold = np.divide(-g_nll, p_gold, out=np.zeros_like(p_gold), where=p_gold > LOG_FLOOR)
+        outputs = output_backward(vocab_cache, golds, g_gold, p_copy_gold)
+        for (ev, states, state0, encoder_cache, gold, _, caches), *g_rows, g_copy in zip(
+                seqs, *(np.split(g_out, ends) for g_out in outputs)):
+            # d attn: each row's d copy at every source position holding its gold id
+            g_rows.append(np.where(np.equal.outer(gold, ev.source_ids), g_copy[:, None], 0.0))
+            g_state, pieces = np.zeros((1, 2 * params.dims.d_s)), [None] * len(caches)
+            for t in reversed(range(len(caches))):  # the recurrence, step by step
+                g_state, pieces[t] = recur_backward(caches[t], *(g[t:t + 1] for g in g_rows),
+                                                    g_state)
+            params.source_backward(encoder_cache, states, state0,
+                                   recur_grads(params, states, pieces), g_state)
 
-    loss = ag._node(nll * (1.0 / len(gold)), back)
-    return loss, correct, gold, p_gen.tolist()
+    return (ag._node(sum(nlls), back), [float(nll) for nll in nlls], correct, golds.tolist(),
+            p_gen.tolist())
 
 
 def sequence_loss(pair, params, vocab, max_source_len=TrainConfig.max_source_len,
                   max_target_len=TrainConfig.max_target_len):
-    """Teacher-forced mean negative log-likelihood of one sentence pair."""
-    return _teacher_forced(pair, params, vocab, max_source_len, max_target_len)[0]
+    """Teacher-forced mean negative log-likelihood of one sentence pair (a batch of one)."""
+    return _teacher_forced([pair], params, vocab, max_source_len, max_target_len)[0]
 
 
 def _mean(values):
@@ -272,20 +292,20 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]  # the last batch may be shorter
             params.zero_grad()
-            for idx in batch:
-                loss, c, gold, p_gen = _teacher_forced(pairs[idx], params, vocab,
-                                                       cfg.max_source_len, cfg.max_target_len)
-                if not np.isfinite(loss.data):
+            loss, nlls, c, gold, p_gen = _teacher_forced([pairs[i] for i in batch], params, vocab,
+                                                         cfg.max_source_len, cfg.max_target_len)
+            for idx, nll in zip(batch, nlls):
+                if not np.isfinite(nll):
                     raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")
-                t_back = time.perf_counter()
-                backward(loss)  # adds this pair's gradient to params.grad
-                backward_s += time.perf_counter() - t_back
-                nll_sum += float(loss.data)
-                del loss  # its closure holds the stacked gates; free them before the next pair
-                correct += c
-                total += len(gold)
-                for gold_id, g in zip(gold, p_gen):
-                    gates[gold_id >= vocab.size].append(g)
+                nll_sum += nll
+            t_back = time.perf_counter()
+            backward(loss)  # adds the batch's summed gradient to params.grad
+            backward_s += time.perf_counter() - t_back
+            del loss  # its closure holds the batch's caches; free them before the step
+            correct += c
+            total += len(gold)
+            for gold_id, g in zip(gold, p_gen):
+                gates[gold_id >= vocab.size].append(g)
             t_opt = time.perf_counter()
             norm = clip_gradients(params.grad, cfg.clip, len(batch))
             if not np.isfinite(norm):

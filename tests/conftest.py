@@ -35,10 +35,31 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
     return getattr(ModelParams(dims, seed=seed), name)
 
 
+def gold_step_backward(params, ev, states, out, caches, gold, g_gold, g_state):
+    """The backward of one B-row ``step_forward`` (its outputs and caches)
+    for d p zero but at each row's ``gold`` id, where it is ``g_gold``, and
+    for d next state: the gold-only output_backward, its d copy scattered to
+    the source positions holding each gold id, then recur_backward and
+    recur_grads. Returns (d incoming state, d H)."""
+    from paragen.pointer import output_backward, recur_backward, recur_grads
+
+    recur_cache, out_cache = caches
+    gold = np.asarray(gold)
+    g_emb, g_hidden, g_context, g_copy = output_backward(
+        out_cache, gold, g_gold, out.p_copy[np.arange(len(gold)), gold])
+    g_attn = np.where(np.equal.outer(gold, ev.source_ids), g_copy[:, None], 0.0)
+    g_state, pieces = recur_backward(recur_cache, g_emb, g_hidden, g_context, g_attn, g_state)
+    return g_state, recur_grads(params, states, [pieces])
+
+
 def step_loss_node(params, ev, states, rows, prev_ids, rng):
     """A loss for grad_check over one B-row decoder step: a random weighting
-    of every row's p and next state, whose backward closure runs
-    output_backward, then recur_backward and recur_grads.
+    of each row's NLL at a gold id drawn from the source (so the copy half
+    gets a gradient) plus a random weighting of every next state, whose
+    backward closure runs ``gold_step_backward``. Each NLL is -log(p / p0),
+    p0 its probability at the evaluation point: the same gradient as -log p,
+    with a value near zero, so the probes' rounding of the loss stays as
+    small as the state term's.
 
     Returns (f, named): f rebuilds the loss from the live arrays (the
     attention features and the decoder's stacked gates included), and named
@@ -48,25 +69,30 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     import paragen.autograd as ag
     from paragen.layers import stack_gates
     from paragen.model import EncoderStates, attention_features
-    from paragen.pointer import output_backward, recur_backward, recur_grads, step_forward
+    from paragen.pointer import step_forward
 
     S = leaf(rows)
     H = leaf(states.H)
-    wp = rng.normal(size=(len(prev_ids), ev.size))
+    gold = rng.choice(ev.source_ids, size=len(prev_ids))
+    wp = rng.normal(size=len(prev_ids))
     ws = rng.normal(size=rows.shape)
+    p0 = []
 
     def f():
         live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention),
                              stack_gates(params.decoder))
-        out, (recur_cache, out_cache) = step_forward(prev_ids, ev, live, S.data, params)
+        out, caches = step_forward(prev_ids, ev, live, S.data, params)
+        p_gold = out.p[np.arange(len(gold)), gold]
+        if not p0:  # grad_check's first call is at the evaluation point
+            p0.append(p_gold.astype(np.float64))
 
         def back(g):
-            g_state, pieces = recur_backward(recur_cache, *output_backward(out_cache, g * wp),
-                                             g * ws)
+            g_state, g_H = gold_step_backward(params, ev, live, out, caches, gold,
+                                              -g * wp / p_gold, g * ws)
             S.grad += g_state
-            H.grad += recur_grads(params, live, [pieces])
+            H.grad += g_H
 
-        return ag._node((out.p * wp).sum() + (out.state * ws).sum(), back)
+        return ag._node(-(wp * np.log(p_gold / p0[0])).sum() + (out.state * ws).sum(), back)
 
     return f, [("state", S), ("H", H)]
 

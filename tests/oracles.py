@@ -319,18 +319,42 @@ def accumulating_recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_sta
     return np.concatenate([g_h, g_cell], axis=1), g_H
 
 
+def dense_output_backward(cache, p_copy, source_ids, g_p):
+    """``pointer.output_backward`` as it ran before it read only the gold
+    column: gradients of ``output_forward`` (learned gate, its ``cache``,
+    ``p_copy`` and ``source_ids``) for a dense d p (B x size). Accumulates
+    the projection and gate gradients, the projection's weight as one
+    product over all rows; returns (d emb, d hidden, d context, d attn)."""
+    params, z_p, z_g, p_vocab, p_gen = cache
+    pp, gp = params.projection, params.copy_gate
+    v, e, s = p_vocab.shape[1], params.dims.d_emb, params.dims.d_s
+    g_gen = (g_p[:, :v] * p_vocab).sum(axis=1) - (g_p * p_copy).sum(axis=1)
+    g_vocab = g_p[:, :v] * p_gen[:, None]
+    g_logits = p_vocab * (g_vocab - (g_vocab * p_vocab).sum(axis=1, keepdims=True))
+    pp.weight.grad += g_logits.T @ z_p
+    pp.bias.grad += g_logits.sum(axis=0)
+    g_pre = g_gen * p_gen * (1.0 - p_gen)
+    gp.weight.grad += g_pre @ z_g
+    gp.bias.grad += g_pre.sum()
+    g_zp = g_logits @ pp.weight.data
+    g_zg = g_pre[:, None] * gp.weight.data
+    g_attn = (g_p * (1.0 - p_gen)[:, None])[:, np.asarray(source_ids, dtype=np.intp)]
+    return (g_zg[:, :e], g_zp[:, :s] + g_zg[:, e:e + s], g_zp[:, s:] + g_zg[:, e + s:],
+            g_attn)
+
+
 def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     """Teacher-forced training on one pair as it ran before the output layer
     ran once per sequence and before the gate gradients were deferred: one
     whole step_forward per gold token, then, per step in reverse, that
-    step's output_backward and ``accumulating_recur_backward``, then the
+    step's ``dense_output_backward`` and ``accumulating_recur_backward``, then the
     bridge and ``per_step_encode_backward``. Unlike the oracles above its
     forward is the library's own (encode_source_ids and step_forward), which
     the straight-line and finite-difference tests check.
 
     Zeroes params' gradients first and leaves the result in them; returns
     (mean NLL, greedy-match count, per-step p_gen list)."""
-    from paragen.pointer import output_backward, step_forward
+    from paragen.pointer import step_forward
     from paragen.vocab import BOS, EOS, encode_source, encode_target
 
     src_ids, ev = encode_source(src_tokens, vocab)
@@ -339,10 +363,10 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     gold = encode_target(tgt_tokens, ev) + [EOS]
     prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
     for gold_id in gold:
-        out, cache = step_forward([prev], ev, states, state, params)
+        out, (recur_cache, out_cache) = step_forward([prev], ev, states, state, params)
         p_gold = out.p[0, gold_id]
         nll = nll - np.log(np.maximum(p_gold, 1e-12))
-        steps.append((cache, gold_id, p_gold))
+        steps.append((recur_cache, (out_cache, out.p_copy, ev.source_ids), gold_id, p_gold))
         correct += int(np.argmax(out.p[0])) == gold_id
         p_gen.append(float(out.p_gen[0]))
         state, prev = out.state, gold_id
@@ -350,11 +374,11 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     params.zero_grad()
     g_nll = 1.0 / len(gold)
     g_state, g_H = np.zeros_like(state0), np.zeros_like(states.H)
-    for (recur_cache, out_cache), gold_id, p_gold in reversed(steps):
+    for recur_cache, out_cache, gold_id, p_gold in reversed(steps):
         g_p = np.zeros((1, ev.size))
         g_p[0, gold_id] = -g_nll / p_gold if p_gold > 1e-12 else 0.0
         g_state, g_step_H = accumulating_recur_backward(
-            recur_cache, *output_backward(out_cache, g_p), g_state)
+            recur_cache, *dense_output_backward(*out_cache, g_p), g_state)
         g_H += g_step_H
     # the bridge state0 = tanh([W_h ; W_c] h_final), then the encoder
     d_s = params.dims.d_s

@@ -7,7 +7,7 @@ from paragen.gradcheck import grad_check, relative_error
 from paragen.layers import softmax_rows
 from paragen.training import sequence_loss
 
-from conftest import leaf, tiny_model
+from conftest import gold_step_backward, leaf, tiny_model
 
 
 def square_loss(x):
@@ -115,15 +115,15 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     # the first decoded step targets the OOV; the second targets EOS, which
     # does reach the projection. Check the OOV step in isolation instead.
     params.zero_grad()
-    from paragen.pointer import prepare_source, teacher_forced, teacher_forced_backward
+    from paragen.pointer import prepare_source, step_forward
     from paragen.vocab import BOS
 
     ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
     oov = ev.lookup("zyxxy")
-    (p, _, _, _), cache = teacher_forced([BOS], ev, states, state, params)
-    g_p = np.zeros((1, ev.size))
-    g_p[0, oov] = -1.0 / p[0, oov]  # the gradient of -log p(zyxxy)
-    teacher_forced_backward(cache, g_p)
+    out, caches = step_forward([BOS], ev, states, state, params)
+    # the gradient of -log p(zyxxy), and none through the next state
+    gold_step_backward(params, ev, states, out, caches, [oov], -1.0 / out.p[:, oov],
+                       np.zeros_like(out.state))
     assert np.all(params.projection.weight.grad == 0.0)
     assert np.all(params.projection.bias.grad == 0.0)
     assert np.any(params.attention.weight.grad != 0.0)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import paragen.pointer as pointer
 from paragen.errors import ValidationError
 from paragen.gradcheck import grad_check
+from paragen.layers import LOG_FLOOR
 from paragen.model import ModelDims, ModelParams
-from paragen.pointer import copy_distribution, mix, output_forward, prepare_source, step_forward
-from paragen.vocab import BOS, UNK
+from paragen.pointer import (copy_distribution, mix, output_backward, output_forward,
+                             prepare_source, recur_sequence, step_forward)
+from paragen.vocab import BOS, EOS, UNK, Vocabulary, encode_target
 
-from conftest import step_loss_node, tiny_model
-from oracles import model_arrays, sigmoid_scalar, straight_line_step
+from conftest import TINY_TOKENS, step_loss_node, tiny_model
+from oracles import dense_output_backward, model_arrays, sigmoid_scalar, straight_line_step
 
 
 def test_copy_distribution_accumulates_repeats():
@@ -214,3 +219,75 @@ def test_step_backward_matches_finite_differences():
         scale=0.3, size=(2, state.shape[1])), prev, rng)
     report = grad_check(node, params.named_parameters() + named, h=1e-5)
     assert report.max_rel_err <= 1e-6, repr(report)
+
+
+def _gold_only_equals_dense(params, vocab, src, tgt, floored=()):
+    """Run one pair's teacher-forced output layer, then its backward for the
+    NLL's d p twice: the dense oracle over the whole d p, and the gold-only
+    ``output_backward`` with its d copy scattered over the source. Rows in
+    ``floored`` get a zero d p, as rows with p_gold at or below LOG_FLOOR
+    do. Asserts that both give the same outputs and gradients element for
+    element, but for the projection's weight gradient: it is one product per
+    block of vocabulary rows, which a BLAS need not round as it rounds those
+    rows of one whole product, so it is held to 1e-12 of its largest entry.
+    Returns the gold ids."""
+    ev, states, state, _ = prepare_source(src, params, vocab)
+    gold = np.array(encode_target(tgt, ev) + [EOS])
+    rows = np.arange(len(gold))
+    (emb, hidden, context, attn), _ = recur_sequence([BOS, *gold[:-1]], states, state, params)
+    (p, _, p_copy, _), cache = output_forward(emb, hidden, context, attn, ev.source_ids, ev.size,
+                                              params)
+    p_gold = p[rows, gold]
+    live = (p_gold > LOG_FLOOR) & ~np.isin(rows, floored)
+    g_gold = np.divide(-1.0 / len(gold), p_gold, out=np.zeros_like(p_gold), where=live)
+    g_p = np.zeros_like(p)
+    g_p[rows, gold] = g_gold
+
+    params.zero_grad()
+    # the gold-only backward writes d logits over p_vocab, so the oracle reads a copy
+    want = dense_output_backward((*cache[:3], cache[3].copy(), cache[4]), p_copy,
+                                 ev.source_ids, g_p)
+    want_grads = [tensor.grad.copy() for _, tensor in params.named_parameters()]
+    params.zero_grad()
+    *got, g_copy = output_backward(cache, gold, g_gold, p_copy[rows, gold])
+    got.append(np.where(np.equal.outer(gold, ev.source_ids), g_copy[:, None], 0.0))
+    for mine, theirs in zip(got, want):
+        np.testing.assert_array_equal(mine, theirs)
+    for (name, tensor), theirs in zip(params.named_parameters(), want_grads):
+        if name == "projection.weight":  # a product per block of rows: BLAS may round it apart
+            assert np.abs(tensor.grad - theirs).max() <= 1e-12 * np.abs(theirs).max()
+        else:
+            np.testing.assert_array_equal(tensor.grad, theirs, err_msg=name)
+    return gold
+
+
+WORDS = TINY_TOKENS[:6] + ["zyxxy", "qwop"]  # the last two are OOV in a 6-word vocabulary
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(src=st.lists(st.sampled_from(WORDS), min_size=1, max_size=6),
+       tgt=st.lists(st.sampled_from(WORDS + ["unseenx"]), min_size=1, max_size=6),
+       width=st.integers(1, 4), seed=st.integers(0, 3), block=st.sampled_from([1, 3, 256]),
+       floored=st.lists(st.integers(0, 6), max_size=3))
+def test_gold_only_backward_equals_dense_oracle(src, tgt, width, seed, block, floored):
+    """Gold ids that are copied OOVs, OOVs absent from the source (UNK),
+    fixed ids in and out of the source, repeated source ids, zero rows, and
+    projection blocks of one row, of a ragged 3 rows and of the whole
+    vocabulary."""
+    vocab = Vocabulary(WORDS[:6])
+    params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=width, d_h=width, d_s=width,
+                                   d_a=width), seed=seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pointer, "PROJECTION_BLOCK", block)
+        _gold_only_equals_dense(params, vocab, src, tgt, floored)
+
+
+def test_gold_only_backward_equals_dense_oracle_at_v10k():
+    """The CLI's vocabulary size and default widths: 40 projection blocks,
+    the last one ragged (10004 rows)."""
+    vocab = Vocabulary([f"u{i:04d}" for i in range(10000)])
+    params = ModelParams(ModelDims(vocab_size=vocab.size), seed=3)
+    gold = _gold_only_equals_dense(
+        params, vocab, "u0001 u0002 zyxxy u0003 u0002 qwop u9999".split(),
+        "u0002 zyxxy unseenx u0500 qwop u9999 u0001".split(), floored=[5])
+    assert vocab.size % pointer.PROJECTION_BLOCK and (gold >= vocab.size).sum() == 2
