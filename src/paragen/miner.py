@@ -11,6 +11,7 @@ import html.parser
 import json
 import logging
 import math
+import re
 import time
 import urllib.parse
 import urllib.request
@@ -36,7 +37,8 @@ DEFAULT_ABBREVIATIONS = frozenset({
 # size (one query's row when a row alone is wider).
 BLOCK_ELEMENTS = 1 << 14
 
-_SENTENCE_END = ".!?"
+# a candidate sentence end: . ! or ? and the whitespace after it
+_CANDIDATE_END = re.compile(r"[.!?]\s+")
 _OPENERS = '"«(\''
 
 
@@ -93,58 +95,34 @@ class MineConfig:
             raise ValidationError("MineConfig: need 0 <= min_sim <= max_sim <= 1")
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ValidationError("MineConfig: need 1 <= min_tokens <= max_tokens")
+        self.abbreviations = frozenset(a.lower() for a in self.abbreviations)
 
 
 def load_abbreviations(path):
     with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+        return frozenset(line.strip() for line in fh if line.strip())
 
 
 def segment(doc, min_tokens=MineConfig.min_tokens, max_tokens=MineConfig.max_tokens,
             abbreviations=DEFAULT_ABBREVIATIONS):
-    """Split a document body into sentences.
+    """Split a document body into sentences, as (text, tokens) pairs.
 
-    A sentence ends at . ! or ? followed by whitespace and an uppercase
-    letter or opening quote, unless the preceding word is a known
-    abbreviation. Sentences outside [min_tokens, max_tokens] are dropped.
+    A sentence ends at a ``_CANDIDATE_END`` match when the character after
+    it is uppercase or an opener (" « ( '), unless the . ends a word that,
+    lowercased, is in ``abbreviations`` (whose entries are lowercase). Each
+    text has its whitespace runs collapsed to one space and is tokenized
+    once; sentences outside [min_tokens, max_tokens] tokens are dropped.
     """
-    body = doc.body
-    if not body.strip():
-        return []
-    sentences = []
-    start = 0
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch in _SENTENCE_END:
-            j = i + 1
-            while j < n and body[j].isspace():
-                j += 1
-            boundary = j > i + 1 and j < n and (body[j].isupper() or body[j] in _OPENERS)
-            if boundary and ch == ".":
-                word_start = i
-                while word_start > start and not body[word_start - 1].isspace():
-                    word_start -= 1
-                if body[word_start:i + 1].lower() in abbreviations:
-                    boundary = False
-            if boundary:
-                sentences.append(body[start:i + 1])
-                start = j
-                i = j
-                continue
-        i += 1
-    if start < n:
-        sentences.append(body[start:])
-
-    kept = []
-    for raw in sentences:
-        text = " ".join(raw.split())
-        if not text:
-            continue
-        if min_tokens <= len(tokenize(text)) <= max_tokens:
-            kept.append(text)
-    return kept
+    body, raw, start = doc.body, [], 0
+    for end in _CANDIDATE_END.finditer(body):
+        i, j = end.span()
+        if j < len(body) and (body[j].isupper() or body[j] in _OPENERS) and not (
+                body[i] == "." and body[start:i + 1].rsplit(None, 1)[-1].lower() in abbreviations):
+            raw.append(body[start:i + 1])
+            start = j
+    raw.append(body[start:])
+    return [(" ".join(text.split()), tokens) for text in raw
+            if (tokens := tokenize(text)) and min_tokens <= len(tokens) <= max_tokens]
 
 
 def _tfidf_weights(tokens, df, n):
@@ -279,15 +257,13 @@ def query_similar(ref, index, k):
 
 
 def sentence_records(docs, cfg=MineConfig()):
-    """Segment documents (sorted by id, for stable sids) into records."""
+    """Segment documents (sorted by id, for stable sids) into records, each
+    keeping the tokens ``segment`` made for its text."""
     records = []
-    sid = 0
     for doc in sorted(docs, key=lambda d: d.id):
-        for text in segment(doc, cfg.min_tokens, cfg.max_tokens, cfg.abbreviations):
-            records.append(SentenceRecord(
-                sid=sid, doc_id=doc.id, source=doc.source,
-                text=text, tokens=tokenize(text)))
-            sid += 1
+        for text, tokens in segment(doc, cfg.min_tokens, cfg.max_tokens, cfg.abbreviations):
+            records.append(SentenceRecord(sid=len(records), doc_id=doc.id, source=doc.source,
+                                          text=text, tokens=tokens))
     return records
 
 

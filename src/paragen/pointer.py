@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
 from .vocab import encode_source
 
@@ -37,9 +37,11 @@ def copy_distribution(attn, source_ids, size):
 
 def mix(p_vocab, p_copy, p_gen):
     """Row-wise p_gen * p_vocab + (1 - p_gen) * p_copy over the extended ids,
-    one gate value per row; the extended ids draw only on the copy branch."""
+    one gate value per row; the extended ids draw only on the copy branch. A
+    gate outside [0, 1] is a NumericalError if not finite, else a ValidationError."""
     if not np.all((p_gen >= 0.0) & (p_gen <= 1.0)):
-        raise ValidationError(f"mix: p_gen {p_gen} outside [0, 1]")
+        error = ValidationError if np.isfinite(p_gen).all() else NumericalError
+        raise error(f"mix: p_gen {p_gen} outside [0, 1]")
     out = p_copy * (1.0 - p_gen)[:, None]
     out[:, :p_vocab.shape[1]] += p_vocab * p_gen[:, None]
     return out

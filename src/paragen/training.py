@@ -129,21 +129,30 @@ def _pair_texts(pair):
     return x, y
 
 
-def _teacher_forced(pairs, params, vocab, max_source_len, max_target_len):
-    """The NLL of a batch of pairs as one loss, the sum of each pair's mean
-    NLL, whose backward adds their summed gradient into params.grad. Returns
-    (loss, each pair's mean NLL, greedy-match count, gold ids, their gates)."""
+def _token_pairs(pairs, max_source_len, max_target_len):
+    """Each text pair as (source, target) token lists, each cut to its limit with a warning."""
+    out = []
+    for x_text, y_text in map(_pair_texts, pairs):
+        src, tgt = tokenize(x_text), tokenize(y_text)
+        if not src or not tgt:
+            raise ValidationError("sequence_loss: empty source or target after tokenization")
+        for side, tokens, limit in (("source", src, max_source_len),
+                                    ("target", tgt, max_target_len)):
+            if len(tokens) > limit:
+                log.warning("%s truncated from %d to %d tokens", side, len(tokens), limit)
+                del tokens[limit:]
+        out.append((src, tgt))
+    return out
+
+
+def _teacher_forced(pairs, params, vocab):
+    """The NLL of a batch of token pairs (as ``_token_pairs`` makes them,
+    once per run) as one loss, the sum of each pair's mean NLL, whose
+    backward adds their summed gradient into params.grad. Returns (loss, each
+    pair's mean NLL, greedy-match count, gold ids, their gates)."""
     seqs = []
     with params.holding_gates():
-        for x_text, y_text in map(_pair_texts, pairs):
-            src, tgt = tokenize(x_text), tokenize(y_text)
-            if not src or not tgt:
-                raise ValidationError("sequence_loss: empty source or target after tokenization")
-            for side, tokens, limit in (("source", src, max_source_len),
-                                        ("target", tgt, max_target_len)):
-                if len(tokens) > limit:
-                    log.warning("%s truncated from %d to %d tokens", side, len(tokens), limit)
-                    del tokens[limit:]
+        for src, tgt in pairs:
             ev, states, state0, encoder_cache = prepare_source(src, params, vocab)
             gold = np.array(encode_target(tgt, ev) + [EOS])
             seqs.append((ev, states, state0, encoder_cache, gold,
@@ -188,7 +197,7 @@ def _teacher_forced(pairs, params, vocab, max_source_len, max_target_len):
 def sequence_loss(pair, params, vocab, max_source_len=TrainConfig.max_source_len,
                   max_target_len=TrainConfig.max_target_len):
     """Teacher-forced mean negative log-likelihood of one sentence pair (a batch of one)."""
-    return _teacher_forced([pair], params, vocab, max_source_len, max_target_len)[0]
+    return _teacher_forced(_token_pairs([pair], max_source_len, max_target_len), params, vocab)[0]
 
 
 def _mean(values):
@@ -275,9 +284,9 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     """
     if not dataset:
         raise ValidationError("train: empty dataset")
-    pairs = [_pair_texts(p) for p in dataset]
     if vocab is None:
-        vocab = pairs_vocab(pairs, cfg)
+        vocab = pairs_vocab([_pair_texts(p) for p in dataset], cfg)
+    pairs = _token_pairs(dataset, cfg.max_source_len, cfg.max_target_len)
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
     opt = Adam(params.flat, params.grad, lr=cfg.lr)
@@ -292,8 +301,7 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]  # the last batch may be shorter
             params.zero_grad()
-            loss, nlls, c, gold, p_gen = _teacher_forced([pairs[i] for i in batch], params, vocab,
-                                                         cfg.max_source_len, cfg.max_target_len)
+            loss, nlls, c, gold, p_gen = _teacher_forced([pairs[i] for i in batch], params, vocab)
             for idx, nll in zip(batch, nlls):
                 if not np.isfinite(nll):
                     raise NumericalError(f"non-finite loss at epoch {epoch}, example {idx}")

@@ -6,6 +6,7 @@ decoder output can be rendered back to the original surface form.
 """
 
 import hashlib
+import re
 from collections import Counter
 
 from .errors import ValidationError
@@ -15,29 +16,16 @@ PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 N_RESERVED = len(RESERVED_TOKENS)
 
-_PUNCT = set('.,;:!?"()«»')
+PUNCTUATION = '.,;:!?"()«»'
+# \s matches exactly the characters str.split splits on, at every code point
+_TOKEN = re.compile(f"[{re.escape(PUNCTUATION)}]|[^\\s{re.escape(PUNCTUATION)}]+")
 
 
 def tokenize(text):
-    """Lowercase, split on Unicode whitespace, detach punctuation tokens.
-
-    Apostrophes stay inside tokens ("l'acqua" is one token); the characters
-    . , ; : ! ? " ( ) « » become standalone tokens wherever they occur.
-    """
-    out = []
-    for chunk in text.lower().split():
-        run = []
-        for ch in chunk:
-            if ch in _PUNCT:
-                if run:
-                    out.append("".join(run))
-                    run = []
-                out.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            out.append("".join(run))
-    return out
+    """Lowercase, then split into ``_TOKEN`` matches: each PUNCTUATION
+    character alone, and each run of other non-whitespace characters.
+    Apostrophes stay inside tokens ("l'acqua" is one token)."""
+    return _TOKEN.findall(text.lower())
 
 
 class Vocabulary:

@@ -432,6 +432,83 @@ class PerTensorAdam:
 
 
 # ---------------------------------------------------------------------------
+# text rules: the character loops that paragen's tokenizer and segmenter
+# patterns replaced
+
+
+_LOOP_PUNCT = set('.,;:!?"()«»')
+_LOOP_SENTENCE_END = ".!?"
+_LOOP_OPENERS = '"«(\''
+
+
+def loop_tokenize(text):
+    """Lowercase, split on Unicode whitespace, detach punctuation tokens.
+
+    Apostrophes stay inside tokens ("l'acqua" is one token); the characters
+    . , ; : ! ? " ( ) « » become standalone tokens wherever they occur.
+    """
+    out = []
+    for chunk in text.lower().split():
+        run = []
+        for ch in chunk:
+            if ch in _LOOP_PUNCT:
+                if run:
+                    out.append("".join(run))
+                    run = []
+                out.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            out.append("".join(run))
+    return out
+
+
+def loop_segment(body, min_tokens, max_tokens, abbreviations):
+    """Split a document body into sentence texts, one character at a time.
+
+    A sentence ends at . ! or ? followed by whitespace and an uppercase
+    letter or opening quote, unless the preceding word is a known
+    abbreviation. Sentences outside [min_tokens, max_tokens] are dropped.
+    """
+    if not body.strip():
+        return []
+    sentences = []
+    start = 0
+    i = 0
+    n = len(body)
+    while i < n:
+        ch = body[i]
+        if ch in _LOOP_SENTENCE_END:
+            j = i + 1
+            while j < n and body[j].isspace():
+                j += 1
+            boundary = j > i + 1 and j < n and (body[j].isupper() or body[j] in _LOOP_OPENERS)
+            if boundary and ch == ".":
+                word_start = i
+                while word_start > start and not body[word_start - 1].isspace():
+                    word_start -= 1
+                if body[word_start:i + 1].lower() in abbreviations:
+                    boundary = False
+            if boundary:
+                sentences.append(body[start:i + 1])
+                start = j
+                i = j
+                continue
+        i += 1
+    if start < n:
+        sentences.append(body[start:])
+
+    kept = []
+    for raw in sentences:
+        text = " ".join(raw.split())
+        if not text:
+            continue
+        if min_tokens <= len(loop_tokenize(text)) <= max_tokens:
+            kept.append(text)
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # vocabulary oracle
 
 

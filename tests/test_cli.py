@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paragen
 from paragen.cli import main
 from paragen.decoding import BeamConfig
 from paragen.errors import ValidationError
@@ -386,6 +391,25 @@ def test_train_batch_size_zero_exit_2_keeps_existing_outputs(tmp_path, capsys):
     assert "batch_size" in capsys.readouterr().err
     for path, content in zip(outputs, before):
         _assert_kept(path, content)
+
+
+def test_train_divergence_exit_3(tmp_path):
+    """A learning rate large enough to make the weights overflow: the copy
+    gate turns NaN and the run stops as a numerical failure, writing no
+    checkpoint. Run as a user runs it, in its own interpreter, where numpy's
+    overflow warnings stay warnings (this suite makes them errors)."""
+    data, _ = _write_pairs_tsv(tmp_path, n=12)
+    ckpt = tmp_path / "m.ckpt"
+    src = str(Path(paragen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "paragen.cli", "train", "--data", str(data),
+                          "--out", str(ckpt), "--epochs", "2", "--lr", "1e250",
+                          "--vocab-size", "60", "--d-emb", "4", "--d-h", "4", "--d-s", "4",
+                          "--d-a", "4", "--batch-size", "4"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert "numerical failure: mix: p_gen [nan" in run.stderr
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--clip", "nan")])

@@ -10,28 +10,35 @@ from hypothesis import strategies as st
 
 from paragen import miner
 from paragen.errors import ValidationError
-from paragen.miner import (Document, InvertedIndex, MineConfig, SentenceRecord, align,
-                           build_index, fetch_documents, ingest, load_documents, query_similar,
-                           segment, sentence_records, strip_html, write_pairs)
-from paragen.vocab import tokenize
+from paragen.miner import (DEFAULT_ABBREVIATIONS, Document, InvertedIndex, MineConfig,
+                           SentenceRecord, align, build_index, fetch_documents, ingest,
+                           load_documents, query_similar, segment, sentence_records, strip_html,
+                           write_pairs)
+from paragen.vocab import PUNCTUATION, tokenize
 
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
                       write_doc_fixture, zipf_sentence_docs)
-from oracles import brute_force_neighbours, dense_tfidf, dict_postings, dict_query_similar
+from oracles import (brute_force_neighbours, dense_tfidf, dict_postings, dict_query_similar,
+                     loop_segment, loop_tokenize)
 
 
 def _doc(body, doc_id="d0", source="s0"):
     return Document(id=doc_id, source=source, title="", body=body)
 
 
+def _texts(sentences):
+    return [text for text, _ in sentences]
+
+
 def test_segment_basic_rule():
     out = segment(_doc("A b c d. E f g h."))
-    assert out == ["A b c d.", "E f g h."]
+    assert out == [("A b c d.", ["a", "b", "c", "d", "."]),
+                   ("E f g h.", ["e", "f", "g", "h", "."])]
 
 
 def test_segment_respects_abbreviation_stoplist():
     out = segment(_doc("Sig. Rossi parla qui oggi."))
-    assert out == ["Sig. Rossi parla qui oggi."]
+    assert _texts(out) == ["Sig. Rossi parla qui oggi."]
 
 
 def test_segment_requires_following_uppercase():
@@ -59,11 +66,62 @@ def test_segment_splits_on_newline_whitespace():
        st.integers(1, 6), st.integers(0, 6))
 def test_segment_keeps_exactly_the_sentences_within_the_token_bounds(body, lo, extra):
     doc = _doc(body)
-    every = segment(doc, 1, 10 ** 6)
+    every = _texts(segment(doc, 1, 10 ** 6))
     # with no bound, segmentation loses no token
     assert tokenize(" ".join(every)) == tokenize(body)
-    kept = segment(doc, lo, lo + extra)
+    kept = _texts(segment(doc, lo, lo + extra))
     assert kept == [s for s in every if lo <= len(tokenize(s)) <= lo + extra]
+
+
+# Characters where a pattern and a character loop could part: Unicode
+# whitespace outside ASCII (the \x1c-\x1f separators, NEL, NBSP, LINE
+# SEPARATOR, the ideographic space), a titlecase letter (isupper() is False),
+# letters whose lowercase differs in length (İ), the punctuation, apostrophes,
+# openers, an ellipsis and abbreviations in mixed case.
+TEXT_PIECES = (list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+               + list("aBzǅÉéİ'’") + list(PUNCTUATION)
+               + ["...", "Sig.", "sIG.", "Dr.", "dR.", "e.g.", "E.G.", "St.", "Mr."])
+texts = st.lists(st.sampled_from(TEXT_PIECES), max_size=60).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(texts, st.integers(0, 8), st.integers(0, 8))
+def test_segment_equals_character_loop(body, lo, extra):
+    """The pattern segmenter keeps the loop's sentences, in order, at the
+    widest bounds and at random ones, and each sentence's tokens are its
+    text's tokens as the tokenizer loop makes them."""
+    doc = _doc(body)
+    for bounds in ((1, 10 ** 6), (lo, lo + extra)):
+        out = segment(doc, *bounds, DEFAULT_ABBREVIATIONS)
+        assert _texts(out) == loop_segment(body, *bounds, DEFAULT_ABBREVIATIONS)
+        assert all(tokens == loop_tokenize(text) for text, tokens in out)
+
+
+def test_each_mined_sentence_is_tokenized_once(monkeypatch):
+    """segment tokenizes each candidate sentence once, and sentence_records
+    and align keep those very token lists instead of tokenizing again."""
+    made = []
+
+    def counting(text):
+        made.append(tokenize(text))
+        return made[-1]
+
+    monkeypatch.setattr(miner, "tokenize", counting)
+    docs = zipf_sentence_docs(seed=3, n_sentences=60)
+    records = sentence_records(docs, MineConfig(min_tokens=1, max_tokens=10 ** 6))
+    assert len(records) == len(made) == 60
+    assert all(rec.tokens is tokens for rec, tokens in zip(records, made))
+    made.clear()
+    align(docs, MineConfig(min_tokens=1, max_tokens=10 ** 6))
+    assert len(made) == 60
+
+
+def test_mine_config_lowercases_abbreviations():
+    cfg = MineConfig(abbreviations=frozenset({"Dr.", "SIG."}))
+    assert cfg.abbreviations == {"dr.", "sig."}
+    doc = _doc("Il Dr. Rossi parla qui oggi. Il Sig. Bianchi ascolta da qui.")
+    assert [r.text for r in sentence_records([doc], cfg)] == [
+        "Il Dr. Rossi parla qui oggi.", "Il Sig. Bianchi ascolta da qui."]
 
 
 def test_index_self_similarity():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paragen.pointer as pointer
-from paragen.errors import ValidationError
+from paragen.errors import NumericalError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.layers import LOG_FLOOR
 from paragen.model import ModelDims, ModelParams
@@ -105,6 +105,13 @@ def test_mix_rejects_bad_gate():
         mix(pv, pc, np.array([1.5]))
     with pytest.raises(ValidationError):
         mix(pv, pc, np.array([-0.1]))
+
+
+@pytest.mark.parametrize("gate", [[np.nan], [np.inf], [-np.inf], [0.5, np.nan]])
+def test_mix_non_finite_gate_is_a_numerical_error(gate):
+    pv, pc = np.array([[1.0]] * len(gate)), np.array([[1.0]] * len(gate))
+    with pytest.raises(NumericalError):
+        mix(pv, pc, np.array(gate))
 
 
 def _step_setup(seed, source=("alpha", "zyxxy", "beta", "zyxxy")):

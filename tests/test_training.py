@@ -63,7 +63,7 @@ def test_sequence_loss_matches_per_step_oracle():
     to zero over positions, so they are sums of terms that nearly cancel, and
     the last-bit differences of the batched projection reach 5e-11 (bias) and
     6e-13 (weight) of their own largest entries."""
-    from paragen.training import _teacher_forced
+    from paragen.training import _teacher_forced, _token_pairs
 
     cases = [("w01 name1x w02", "w02", 50),  # one target token: the shortest sequence
              ("w03 w04 w03 w04 w03", "w04 w03 w03 w05", 50),  # repeated source tokens
@@ -78,8 +78,8 @@ def test_sequence_loss_matches_per_step_oracle():
                                            d_s=width, d_a=width), seed=width)
             for x, y, max_target_len in cases:
                 params.zero_grad()
-                loss, _, correct, _, p_gen = _teacher_forced([(x, y)], params, vocab, 50,
-                                                             max_target_len)
+                loss, _, correct, _, p_gen = _teacher_forced(
+                    _token_pairs([(x, y)], 50, max_target_len), params, vocab)
                 backward(loss)
                 grads = [p.grad.copy() for _, p in params.named_parameters()]
                 want_loss, want_correct, want_p_gen = per_step_sequence_loss(
@@ -98,6 +98,27 @@ def test_sequence_loss_truncates_with_warning(caplog):
         loss = sequence_loss((long_src, "alpha"), params, vocab)
     assert np.isfinite(loss.data)
     assert any("truncated" in r.message for r in caplog.records)
+
+
+def test_train_tokenizes_and_truncates_each_pair_once_per_run(caplog, monkeypatch):
+    """Two epochs over a pair longer than the source limit: the pair is
+    tokenized once and its truncation is logged once, not once per epoch."""
+    import paragen.training as training
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(training, "tokenize", counting)
+    pairs = [(" ".join(["w01"] * 9), "w01 w02"), ("w03 w04", "w04 w03")]
+    cfg = TrainConfig(seed=0, epochs=2, max_source_len=6, d_emb=4, d_h=4, d_s=4, d_a=4)
+    with caplog.at_level("WARNING", logger="paragen.training"):
+        train(pairs, cfg, vocab=copy_task_vocab())
+    assert [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()] == [
+        "source truncated from 9 to 6 tokens"]
+    assert sorted(calls) == sorted(text for pair in pairs for text in pair)
 
 
 def test_empty_pair_rejected():
@@ -347,7 +368,7 @@ def test_batch_gradient_equals_sum_of_pair_gradients_at_v10k():
     projection's and the gate's products over all its rows at once). As in
     test_sequence_loss_matches_per_step_oracle, the attention tensors, sums
     of nearly cancelling terms, are held to the model's largest entry."""
-    from paragen.training import _teacher_forced
+    from paragen.training import _teacher_forced, _token_pairs
 
     vocab = Vocabulary([f"u{i:04d}" for i in range(10000)])
     params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=8, d_h=8, d_s=8, d_a=8), seed=4)
@@ -361,7 +382,7 @@ def test_batch_gradient_equals_sum_of_pair_gradients_at_v10k():
     want = [p.grad.copy() for _, p in params.named_parameters()]
     largest = np.abs(params.grad).max()
     params.zero_grad()
-    loss, nlls, *_ = _teacher_forced(pairs, params, vocab, 50, 50)
+    loss, nlls, *_ = _teacher_forced(_token_pairs(pairs, 50, 50), params, vocab)
     backward(loss)
     assert nlls == want_nlls
     for (name, p), theirs in zip(params.named_parameters(), want):

@@ -1,3 +1,5 @@
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from paragen.errors import ValidationError
 from paragen.model import ModelDims, ModelParams
-from paragen.vocab import (EOS, PAD, RESERVED_TOKENS, UNK, Vocabulary, build_vocab, decode_ids,
-                           encode_source, encode_target, tokenize)
+from paragen.vocab import (EOS, PAD, PUNCTUATION, RESERVED_TOKENS, UNK, Vocabulary, build_vocab,
+                           decode_ids, encode_source, encode_target, tokenize)
 
-from oracles import straight_line_oov_minting
+from oracles import loop_tokenize, straight_line_oov_minting
 
 
 def test_tokenize_punctuation():
@@ -28,6 +30,26 @@ def test_tokenize_keeps_apostrophes():
 
 def test_tokenize_guillemets():
     assert tokenize("«Ciao» disse.") == ["«", "ciao", "»", "disse", "."]
+
+
+# Unicode whitespace outside ASCII, a titlecase letter, letters whose
+# lowercase differs in length (İ), apostrophes and the punctuation itself.
+TOKEN_PIECES = (list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+                + list("aBzǅÉéİΣ'’") + list(PUNCTUATION) + ["...", "Sig.", "dR.", "e.g."])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TOKEN_PIECES)).map("".join)))
+def test_tokenize_equals_character_loop(text):
+    assert tokenize(text) == loop_tokenize(text)
+
+
+def test_pattern_whitespace_is_split_whitespace_at_every_code_point():
+    """The tokenizer pattern's \\s and the loop's str.split agree on every
+    code point, so the two split text at the same characters."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    split_on = set(every) - set("".join(every.split()))
+    assert set(re.findall(r"\s", every)) == split_on == {ch for ch in every if ch.isspace()}
 
 
 def test_build_vocab_frequency_order():
