@@ -10,8 +10,8 @@ Run: python demos/02_pointer_step_anatomy.py
 
 import numpy as np
 
-from paragen.model import ModelDims, ModelParams
-from paragen.pointer import prepare_source, step_forward
+from paragen.model import ModelDims, ModelParams, prepare_source
+from paragen.pointer import step_forward
 from paragen.vocab import BOS, Vocabulary
 
 vocab = Vocabulary(["the", "river", "flooded", "town"])

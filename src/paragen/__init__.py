@@ -13,14 +13,15 @@ from .gradcheck import grad_check
 from .metrics import BleuReport, bleu, token_accuracy
 from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceRecord,
                     align, build_index, ingest, query_similar, segment)
-from .model import EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout
+from .model import (EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout,
+                    prepare_source, source_backward, stack_cells)
 from .pointer import (StepOutputs, copy_distribution, mix, output_backward, output_forward,
-                      prepare_source, recur_backward, recur_forward, recur_grads, recur_sequence,
-                      step_forward, vocab_forward)
+                      recur_backward, recur_forward, recur_grads, recur_sequence, step_forward,
+                      vocab_forward)
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,
                        load_pairs_tsv, save_checkpoint, save_pairs_tsv, sequence_loss,
                        train)
-from .vocab import (BOS, EOS, PAD, UNK, ExtendedVocab, Vocabulary, build_vocab, decode_ids,
-                    encode_source, encode_target, tokenize)
+from .vocab import (BOS, EOS, PAD, UNK, ExtendedVocab, Vocabulary, build_vocab, encode_target,
+                    tokenize)
 
 __version__ = "0.1.0"

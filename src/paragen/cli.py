@@ -17,8 +17,8 @@ from .fileio import atomic_write, read_lines
 from .metrics import bleu, token_hits
 from .miner import (DEFAULT_ABBREVIATIONS, MineConfig, align, load_abbreviations,
                     load_documents, write_pairs)
-from .training import (CheckpointError, TrainConfig, load_checkpoint, load_pairs_tsv,
-                       pairs_vocab, train)
+from .training import (VOCAB_SUFFIX, CheckpointError, TrainConfig, load_checkpoint,
+                       load_pairs_tsv, train)
 from .vocab import Vocabulary, tokenize
 
 
@@ -178,8 +178,7 @@ def cmd_mine(args):
 def cmd_train(args):
     cfg = _build(TrainConfig, _effective(args))
     pairs = load_pairs_tsv(args.data)
-    vocab = Vocabulary.load(args.vocab) if args.vocab else pairs_vocab(pairs, cfg)
-    vocab.save(args.out + ".vocab")
+    vocab = Vocabulary.load(args.vocab) if args.vocab else None  # else train() builds it
     _, report = train(pairs, cfg, vocab=vocab,
                       checkpoint_path=args.out, log_path=args.out + ".log")
     print(f"trained {cfg.epochs} epochs, final mean NLL {report.final_nll:.6f}")
@@ -191,8 +190,7 @@ def cmd_generate(args):
     force = cfg_map["force_p_gen"]
     if force is not None and not 0.0 <= force <= 1.0:
         raise ValidationError(f"--force-p-gen {force} outside [0, 1]")
-    vocab_path = args.vocab if args.vocab else args.checkpoint + ".vocab"
-    vocab = Vocabulary.load(vocab_path)
+    vocab = Vocabulary.load(args.vocab or args.checkpoint + VOCAB_SUFFIX)
     params, _ = load_checkpoint(args.checkpoint, expected_vocab=vocab)
     width = 1 if cfg_map["greedy"] else cfg_map["beam"]
     cfg = _build(BeamConfig, cfg_map, beam_width=width)

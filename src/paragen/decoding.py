@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .layers import LOG_FLOOR
-from .pointer import output_forward, prepare_source, recur_sequence, step_forward as full_step
+from .model import prepare_source
+from .pointer import output_forward, recur_sequence, step_forward as full_step
 from .vocab import BOS, EOS, PAD, tokenize
 
 # Clamped probabilities whose logs round to the same double differ by under

@@ -62,6 +62,6 @@ def softmax_rows(x, out=None):
 
 
 def sigmoid(x):
-    # exp only ever sees a non-positive argument, so no overflow
+    # exp only ever sees a non-positive argument, so no overflow; one division
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)

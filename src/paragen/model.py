@@ -1,6 +1,7 @@
 """Bidirectional LSTM encoder, the bridge to the decoder's initial state, the
-source half of additive attention, and the model's parameters; the decoder
-step itself is in pointer.py. Each forward has a numpy backward and reads the
+source half of additive attention (together ``prepare_source`` and its
+``source_backward``), and the model's parameters; the decoder step itself
+is in pointer.py. Each forward has a numpy backward and reads the
 weights through their tensors' ``.data``, which gradcheck may swap.
 
 Widths used throughout: d_emb embedding size, d_h encoder hidden size per
@@ -9,7 +10,6 @@ attention size.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .autograd import Tensor
 from .errors import ValidationError
 from .layers import GATES, accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
-from .vocab import UNK
+from .vocab import UNK, ExtendedVocab
 
 
 @dataclass
@@ -29,7 +29,7 @@ class EncoderStates:
     Both are copies taken from the weights at encoding time, so the states are
     valid only until the next optimizer update; training encodes every pair
     afresh, so each batch runs on the weights the previous update left (its
-    pairs share one copy of the gates: ``ModelParams.holding_gates``)."""
+    pairs share one ``stack_cells`` copy of the gates, given to ``prepare_source``)."""
 
     H: np.ndarray
     h_final: np.ndarray
@@ -188,58 +188,53 @@ class ModelParams:
     def zero_grad(self):
         self.grad.fill(0.0)
 
-    def initial_decoder_state(self, states):
-        """The decoder state [hidden | cell] (1 x 2*d_s), bridged from the final
-        encoder state: tanh([W_h·h_final ; W_c·h_final])."""
-        return np.tanh(np.concatenate([self.bridge_hidden.data @ states.h_final,
-                                       self.bridge_cell.data @ states.h_final]))[None]
-
     def embedding_rows(self, ids):
         """The embedding row each extended id reads: a fixed id its own, an
         id past the fixed vocabulary (a copied OOV) UNK's."""
         ids = np.asarray(ids, dtype=np.intp)
         return np.where(ids < self.dims.vocab_size, ids, UNK)
 
-    def _stack_cells(self):
-        return [stack_gates(c) for c in (self.encoder_fwd, self.encoder_bwd, self.decoder)]
 
-    @contextmanager
-    def holding_gates(self):
-        """Inside, every encoding shares one ``stack_gates`` copy per LSTM cell."""
-        self._held_gates = self._stack_cells()
-        try:
-            yield
-        finally:
-            del self._held_gates
-
-    def encode_source_ids(self, source_ids):
-        """Embed extended source ids (``embedding_rows``), run the encoder,
-        and compute the attention features and the decoder's stacked gates,
-        which every decoder step reuses. Returns (EncoderStates, source_backward's cache)."""
-        *gates, decoder = getattr(self, "_held_gates", None) or self._stack_cells()
-        emb_ids = self.embedding_rows(source_ids)
-        H, h_final, cache = encode(self.embedding.data[emb_ids],
-                                   self.encoder_fwd, self.encoder_bwd, gates)
-        return (EncoderStates(H, h_final, attention_features(H, self.attention), decoder),
-                (emb_ids, cache))
-
-    def source_backward(self, cache, states, state, g_H, g_state):
-        """Gradients of ``encode_source_ids`` and of the initial decoder state
-        for d H and d state: the bridge's, both encoder cells' and the
-        embedding's (repeated ids add up), accumulated into the grad views."""
-        emb_ids, encode_cache = cache
-        g_pre = g_state[0] * (1.0 - state[0] * state[0])
-        g_hidden, g_cell = g_pre[:self.dims.d_s], g_pre[self.dims.d_s:]
-        self.bridge_hidden.grad += np.outer(g_hidden, states.h_final)
-        self.bridge_cell.grad += np.outer(g_cell, states.h_final)
-        g_final = g_hidden @ self.bridge_hidden.data + g_cell @ self.bridge_cell.data
-        np.add.at(self.embedding.grad, emb_ids, encode_backward(encode_cache, g_H, g_final))
+def stack_cells(params):
+    """``stack_gates`` of the two encoder cells and of the decoder cell, in that order."""
+    return [stack_gates(c) for c in (params.encoder_fwd, params.encoder_bwd, params.decoder)]
 
 
-def attention_features(H, ap):
-    """W_H·H + b (N x d_a) for encoder states H (N x 2*d_h): the source half
-    of additive attention's tanh(W [h_i, s] + b)."""
-    return H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data
+def prepare_source(tokens, params, vocab, gates=None):
+    """All a decoder needs before step 1, for source ``tokens``: returns
+    (ExtendedVocab, EncoderStates, initial decoder state, cache).
+
+    The extended source ids are embedded (``embedding_rows``) and encoded;
+    the attention features W_H·H + b and the decoder's stacked gates are
+    kept for every step; the initial state [hidden | cell] (1 x 2*d_s) is
+    bridged from the final encoder state: tanh([W_h·h_final ; W_c·h_final]).
+    ``gates``: ``stack_cells(params)``, if already stacked. Only training
+    keeps the cache, for ``source_backward``.
+    """
+    ev = ExtendedVocab(vocab, tokens)
+    *encoder_gates, decoder_gates = gates or stack_cells(params)
+    emb_ids = params.embedding_rows(ev.source_ids)
+    H, h_final, cache = encode(params.embedding.data[emb_ids],
+                               params.encoder_fwd, params.encoder_bwd, encoder_gates)
+    ap = params.attention
+    features = H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data
+    state = np.tanh(np.concatenate([params.bridge_hidden.data @ h_final,
+                                    params.bridge_cell.data @ h_final]))[None]
+    return ev, EncoderStates(H, h_final, features, decoder_gates), state, (emb_ids, cache)
+
+
+def source_backward(params, cache, states, state, g_H, g_state):
+    """Gradients of ``prepare_source`` for d H and d initial state: the
+    bridge's, both encoder cells' and the embedding's (repeated ids add up),
+    accumulated into the grad views."""
+    emb_ids, encode_cache = cache
+    d_s = params.dims.d_s
+    g_pre = g_state[0] * (1.0 - state[0] * state[0])
+    g_hidden, g_cell = g_pre[:d_s], g_pre[d_s:]
+    params.bridge_hidden.grad += np.outer(g_hidden, states.h_final)
+    params.bridge_cell.grad += np.outer(g_cell, states.h_final)
+    g_final = g_hidden @ params.bridge_hidden.data + g_cell @ params.bridge_cell.data
+    np.add.at(params.embedding.grad, emb_ids, encode_backward(encode_cache, g_H, g_final))
 
 
 def params_from_payload(dims, payload):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
-from .vocab import encode_source
 
 PROJECTION_BLOCK = 256  # vocabulary rows per product of the projection's weight gradient
 
@@ -117,16 +116,6 @@ class StepOutputs:
     p_gen: np.ndarray    # B gate values
     p: np.ndarray        # B x size final distribution over extended ids
     state: np.ndarray    # B x 2*d_s next decoder state [hidden | cell]
-
-
-def prepare_source(tokens, params, vocab):
-    """(ExtendedVocab, EncoderStates, initial decoder state: one row
-    [hidden | cell], encoder cache) for source ``tokens``: all a decoder
-    needs before step 1. Training and decoding both start here; only
-    training keeps the cache, for ``ModelParams.source_backward``."""
-    src_ids, ev = encode_source(tokens, vocab)
-    states, encoder_cache = params.encode_source_ids(src_ids)
-    return ev, states, params.initial_decoder_state(states), encoder_cache
 
 
 def recur_forward(prev_ids, states, state, params):

@@ -22,10 +22,11 @@ from .autograd import backward
 from .errors import NumericalError, ValidationError
 from .fileio import atomic_write, read_lines
 from .layers import LOG_FLOOR
-from .model import ModelDims, ModelParams, params_from_payload
+from .model import (ModelDims, ModelParams, params_from_payload, prepare_source, source_backward,
+                    stack_cells)
 from .pointer import step_forward as full_step  # noqa: F401 (perfbench traces this name)
-from .pointer import (copy_distribution, mix, output_backward, prepare_source, recur_backward,
-                      recur_grads, recur_sequence, vocab_forward)
+from .pointer import (copy_distribution, mix, output_backward, recur_backward, recur_grads,
+                      recur_sequence, vocab_forward)
 from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
@@ -36,6 +37,7 @@ CHECKPOINT_VERSION = 1
 # magic, version, the ModelDims widths in field order, the vocabulary
 # fingerprint (SHA-256) and the payload's byte count. The payload follows.
 CHECKPOINT_HEADER = struct.Struct("<4sH5I32sQ")
+VOCAB_SUFFIX = ".vocab"  # a checkpoint's vocabulary file is <checkpoint>.vocab
 
 
 class CheckpointError(Exception):
@@ -129,34 +131,37 @@ def _pair_texts(pair):
     return x, y
 
 
-def _token_pairs(pairs, max_source_len, max_target_len):
-    """Each text pair as (source, target) token lists, each cut to its limit with a warning."""
-    out = []
-    for x_text, y_text in map(_pair_texts, pairs):
-        src, tgt = tokenize(x_text), tokenize(y_text)
-        if not src or not tgt:
-            raise ValidationError("sequence_loss: empty source or target after tokenization")
-        for side, tokens, limit in (("source", src, max_source_len),
-                                    ("target", tgt, max_target_len)):
-            if len(tokens) > limit:
-                log.warning("%s truncated from %d to %d tokens", side, len(tokens), limit)
-                del tokens[limit:]
-        out.append((src, tgt))
+def _tokenized(pairs):
+    """Each text pair as (source, target) token lists."""
+    out = [tuple(map(tokenize, _pair_texts(pair))) for pair in pairs]
+    if not all(src and tgt for src, tgt in out):
+        raise ValidationError("sequence_loss: empty source or target after tokenization")
     return out
 
 
+def _truncated(token_pairs, max_source_len, max_target_len):
+    """Cut each (source, target) token pair to its limits in place, with a warning per cut."""
+    limits = (("source", max_source_len), ("target", max_target_len))
+    for pair in token_pairs:
+        for tokens, (side, limit) in zip(pair, limits):
+            if len(tokens) > limit:
+                log.warning("%s truncated from %d to %d tokens", side, len(tokens), limit)
+                del tokens[limit:]
+    return token_pairs
+
+
 def _teacher_forced(pairs, params, vocab):
-    """The NLL of a batch of token pairs (as ``_token_pairs`` makes them,
-    once per run) as one loss, the sum of each pair's mean NLL, whose
-    backward adds their summed gradient into params.grad. Returns (loss, each
-    pair's mean NLL, greedy-match count, gold ids, their gates)."""
-    seqs = []
-    with params.holding_gates():
-        for src, tgt in pairs:
-            ev, states, state0, encoder_cache = prepare_source(src, params, vocab)
-            gold = np.array(encode_target(tgt, ev) + [EOS])
-            seqs.append((ev, states, state0, encoder_cache, gold,
-                         *recur_sequence([BOS, *gold[:-1]], states, state0, params)))
+    """The NLL of a batch of token pairs (tokenized and truncated once per
+    run) as one loss, the sum of each pair's mean NLL, whose backward adds
+    their summed gradient into params.grad. The pairs share one
+    ``stack_cells`` copy of the gates. Returns (loss, each pair's mean NLL,
+    greedy-match count, gold ids, their gates)."""
+    seqs, gates = [], stack_cells(params)
+    for src, tgt in pairs:
+        ev, states, state0, encoder_cache = prepare_source(src, params, vocab, gates)
+        gold = np.array(encode_target(tgt, ev) + [EOS])
+        seqs.append((ev, states, state0, encoder_cache, gold,
+                     *recur_sequence([BOS, *gold[:-1]], states, state0, params)))
     lengths = [len(gold) for *_, gold, _, _ in seqs]
     ends = np.cumsum(lengths)[:-1]  # each pair's rows end here
     (p_vocab, p_gen), vocab_cache = vocab_forward(
@@ -187,8 +192,8 @@ def _teacher_forced(pairs, params, vocab):
             for t in reversed(range(len(caches))):  # the recurrence, step by step
                 g_state, pieces[t] = recur_backward(caches[t], *(g[t:t + 1] for g in g_rows),
                                                     g_state)
-            params.source_backward(encoder_cache, states, state0,
-                                   recur_grads(params, states, pieces), g_state)
+            source_backward(params, encoder_cache, states, state0,
+                            recur_grads(params, states, pieces), g_state)
 
     return (ag._node(sum(nlls), back), [float(nll) for nll in nlls], correct, golds.tolist(),
             p_gen.tolist())
@@ -197,7 +202,8 @@ def _teacher_forced(pairs, params, vocab):
 def sequence_loss(pair, params, vocab, max_source_len=TrainConfig.max_source_len,
                   max_target_len=TrainConfig.max_target_len):
     """Teacher-forced mean negative log-likelihood of one sentence pair (a batch of one)."""
-    return _teacher_forced(_token_pairs([pair], max_source_len, max_target_len), params, vocab)[0]
+    pairs = _truncated(_tokenized([pair]), max_source_len, max_target_len)
+    return _teacher_forced(pairs, params, vocab)[0]
 
 
 def _mean(values):
@@ -267,26 +273,24 @@ class Adam:
             self.data[block] -= np.divide(b, a, out=b)
 
 
-def pairs_vocab(pairs, cfg):
-    """Vocabulary over both sides of text pairs, under cfg.vocab_size and cfg.min_count."""
-    corpus = [tokenize(x) for x, _ in pairs] + [tokenize(y) for _, y in pairs]
-    return build_vocab(corpus, max_size=cfg.vocab_size, min_count=cfg.min_count)
-
-
 def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
     """Train a fresh model on (source, target) text pairs, one update per
     batch of ``cfg.batch_size`` consecutive pairs of each epoch's shuffle.
 
     Returns (ModelParams, TrainReport). When ``vocab`` is None one is built
-    by ``pairs_vocab``. Each epoch replaces ``log_path`` whole with one JSON
-    line per epoch so far, so a run that fails in its first epoch leaves the
-    previous log as it was.
+    over both sides' untruncated tokens, under cfg.vocab_size and
+    cfg.min_count. Each epoch replaces ``log_path`` whole with one JSON line
+    per epoch so far, and the vocabulary goes to <checkpoint_path>.vocab
+    just before the first checkpoint, so a run that fails before it leaves
+    the previous run's files as they were.
     """
     if not dataset:
         raise ValidationError("train: empty dataset")
+    pairs = _tokenized(dataset)
     if vocab is None:
-        vocab = pairs_vocab([_pair_texts(p) for p in dataset], cfg)
-    pairs = _token_pairs(dataset, cfg.max_source_len, cfg.max_target_len)
+        vocab = build_vocab([src for src, _ in pairs] + [tgt for _, tgt in pairs],
+                            max_size=cfg.vocab_size, min_count=cfg.min_count)
+    pairs = _truncated(pairs, cfg.max_source_len, cfg.max_target_len)
 
     params = ModelParams(cfg.dims(vocab.size), seed=cfg.seed)
     opt = Adam(params.flat, params.grad, lr=cfg.lr)
@@ -338,10 +342,11 @@ def train(dataset, cfg, vocab=None, checkpoint_path=None, log_path=None):
         if log_path is not None:
             with atomic_write(log_path) as fh:
                 fh.writelines(json.dumps(e.as_dict()) + "\n" for e in report.epochs)
-        if checkpoint_path is not None and epoch % cfg.checkpoint_interval == 0:
+        if checkpoint_path is not None and (epoch % cfg.checkpoint_interval == 0
+                                            or epoch == cfg.epochs):
+            if epoch == min(cfg.checkpoint_interval, cfg.epochs):  # the first checkpoint
+                vocab.save(str(checkpoint_path) + VOCAB_SUFFIX)
             save_checkpoint(params, checkpoint_path, vocab)
-    if checkpoint_path is not None:
-        save_checkpoint(params, checkpoint_path, vocab)
     return params, report
 
 

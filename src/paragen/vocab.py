@@ -133,17 +133,6 @@ class ExtendedVocab:
         raise ValidationError(f"extended id {idx} out of range [0, {self.size})")
 
 
-def encode_source(tokens, vocab):
-    """Map source tokens to extended ids, minting ids for OOV words through
-    ``ExtendedVocab``. Returns (ids, ExtendedVocab); a repeated OOV surface
-    form gets one id.
-    """
-    if not tokens:
-        raise ValidationError("encode_source: empty token list")
-    ev = ExtendedVocab(vocab, tokens)
-    return ev.source_ids, ev
-
-
 def encode_target(tokens, ev):
     """Map target tokens to extended ids under the paired source's extension.
 
@@ -153,6 +142,3 @@ def encode_target(tokens, ev):
     """
     return [ev.lookup(tok) for tok in tokens]
 
-
-def decode_ids(ids, ev):
-    return [ev.token(i) for i in ids]

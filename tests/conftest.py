@@ -35,6 +35,18 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
     return getattr(ModelParams(dims, seed=seed), name)
 
 
+def hand_states(params, H, h_final):
+    """EncoderStates over encoder states H built by hand, with what
+    ``prepare_source`` derives from them: the attention features W_H·H + b
+    and the decoder's stacked gates, from the current weights."""
+    from paragen.layers import stack_gates
+    from paragen.model import EncoderStates
+
+    ap = params.attention
+    return EncoderStates(H, h_final, H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data,
+                         stack_gates(params.decoder))
+
+
 def gold_step_backward(params, ev, states, out, caches, gold, g_gold, g_state):
     """The backward of one B-row ``step_forward`` (its outputs and caches)
     for d p zero but at each row's ``gold`` id, where it is ``g_gold``, and
@@ -67,8 +79,6 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     tensors.
     """
     import paragen.autograd as ag
-    from paragen.layers import stack_gates
-    from paragen.model import EncoderStates, attention_features
     from paragen.pointer import step_forward
 
     S = leaf(rows)
@@ -79,8 +89,7 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     p0 = []
 
     def f():
-        live = EncoderStates(H.data, states.h_final, attention_features(H.data, params.attention),
-                             stack_gates(params.decoder))
+        live = hand_states(params, H.data, states.h_final)
         out, caches = step_forward(prev_ids, ev, live, S.data, params)
         p_gold = out.p[np.arange(len(gold)), gold]
         if not p0:  # grad_check's first call is at the evaluation point

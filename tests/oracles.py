@@ -24,6 +24,13 @@ def sigmoid_scalar(x):
     return e / (1.0 + e)
 
 
+def two_branch_sigmoid(x):
+    """layers.sigmoid as first written: both branches of the np.where are
+    computed, each with its own division."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def lstm_step_scalar(w, x, h, c):
     """One LSTM cell step with pure-Python loops.
 
@@ -141,10 +148,11 @@ def straight_line_step(w, H, source_ids, ext_size, prev_emb, s_h, s_c, force_p_g
 def _straight_line_start(params, vocab, src_tokens):
     """Weights, extended source ids and vocabulary, encoder states H and the
     bridged initial decoder state."""
-    from paragen.vocab import UNK, encode_source
+    from paragen.vocab import UNK, ExtendedVocab
 
     w = model_arrays(params)
-    src_ids, ev = encode_source(src_tokens, vocab)
+    ev = ExtendedVocab(vocab, src_tokens)
+    src_ids = ev.source_ids
     emb_ids = [i if i < vocab.size else UNK for i in src_ids]
     H, h_final = straight_line_encode(w, emb_ids, params.dims.d_h)
     s_h = np.tanh(w["bridge_hidden"] @ h_final)
@@ -349,17 +357,17 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     whole step_forward per gold token, then, per step in reverse, that
     step's ``dense_output_backward`` and ``accumulating_recur_backward``, then the
     bridge and ``per_step_encode_backward``. Unlike the oracles above its
-    forward is the library's own (encode_source_ids and step_forward), which
+    forward is the library's own (prepare_source and step_forward), which
     the straight-line and finite-difference tests check.
 
     Zeroes params' gradients first and leaves the result in them; returns
     (mean NLL, greedy-match count, per-step p_gen list)."""
+    from paragen.model import prepare_source
     from paragen.pointer import step_forward
-    from paragen.vocab import BOS, EOS, encode_source, encode_target
+    from paragen.vocab import BOS, EOS, encode_target
 
-    src_ids, ev = encode_source(src_tokens, vocab)
-    states, (emb_ids, encode_cache) = params.encode_source_ids(src_ids)
-    state0 = state = params.initial_decoder_state(states)
+    ev, states, state0, (emb_ids, encode_cache) = prepare_source(src_tokens, params, vocab)
+    state = state0
     gold = encode_target(tgt_tokens, ev) + [EOS]
     prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
     for gold_id in gold:

@@ -13,10 +13,10 @@ from paragen.decoding import BeamConfig, beam_decode, greedy_decode
 from paragen.gradcheck import grad_check
 from paragen.metrics import bleu
 from paragen.miner import MineConfig, align, build_index, query_similar, sentence_records
-from paragen.model import ModelDims, ModelParams
-from paragen.pointer import mix, prepare_source, step_forward
+from paragen.model import ModelDims, ModelParams, prepare_source
+from paragen.pointer import mix, step_forward
 from paragen.training import TrainConfig, sequence_loss, train
-from paragen.vocab import BOS, EOS, Vocabulary, encode_source, tokenize
+from paragen.vocab import BOS, EOS, ExtendedVocab, Vocabulary, tokenize
 
 from conftest import (copy_task_corpus, copy_task_vocab, planted_paraphrase_docs,
                       random_sentence_docs, tiny_model, write_doc_fixture)
@@ -203,7 +203,7 @@ def test_c6_beam_sanity():
         dims = ModelDims(vocab_size=vocab.size, d_emb=4, d_h=4, d_s=4, d_a=4)
         params = ModelParams(dims, seed=seed)
         source = "alpha ox1 beta ox2"
-        src_ids, ev = encode_source(tokenize(source), vocab)
+        ev = ExtendedVocab(vocab, tokenize(source))
         assert ev.size == 8
         cfg = BeamConfig(beam_width=ev.size, max_len=2, length_norm=0.7)
         top = beam_decode(source, params, vocab, cfg)[0]

@@ -16,7 +16,7 @@ from paragen.errors import ValidationError
 from paragen.miner import MineConfig
 from paragen.model import ModelParams
 from paragen.training import TrainConfig, save_checkpoint
-from paragen.vocab import Vocabulary
+from paragen.vocab import Vocabulary, tokenize
 
 from conftest import copy_task_corpus, three_source_docs, tiny_model, write_doc_fixture
 
@@ -395,21 +395,46 @@ def test_train_batch_size_zero_exit_2_keeps_existing_outputs(tmp_path, capsys):
 
 def test_train_divergence_exit_3(tmp_path):
     """A learning rate large enough to make the weights overflow: the copy
-    gate turns NaN and the run stops as a numerical failure, writing no
-    checkpoint. Run as a user runs it, in its own interpreter, where numpy's
-    overflow warnings stay warnings (this suite makes them errors)."""
-    data, _ = _write_pairs_tsv(tmp_path, n=12)
+    gate turns NaN and the run stops as a numerical failure, writing
+    nothing: the checkpoint, vocabulary and log of an earlier run with the
+    same --out, on other data, stay as they were. Run as a user runs it, in
+    its own interpreter, where numpy's overflow warnings stay warnings (this
+    suite makes them errors)."""
+    data, _ = _write_pairs_tsv(tmp_path, n=4)
     ckpt = tmp_path / "m.ckpt"
+    widths = ["--vocab-size", "60", "--d-emb", "4", "--d-h", "4", "--d-s", "4", "--d-a", "4"]
+    assert run_cli("train", "--data", str(data), "--out", str(ckpt), "--epochs", "1",
+                   *widths) == 0
+    outputs = [ckpt, tmp_path / "m.ckpt.vocab", tmp_path / "m.ckpt.log"]
+    before = [p.read_bytes() for p in outputs]
+    data, _ = _write_pairs_tsv(tmp_path, n=12)  # more words, so another vocabulary
     src = str(Path(paragen.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-m", "paragen.cli", "train", "--data", str(data),
-                          "--out", str(ckpt), "--epochs", "2", "--lr", "1e250",
-                          "--vocab-size", "60", "--d-emb", "4", "--d-h", "4", "--d-s", "4",
-                          "--d-a", "4", "--batch-size", "4"],
+                          "--out", str(ckpt), "--epochs", "2", "--lr", "1e250", *widths,
+                          "--batch-size", "4"],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 3, run.stderr
     assert "numerical failure: mix: p_gen [nan" in run.stderr
-    assert not ckpt.exists()
+    for path, content in zip(outputs, before):
+        _assert_kept(path, content)
+
+
+def test_train_tokenizes_each_text_once(tmp_path, monkeypatch):
+    """The vocabulary is counted from the token lists training runs on, so
+    12 pairs make 24 ``tokenize`` calls, one per text."""
+    data, _ = _write_pairs_tsv(tmp_path, n=12)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr("paragen.training.tokenize", counting)
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                   "--epochs", "1", "--vocab-size", "60", "--d-emb", "4", "--d-h", "4",
+                   "--d-s", "4", "--d-a", "4") == 0
+    assert len(calls) == 24
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--clip", "nan")])

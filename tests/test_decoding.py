@@ -5,12 +5,12 @@ import pytest
 
 import paragen.autograd as ag
 import paragen.decoding as decoding
-import paragen.pointer as pointer
 from paragen.decoding import (BeamConfig, Hypothesis, beam_decode, greedy_decode, render,
                               score_sequence)
 from paragen.errors import ValidationError
+from paragen.model import prepare_source
 from paragen.training import TrainConfig, sequence_loss, train
-from paragen.vocab import BOS, EOS, PAD, UNK, encode_source, tokenize
+from paragen.vocab import BOS, EOS, PAD, UNK, ExtendedVocab, tokenize
 
 from conftest import copy_task_corpus, copy_task_vocab, tiny_model
 from oracles import per_hypothesis_beam, straight_line_greedy
@@ -18,26 +18,26 @@ from oracles import per_hypothesis_beam, straight_line_greedy
 
 def test_render_mixed_ids():
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha", "zyxxy"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha", "zyxxy"])
     ids = [BOS, vocab.lookup("alpha"), vocab.size, EOS]
     assert render(ids, ev) == ["alpha", "zyxxy"]
 
 
 def test_render_strips_all_specials():
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha"])
     assert render([BOS, EOS, PAD], ev) == []
 
 
 def test_render_unk_is_literal():
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha"])
     assert render([UNK], ev) == ["<unk>"]
 
 
 def test_render_out_of_range():
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha"])
     with pytest.raises(ValidationError):
         render([ev.size], ev)
 
@@ -45,8 +45,8 @@ def test_render_out_of_range():
 def test_render_of_encoded_source_is_identity():
     params, vocab = tiny_model()
     tokens = ["alpha", "newword", "beta", "newword", "other"]
-    ids, ev = encode_source(tokens, vocab)
-    assert render(ids, ev) == tokens
+    ev = ExtendedVocab(vocab, tokens)
+    assert render(ev.source_ids, ev) == tokens
 
 
 def _stub_full_step(script):
@@ -67,7 +67,8 @@ def test_greedy_forced_copy_chain(monkeypatch):
     # source verbatim, OOV surface included
     params, vocab = tiny_model()
     tokens = ["alpha", "zyxxy", "beta"]
-    ids, ev = encode_source(tokens, vocab)
+    ev = ExtendedVocab(vocab, tokens)
+    ids = ev.source_ids
     size = ev.size
     script = []
     for idx in ids:
@@ -89,7 +90,7 @@ def test_greedy_max_len_zero():
 
 def test_greedy_tie_breaks_to_lowest_id(monkeypatch):
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha"])
     flat = np.full(ev.size, 1.0 / ev.size)
     monkeypatch.setattr(decoding, "full_step", _stub_full_step([flat]))
     out1 = greedy_decode("alpha", params, vocab, max_len=1)
@@ -140,7 +141,7 @@ def test_beam_matches_per_hypothesis_search():
 
 def test_beam_tie_uniform_keeps_lowest_ids(monkeypatch):
     params, vocab = tiny_model()
-    _, ev = encode_source(["alpha"], vocab)
+    ev = ExtendedVocab(vocab, ["alpha"])
     flat = np.full(ev.size, 1.0 / ev.size)
     monkeypatch.setattr(decoding, "full_step", _stub_full_step([flat]))
     hyps = beam_decode("alpha", params, vocab, BeamConfig(beam_width=4, max_len=1))
@@ -184,7 +185,7 @@ def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
         return out
 
     monkeypatch.setattr(ag, "_node", counting_node)
-    pointer.prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
+    prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
     hyps = beam_decode("alpha zyxxy beta", params, vocab, BeamConfig(beam_width=3, max_len=6))
     score_sequence("alpha zyxxy beta", hyps[0].ids, params, vocab)
     assert built == []
@@ -194,7 +195,7 @@ def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
 
 def test_score_sequence_rejects_ids_outside_extended_vocabulary():
     params, vocab = tiny_model(seed=6)
-    _, ev = encode_source(tokenize("alpha zyxxy beta"), vocab)
+    ev = ExtendedVocab(vocab, tokenize("alpha zyxxy beta"))
     assert score_sequence("alpha zyxxy beta", [ev.size - 1], params, vocab) < 0.0
     for bad in (-1, ev.size, 2.5):
         with pytest.raises(ValidationError, match="not an int in"):

@@ -115,7 +115,8 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     # the first decoded step targets the OOV; the second targets EOS, which
     # does reach the projection. Check the OOV step in isolation instead.
     params.zero_grad()
-    from paragen.pointer import prepare_source, step_forward
+    from paragen.model import prepare_source
+    from paragen.pointer import step_forward
     from paragen.vocab import BOS
 
     ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paragen.autograd as ag
 from paragen.autograd import backward
@@ -9,7 +11,7 @@ from paragen.layers import (LOG_FLOOR, accumulate_gates, lstm_cell, lstm_cell_ba
                             softmax_rows, stack_gates)
 
 from conftest import leaf, model_part
-from oracles import softmax_highprec
+from oracles import softmax_highprec, two_branch_sigmoid
 
 
 def test_softmax_symmetry():
@@ -64,6 +66,21 @@ def test_sigmoid_saturation():
     assert abs(hi - 1.0) < 1e-12
     assert abs(lo) < 1e-12 and lo > 0.0
     assert lo == pytest.approx(4.248354255291589e-18, rel=1e-12)
+
+
+SIGMOID_EDGES = [0.0, -0.0, 40.0, -40.0, 1e308, -1e308, np.inf, -np.inf, 5e-324, -5e-324, np.nan]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 800.0), st.integers(1, 8),
+       st.lists(st.sampled_from(SIGMOID_EDGES), max_size=len(SIGMOID_EDGES)))
+def test_sigmoid_equals_two_branch_oracle_bit_for_bit(seed, sigma, rows, edges):
+    """One division over the selected numerator gives the same bits as a
+    division in each branch, on normal draws and on zeros, saturating
+    values, the extremes of the doubles, infinities and NaN."""
+    x = np.random.default_rng(seed).normal(scale=sigma, size=(rows, 256))
+    x.flat[:len(edges)] = edges
+    assert sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
 
 
 def _never_called(g):

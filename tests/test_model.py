@@ -5,13 +5,12 @@ import paragen.autograd as ag
 from paragen.errors import DimensionError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.layers import lstm_cell, stack_gates
-from paragen.model import (EncoderStates, ModelDims, ModelParams, ParamGroup,
-                           attention_features, encode, encode_backward, parameter_layout,
-                           params_from_payload)
+from paragen.model import (ModelDims, ModelParams, ParamGroup, encode, encode_backward,
+                           parameter_layout, params_from_payload, prepare_source)
 from paragen.pointer import output_forward, step_forward
-from paragen.vocab import BOS, UNK, encode_source
+from paragen.vocab import BOS, UNK
 
-from conftest import TINY_TOKENS, leaf, model_part, step_loss_node, tiny_model
+from conftest import TINY_TOKENS, hand_states, leaf, model_part, step_loss_node, tiny_model
 from oracles import (cell_arrays, lstm_step_scalar, model_arrays, per_step_encode,
                      per_step_encode_backward, softmax_highprec, straight_line_encode)
 
@@ -86,7 +85,7 @@ def test_encode_palindrome_symmetry():
 
 
 def test_encode_matches_unrolled_cells():
-    """encode_source_ids against the straight-line transcription of the two
+    """prepare_source's states against the straight-line transcription of the two
     unrolled cells, on sources of 1-12 tokens with repeated and OOV words."""
     params, vocab = tiny_model(seed=6)
     rng = np.random.default_rng(6)
@@ -94,10 +93,10 @@ def test_encode_matches_unrolled_cells():
     covered = set()
     for n in range(1, 13):
         tokens = [words[i] for i in rng.integers(0, len(words), size=n)]
-        src_ids, _ = encode_source(tokens, vocab)
+        ev, states, _, _ = prepare_source(tokens, params, vocab)
+        src_ids = ev.source_ids
         covered |= {"oov"} if max(src_ids) >= vocab.size else set()
         covered |= {"repeat"} if len(set(src_ids)) < n else set()
-        states, _ = params.encode_source_ids(src_ids)
         emb_ids = [i if i < vocab.size else UNK for i in src_ids]
         H, h_final = straight_line_encode(model_arrays(params), emb_ids, params.dims.d_h)
         np.testing.assert_allclose(states.H, H, atol=1e-12, rtol=0)
@@ -155,9 +154,9 @@ def test_encode_matches_per_step_oracle(n):
 
 
 def test_encode_empty_source_error():
-    params, _ = tiny_model()
+    params, vocab = tiny_model()
     with pytest.raises(ValidationError):
-        params.encode_source_ids([])
+        prepare_source([], params, vocab)
 
 
 class _Source:
@@ -174,8 +173,7 @@ def _random_attend(seed, n=4, d_h=3, d_s=3, d_a=3, d_emb=2):
     params = ModelParams(ModelDims(vocab_size=6, d_emb=d_emb, d_h=d_h, d_s=d_s, d_a=d_a),
                          seed=seed)
     H = rng.normal(size=(n, 2 * d_h))
-    states = EncoderStates(H, H[n - 1], attention_features(H, params.attention),
-                           stack_gates(params.decoder))
+    states = hand_states(params, H, H[n - 1])
     return params, _Source([4] * n, 6), states, rng.normal(size=(1, 2 * d_s))
 
 
@@ -373,9 +371,6 @@ def test_views_survive_grad_check_dtype_swap():
 
 def test_bridge_shapes_and_tanh_range():
     params, vocab = tiny_model(seed=2)
-    from paragen.vocab import encode_source
-    ids, _ = encode_source(["alpha", "beta"], vocab)
-    states, _ = params.encode_source_ids(ids)
-    s0 = params.initial_decoder_state(states)
+    _, _, s0, _ = prepare_source(["alpha", "beta"], params, vocab)
     assert s0.shape == (1, 16)  # one row [hidden | cell]
     assert np.all(np.abs(s0) < 1.0)

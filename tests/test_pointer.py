@@ -7,9 +7,9 @@ import paragen.pointer as pointer
 from paragen.errors import NumericalError, ValidationError
 from paragen.gradcheck import grad_check
 from paragen.layers import LOG_FLOOR
-from paragen.model import ModelDims, ModelParams
+from paragen.model import ModelDims, ModelParams, prepare_source
 from paragen.pointer import (copy_distribution, mix, output_backward, output_forward,
-                             prepare_source, recur_sequence, step_forward)
+                             recur_sequence, step_forward)
 from paragen.vocab import BOS, EOS, UNK, Vocabulary, encode_target
 
 from conftest import TINY_TOKENS, step_loss_node, tiny_model

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from paragen.autograd import backward
 from paragen.errors import NumericalError, ValidationError
 from paragen.layers import stack_gates
-from paragen.model import ModelDims, ModelParams
+from paragen.model import ModelDims, ModelParams, prepare_source
 from paragen.training import (Adam, CheckpointError, CorruptCheckpointError, TrainConfig,
                               VersionMismatchError,
                               VocabMismatchError, WidthMismatchError, clip_gradients,
@@ -63,7 +63,7 @@ def test_sequence_loss_matches_per_step_oracle():
     to zero over positions, so they are sums of terms that nearly cancel, and
     the last-bit differences of the batched projection reach 5e-11 (bias) and
     6e-13 (weight) of their own largest entries."""
-    from paragen.training import _teacher_forced, _token_pairs
+    from paragen.training import _teacher_forced, _tokenized, _truncated
 
     cases = [("w01 name1x w02", "w02", 50),  # one target token: the shortest sequence
              ("w03 w04 w03 w04 w03", "w04 w03 w03 w05", 50),  # repeated source tokens
@@ -79,7 +79,7 @@ def test_sequence_loss_matches_per_step_oracle():
             for x, y, max_target_len in cases:
                 params.zero_grad()
                 loss, _, correct, _, p_gen = _teacher_forced(
-                    _token_pairs([(x, y)], 50, max_target_len), params, vocab)
+                    _truncated(_tokenized([(x, y)]), 50, max_target_len), params, vocab)
                 backward(loss)
                 grads = [p.grad.copy() for _, p in params.named_parameters()]
                 want_loss, want_correct, want_p_gen = per_step_sequence_loss(
@@ -259,10 +259,10 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
                       d_emb=4, d_h=4, d_s=4, d_a=4, batch_size=batch_size)
     encoded, updates = [], []  # the decoder gates each encoding ran with; (weights, gradient)
 
-    def recording_encode(self, source_ids):
-        states, cache = encode_source_ids(self, source_ids)
+    def recording_prepare(*args):
+        ev, states, state, cache = prepare_source(*args)
         encoded.append(states.gates[0].copy())
-        return states, cache
+        return ev, states, state, cache
 
     def recording_step(self):
         updates.append((self.data.copy(), self.grad.copy()))
@@ -272,11 +272,11 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
         encoded.clear()
         updates.clear()
         with monkeypatch.context() as m:
-            m.setattr(ModelParams, "encode_source_ids", recording_encode)
+            m.setattr("paragen.training.prepare_source", recording_prepare)
             m.setattr(Adam, "step", recording_step)
             return train(pairs, cfg, vocab=vocab)
 
-    encode_source_ids, step = ModelParams.encode_source_ids, Adam.step
+    step = Adam.step
     recorded_train(cfg)  # unclipped, each update steps its mean gradient
     cfg = replace(cfg, clip=float(np.median([np.linalg.norm(g) for _, g in updates])))
     trained, report = recorded_train(cfg)
@@ -324,7 +324,7 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
 def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
     """Memory contract: a batch holds every pair's caches until its backward,
     so its pairs share one stacked copy of each LSTM cell's gates instead of
-    stacking three of their own. The copy is dropped when the forward ends,
+    stacking three of their own. Training stores nothing on the parameters,
     and a later encoding stacks the weights afresh."""
     import paragen.model as model
 
@@ -334,15 +334,14 @@ def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
         calls.append(cell)
         return stack_gates(cell)
 
-    def recording_encode(self, source_ids):
-        states, cache = encode_source_ids(self, source_ids)
+    def recording_prepare(*args):
+        ev, states, state, cache = prepare_source(*args)
         (fwd, bwd) = cache[1]  # each direction's (cell, W, ...)
         encoded.append((states.gates, fwd[1], bwd[1]))
-        return states, cache
+        return ev, states, state, cache
 
-    encode_source_ids = ModelParams.encode_source_ids
     monkeypatch.setattr(model, "stack_gates", counting)
-    monkeypatch.setattr(ModelParams, "encode_source_ids", recording_encode)
+    monkeypatch.setattr("paragen.training.prepare_source", recording_prepare)
     pairs, _ = copy_task_corpus(10, seed=3)
     cfg = TrainConfig(seed=3, epochs=2, vocab_size=60, d_emb=4, d_h=4, d_s=4, d_a=4,
                       batch_size=4)  # batches of 4, 4 and 2 pairs
@@ -354,7 +353,7 @@ def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
         for gates, fwd, bwd in batch:
             assert gates is batch[0][0] and fwd is batch[0][1] and bwd is batch[0][2]
     assert len({id(batch[0][0]) for batch in batches}) == len(batches)
-    assert getattr(params, "_held_gates", None) is None
+    assert vars(params).keys() == vars(ModelParams(params.dims, seed=3)).keys()
 
     calls.clear()
     sequence_loss(pairs[0], params, copy_task_vocab())
@@ -368,7 +367,7 @@ def test_batch_gradient_equals_sum_of_pair_gradients_at_v10k():
     projection's and the gate's products over all its rows at once). As in
     test_sequence_loss_matches_per_step_oracle, the attention tensors, sums
     of nearly cancelling terms, are held to the model's largest entry."""
-    from paragen.training import _teacher_forced, _token_pairs
+    from paragen.training import _teacher_forced, _tokenized, _truncated
 
     vocab = Vocabulary([f"u{i:04d}" for i in range(10000)])
     params = ModelParams(ModelDims(vocab_size=vocab.size, d_emb=8, d_h=8, d_s=8, d_a=8), seed=4)
@@ -382,7 +381,7 @@ def test_batch_gradient_equals_sum_of_pair_gradients_at_v10k():
     want = [p.grad.copy() for _, p in params.named_parameters()]
     largest = np.abs(params.grad).max()
     params.zero_grad()
-    loss, nlls, *_ = _teacher_forced(_token_pairs(pairs, 50, 50), params, vocab)
+    loss, nlls, *_ = _teacher_forced(_truncated(_tokenized(pairs), 50, 50), params, vocab)
     backward(loss)
     assert nlls == want_nlls
     for (name, p), theirs in zip(params.named_parameters(), want):
@@ -687,6 +686,7 @@ def test_train_writes_log_and_interval_checkpoints(tmp_path):
     log.write_text("a line from an earlier run\n", encoding="utf-8")
     train(pairs, cfg, vocab=copy_task_vocab(), checkpoint_path=ckpt, log_path=log)
     assert ckpt.exists()
+    assert Vocabulary.load(tmp_path / "m.ckpt.vocab").id_to_token == copy_task_vocab().id_to_token
     lines = log.read_text().splitlines()
     assert len(lines) == 3
     for i, line in enumerate(lines, start=1):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from paragen.errors import ValidationError
 from paragen.model import ModelDims, ModelParams
-from paragen.vocab import (EOS, PAD, PUNCTUATION, RESERVED_TOKENS, UNK, Vocabulary, build_vocab,
-                           decode_ids, encode_source, encode_target, tokenize)
+from paragen.vocab import (EOS, PAD, PUNCTUATION, RESERVED_TOKENS, UNK, ExtendedVocab, Vocabulary,
+                           build_vocab, encode_target, tokenize)
 
 from oracles import loop_tokenize, straight_line_oov_minting
 
@@ -103,7 +103,8 @@ def test_lookup_unknown_is_unk():
 
 def test_reserved_strings_in_text_encode_as_unk():
     v = Vocabulary(["a", "b"])
-    ids, ev = encode_source(tokenize("<pad> a <bos> b <eos> <unk> zz"), v)
+    ev = ExtendedVocab(v, tokenize("<pad> a <bos> b <eos> <unk> zz"))
+    ids = ev.source_ids
     assert ids == [UNK, 4, UNK, 5, UNK, UNK, v.size]
     assert ev.source_oovs == ["zz"]
     assert encode_target(tokenize("a <eos> b"), ev) == [4, UNK, 5]
@@ -155,14 +156,16 @@ def test_vocab_build_deterministic(tmp_path):
 
 def test_encode_source_repeated_oov():
     v = Vocabulary(["the"])
-    ids, ev = encode_source(["the", "zyxxy", "the", "zyxxy"], v)
+    ev = ExtendedVocab(v, ["the", "zyxxy", "the", "zyxxy"])
+    ids = ev.source_ids
     assert ids == [4, v.size, 4, v.size]
     assert ev.source_oovs == ["zyxxy"]
 
 
 def test_encode_source_all_in_vocab():
     v = Vocabulary(["a", "b"])
-    ids, ev = encode_source(["a", "b", "a"], v)
+    ev = ExtendedVocab(v, ["a", "b", "a"])
+    ids = ev.source_ids
     assert ids == [4, 5, 4]
     assert ev.source_oovs == []
     assert ev.size == v.size
@@ -170,14 +173,19 @@ def test_encode_source_all_in_vocab():
 
 def test_encode_source_oov_ordering():
     v = Vocabulary(["x"])
-    ids, ev = encode_source(["aa", "bb"], v)
+    ev = ExtendedVocab(v, ["aa", "bb"])
+    ids = ev.source_ids
     assert ids == [v.size, v.size + 1]
     assert ev.source_oovs == ["aa", "bb"]
 
 
 def test_encode_source_empty_error():
+    from paragen.model import prepare_source
+
+    v = Vocabulary(["x"])
+    params = ModelParams(ModelDims(vocab_size=v.size, d_emb=2, d_h=2, d_s=2, d_a=2), seed=0)
     with pytest.raises(ValidationError):
-        encode_source([], Vocabulary(["x"]))
+        prepare_source([], params, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,28 +193,28 @@ def test_encode_source_empty_error():
                           st.text(min_size=1, max_size=2)), min_size=1, max_size=20))
 def test_encode_source_equals_minting_oracle(tokens):
     v = Vocabulary(["a", "b", "c"])
-    ids, ev = encode_source(tokens, v)
+    ev = ExtendedVocab(v, tokens)
     want_ids, want_oovs, want_size = straight_line_oov_minting(tokens, v)
-    assert ids == ev.source_ids == want_ids
+    assert ev.source_ids == want_ids
     assert ev.source_oovs == want_oovs
     assert ev.size == want_size
 
 
 def test_encode_target_oov_in_source():
     v = Vocabulary(["the"])
-    _, ev = encode_source(["the", "zyxxy"], v)
+    ev = ExtendedVocab(v, ["the", "zyxxy"])
     assert encode_target(["zyxxy"], ev) == [v.size]
 
 
 def test_encode_target_oov_absent_from_source():
     v = Vocabulary(["the"])
-    _, ev = encode_source(["the"], v)
+    ev = ExtendedVocab(v, ["the"])
     assert encode_target(["qqqq"], ev) == [UNK]
 
 
 def test_encode_target_in_vocab_regardless_of_source():
     v = Vocabulary(["the", "cat"])
-    _, ev = encode_source(["the"], v)
+    ev = ExtendedVocab(v, ["the"])
     assert encode_target(["cat"], ev) == [v.lookup("cat")]
 
 
@@ -216,8 +224,8 @@ def test_round_trip_decode():
     pool = ["a", "b", "oov1", "oov2", "oov3"]
     for _ in range(50):
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=rng.integers(1, 12))]
-        ids, ev = encode_source(tokens, v)
-        assert decode_ids(ids, ev) == tokens
+        ev = ExtendedVocab(v, tokens)
+        assert [ev.token(i) for i in ev.source_ids] == tokens
 
 
 def test_encode_target_id_bound_property():
@@ -227,14 +235,14 @@ def test_encode_target_id_bound_property():
     for _ in range(100):
         src = [pool[int(i)] for i in rng.integers(0, len(pool), size=rng.integers(1, 8))]
         tgt = [pool[int(i)] for i in rng.integers(0, len(pool), size=rng.integers(1, 8))]
-        ids, ev = encode_source(src, v)
+        ev = ExtendedVocab(v, src)
         for t in encode_target(tgt, ev):
             assert 0 <= t < ev.size
 
 
 def test_extended_vocab_token_range_error():
     v = Vocabulary(["a"])
-    _, ev = encode_source(["a", "oov"], v)
+    ev = ExtendedVocab(v, ["a", "oov"])
     assert ev.token(v.size) == "oov"
     with pytest.raises(ValidationError):
         ev.token(ev.size)
@@ -244,7 +252,8 @@ def test_embedding_lookup_rows():
     # the decoder step embeds each row's previous id: a fixed id its own row,
     # an extended id the UNK row, and a negative id is rejected
     from paragen.layers import lstm_cell
-    from paragen.pointer import prepare_source, step_forward
+    from paragen.model import prepare_source
+    from paragen.pointer import step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
     ev, states, state, _ = prepare_source(["a", "oov"], params, Vocabulary(["a", "b"]))
