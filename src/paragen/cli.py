@@ -17,8 +17,8 @@ from .fileio import atomic_write, read_lines
 from .metrics import bleu, token_hits
 from .miner import (DEFAULT_ABBREVIATIONS, MineConfig, align, load_abbreviations,
                     load_documents, write_pairs)
-from .training import (VOCAB_SUFFIX, CheckpointError, TrainConfig, load_checkpoint,
-                       load_pairs_tsv, train)
+from .training import (VOCAB_SUFFIX, CheckpointError, EmptyPairError, TrainConfig,
+                       load_checkpoint, load_pairs_tsv, train)
 from .vocab import Vocabulary, tokenize
 
 
@@ -179,8 +179,12 @@ def cmd_train(args):
     cfg = _build(TrainConfig, _effective(args))
     pairs = load_pairs_tsv(args.data)
     vocab = Vocabulary.load(args.vocab) if args.vocab else None  # else train() builds it
-    _, report = train(pairs, cfg, vocab=vocab,
-                      checkpoint_path=args.out, log_path=args.out + ".log")
+    try:
+        _, report = train(pairs, cfg, vocab=vocab,
+                          checkpoint_path=args.out, log_path=args.out + ".log")
+    except EmptyPairError as exc:  # pair i is line i + 1 of the TSV
+        raise ValidationError(f"{args.data}: line {exc.index + 1}: "
+                              "empty source or target after tokenization") from exc
     print(f"trained {cfg.epochs} epochs, final mean NLL {report.final_nll:.6f}")
     return 0
 

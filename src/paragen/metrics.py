@@ -62,10 +62,12 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
     if hyp_len == 0:
         return BleuReport(0.0, precisions, 0.0, hyp_len, ref_len)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    score = 0.0
     if min(precisions) > 0.0:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_order)
-    else:
-        score = 0.0
+        log_sum = 0.0  # left to right: Python 3.12's sum() compensates its additions
+        for p in precisions:
+            log_sum += math.log(p)
+        score = bp * math.exp(log_sum / max_order)
     return BleuReport(score, precisions, bp, hyp_len, ref_len)
 
 

@@ -11,13 +11,14 @@ import html.parser
 import json
 import logging
 import math
+import os
 import re
 import time
 import urllib.parse
 import urllib.request
 import urllib.robotparser
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class SentenceRecord:
     source: str
     text: str
     tokens: list
-    weights: dict = field(default_factory=dict)  # term -> L2-normalized tf-idf
 
 
 @dataclass
@@ -125,78 +125,99 @@ def segment(doc, min_tokens=MineConfig.min_tokens, max_tokens=MineConfig.max_tok
             if (tokens := tokenize(text)) and min_tokens <= len(tokens) <= max_tokens]
 
 
-def _tfidf_weights(tokens, df, n):
-    """L2-normalized (1 + log tf) * log(1 + n / df) weights of ``tokens`` over
-    ``n`` sentences; terms missing from ``df`` are dropped, so the vector may
-    be empty."""
-    tf = {}
-    for tok in tokens:
-        tf[tok] = tf.get(tok, 0) + 1
-    vec = {t: (1.0 + math.log(c)) * math.log(1.0 + n / df[t]) for t, c in tf.items() if t in df}
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    return {t: w / norm for t, w in vec.items()} if norm else {}
+def _distinct_terms(ids, lengths, n_terms):
+    """Each row's distinct term ids in first-occurrence order, with their tf,
+    as (row, term id, tf) arrays: row r holds the next ``lengths[r]`` of the
+    flat term ``ids`` (each below ``n_terms``)."""
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n_terms, lengths)
+    keys += np.asarray(ids, dtype=np.int64)
+    keys, first, tf = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)  # rows stay ascending
+    return (*np.divmod(keys[order], n_terms), tf[order])
+
+
+def _tfidf_weights(rows, terms, tf, idf):
+    """L2-normalized (1 + log tf) * idf of ``_distinct_terms``' entries, the
+    floats of that expression in Python: 1 + log tf from a ``math.log`` table
+    (``np.log`` rounds some values differently), and each norm summed in term
+    order, one row of a padded ``cumsum``."""
+    w = np.array([0.0] + [1.0 + math.log(c) for c in range(1, tf.max(initial=0) + 1)])[tf]
+    w *= idf[terms]
+    counts = np.bincount(rows)
+    squares = np.zeros((len(counts), counts.max(initial=1)))
+    squares[rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)] = w * w
+    w /= np.sqrt(np.cumsum(squares, axis=1, out=squares)[:, -1])[rows]
+    return w
+
+
+def _spans(ptr, keys):
+    """The positions of CSR rows ``keys`` (row pointers ``ptr``) laid end to
+    end, as one ``arange`` shifted row by row, and each row's length."""
+    starts = ptr[keys]
+    lengths = ptr[keys + 1] - starts
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    at += np.arange(len(at))
+    return at, lengths
 
 
 class InvertedIndex:
-    """Exact cosine scoring over L2-normalized log-TF-IDF sentence vectors.
+    """Exact cosine scoring over L2-normalized log-TF-IDF sentence vectors,
+    held as two CSRs of the same weights. Term-major: term id ``t``
+    (``term_ids[term]``) occurs in sentences ``sids[ptr[t]:ptr[t + 1]]``
+    (ascending) with ``weights`` of that span. Sid-major: sentence ``s`` holds
+    term ids ``row_terms[row_ptr[s]:row_ptr[s + 1]]`` (first occurrence
+    first) with ``row_weights`` of that span. ``source_ids[sid]`` numbers each
+    indexed sentence's source (-1 for a sid with no record)."""
 
-    The postings are CSR arrays: term id ``t`` (``term_ids[term]``) occurs in
-    sentences ``sids[ptr[t]:ptr[t + 1]]`` (ascending) with weights
-    ``weights[ptr[t]:ptr[t + 1]]``; ``source_ids[sid]`` numbers each indexed
-    sentence's source (-1 for a sid with no record).
-    """
-
-    def __init__(self, records, df, n_sentences):
-        self.records = records  # sid -> SentenceRecord, weighted
-        self.df = df
-        self.n_sentences = n_sentences  # the n of the weights (records with no weight too)
-        self.width = max(records, default=-1) + 1  # columns of a dense score row
+    def __init__(self, records):
+        records = sorted(records, key=lambda rec: rec.sid)
         self.term_ids, self.sources = {}, {}
+        ids = [self.term_ids.setdefault(tok, len(self.term_ids))
+               for rec in records for tok in rec.tokens]
+        rows, self.row_terms, tf = _distinct_terms(ids, [len(rec.tokens) for rec in records],
+                                                   len(self.term_ids))
+        df = np.bincount(self.row_terms, minlength=len(self.term_ids))
+        df_values, at = np.unique(df, return_inverse=True)  # n counts token-less records too
+        self.idf = np.array([math.log(1.0 + len(records) / d) for d in df_values.tolist()])[at]
+        self.row_weights = _tfidf_weights(rows, self.row_terms, tf, self.idf)
+        self.records = {rec.sid: rec for rec in records if rec.tokens}  # sid -> SentenceRecord
+        self.width = max(self.records, default=-1) + 1  # columns of a dense score row
         self.source_ids = np.full(self.width, -1)
-        terms, sids, weights = [], [], []
-        for sid in sorted(records):
-            rec = records[sid]
-            self.source_ids[sid] = self.sources.setdefault(rec.source, len(self.sources))
-            for term, w in rec.weights.items():
-                terms.append(self.term_ids.setdefault(term, len(self.term_ids)))
-                sids.append(sid)
-                weights.append(w)
-        terms = np.array(terms, dtype=np.intp)
-        order = np.argsort(terms, kind="stable")
-        self.sids = np.array(sids, dtype=np.intp)[order]
-        self.weights = np.array(weights, dtype=np.float64)[order]
-        self.ptr = [0] + np.cumsum(np.bincount(terms, minlength=len(self.term_ids))).tolist()
+        self.source_ids[list(self.records)] = [
+            self.sources.setdefault(rec.source, len(self.sources)) for rec in self.records.values()]
+        sids = np.array([rec.sid for rec in records], dtype=np.int64)[rows]
+        self.row_ptr = np.concatenate([[0], np.cumsum(np.bincount(sids, minlength=self.width))])
+        order = np.argsort(self.row_terms, kind="stable")  # each term's sids stay ascending
+        self.sids, self.weights = sids[order], self.row_weights[order]
+        self.ptr = np.concatenate([[0], np.cumsum(df)])
 
     def vectorize(self, tokens):
-        """Weight an arbitrary token list with this index's statistics; terms
-        unseen by the index get weight zero."""
-        return _tfidf_weights(tokens, self.df, self.n_sentences)
+        """Weight an arbitrary token list with this index's statistics, as
+        (term ids, weights) in first-occurrence order; terms unseen by the
+        index are dropped, so the vector may be empty."""
+        ids = [self.term_ids[tok] for tok in tokens if tok in self.term_ids]
+        rows, terms, tf = _distinct_terms(ids, [len(ids)], len(self.term_ids))
+        return terms, _tfidf_weights(rows, terms, tf, self.idf)
 
     def _dense_scores(self, queries):
         """Cosines of each query record (a row each) against every sid column.
-
-        Each query's term postings are laid out in the order of its weights
-        and added by one ``bincount``, which sums its input in order: every
-        cosine is the same sequence of float additions, whatever the block.
-        """
-        sids, weights, query_weights, offsets, counts = [], [], [], [], []
-        for row, rec in enumerate(queries):
-            for term, w in (rec.weights or self.vectorize(rec.tokens)).items():
-                t = self.term_ids.get(term)
-                if t is not None:
-                    start, stop = self.ptr[t], self.ptr[t + 1]
-                    sids.append(self.sids[start:stop])
-                    weights.append(self.weights[start:stop])
-                    query_weights.append(w)
-                    offsets.append(row * self.width)
-                    counts.append(stop - start)
-        if not sids:
-            return np.zeros((len(queries), self.width))
-        cells = np.concatenate(sids)
-        if len(queries) > 1:
-            cells += np.repeat(offsets, counts)
-        products = np.concatenate(weights)
-        products *= np.repeat(query_weights, counts)
+        A record of this index reads its sid-major row; any other (a stranger
+        may reuse an indexed sid) is vectorized, to the same weights. Each
+        query's postings, in the order of its terms, are added by one
+        ``bincount``, which sums in input order: every cosine is the same
+        sequence of float additions, whatever the block."""
+        if all(self.records.get(rec.sid) is rec for rec in queries):
+            at, counts = _spans(self.row_ptr, np.fromiter((r.sid for r in queries), np.int64))
+            terms, query_weights = self.row_terms[at], self.row_weights[at]
+        else:
+            vectors = [self.vectorize(rec.tokens) for rec in queries]
+            counts = [len(terms) for terms, _ in vectors]
+            terms, query_weights = map(np.concatenate, zip(*vectors))
+        at, lengths = _spans(self.ptr, terms)
+        cells = self.sids[at]
+        cells += np.repeat(np.repeat(np.arange(len(queries)) * self.width, counts), lengths)
+        products = self.weights[at]
+        products *= np.repeat(query_weights, lengths)
         block = np.bincount(cells, products, minlength=len(queries) * self.width)
         return block.reshape(len(queries), self.width)
 
@@ -230,19 +251,10 @@ class InvertedIndex:
 
 
 def build_index(records):
-    """Weight every sentence record in place and build the inverted index."""
+    """Weight the sentence records, token-less ones counted in n, and index them."""
     if not records:
         raise ValidationError("build_index: no sentences")
-    df = {}
-    for rec in records:
-        for term in set(rec.tokens):
-            df[term] = df.get(term, 0) + 1
-    by_sid = {}
-    for rec in records:
-        rec.weights = _tfidf_weights(rec.tokens, df, len(records))
-        if rec.weights:
-            by_sid[rec.sid] = rec
-    return InvertedIndex(by_sid, df, len(records))
+    return InvertedIndex(records)
 
 
 def query_similar(ref, index, k):
@@ -276,24 +288,19 @@ def align(docs, cfg=MineConfig(), threads=1):
     """
     sources = {d.source for d in docs}
     if len(sources) < 2:
-        raise ValidationError(
-            f"align: need documents from at least 2 sources, got {len(sources)}")
+        raise ValidationError(f"align: need documents from at least 2 sources, got {len(sources)}")
     records = sentence_records(docs, cfg)
     if not records:
         return []
     index = build_index(records)
-    indexed = [index.records[sid] for sid in sorted(index.records)]
+    indexed = list(index.records.values())  # in sid order
     step = max(1, BLOCK_ELEMENTS // index.width)
     blocks = [indexed[i:i + step] for i in range(0, len(indexed), step)]
-
-    def neighbours(block):
-        return index.top_k(block, cfg.k)
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            block_hits = list(pool.map(neighbours, blocks))
+            block_hits = list(pool.map(index.top_k, blocks, [cfg.k] * len(blocks)))
     else:
-        block_hits = [neighbours(block) for block in blocks]
+        block_hits = [index.top_k(block, cfg.k) for block in blocks]
     all_hits = [hits for per_block in block_hits for hits in per_block]
 
     pairs = {}
@@ -342,8 +349,6 @@ def ingest(source):
 
 def load_documents(directory):
     """Read one JSON document per file: {id, source, title, body, timestamp}."""
-    import os
-
     docs = []
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
@@ -393,12 +398,8 @@ class _TextExtractor(html.parser.HTMLParser):
             self._in_title = False
 
     def handle_data(self, data):
-        if self._skip:
-            return
-        if self._in_title:
-            self.title_parts.append(data)
-        else:
-            self.parts.append(data)
+        if not self._skip:
+            (self.title_parts if self._in_title else self.parts).append(data)
 
 
 def _extract_text(markup):
@@ -418,9 +419,7 @@ def strip_html(markup):
 
 def fetch_documents(urls, delay=1.0, timeout=10.0):
     """Fetch URLs politely: robots exclusion honored, one request/sec/host."""
-    robots = {}
-    last_hit = {}
-    docs = []
+    robots, last_hit, docs = {}, {}, []
     for url in urls:
         host = urllib.parse.urlsplit(url).netloc
         try:

@@ -131,11 +131,20 @@ def _pair_texts(pair):
     return x, y
 
 
+class EmptyPairError(ValidationError):
+    """A pair with no source or no target tokens; ``index`` is its position."""
+
+    def __init__(self, index):
+        super().__init__(f"pair {index}: empty source or target after tokenization")
+        self.index = index
+
+
 def _tokenized(pairs):
     """Each text pair as (source, target) token lists."""
     out = [tuple(map(tokenize, _pair_texts(pair))) for pair in pairs]
-    if not all(src and tgt for src, tgt in out):
-        raise ValidationError("sequence_loss: empty source or target after tokenization")
+    for index, (src, tgt) in enumerate(out):
+        if not (src and tgt):
+            raise EmptyPairError(index)
     return out
 
 

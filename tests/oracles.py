@@ -572,12 +572,39 @@ def brute_force_neighbours(records, ref_index, k):
     return ranked[:k]
 
 
-def dict_postings(records):
-    """term -> [(sid, weight)] sorted by sid, over ``records`` (sid -> weighted
-    SentenceRecord): the postings lists the miner kept before its CSR arrays."""
+def dict_tfidf_weights(tokens, df, n):
+    """The miner's weighting before its arrays: L2-normalized (1 + log tf) *
+    log(1 + n / df) of ``tokens`` as {term: weight}, terms in first-occurrence
+    order; terms missing from ``df`` are dropped, so the vector may be empty.
+    The squares are added left to right in an explicit loop, not ``sum()``,
+    which compensates its additions from Python 3.12 on."""
+    tf = {}
+    for tok in tokens:
+        tf[tok] = tf.get(tok, 0) + 1
+    vec = {t: (1.0 + math.log(c)) * math.log(1.0 + n / df[t]) for t, c in tf.items() if t in df}
+    total = 0.0
+    for w in vec.values():
+        total += w * w
+    norm = math.sqrt(total)
+    return {t: w / norm for t, w in vec.items()} if norm else {}
+
+
+def dict_tfidf(records):
+    """(df, {sid: dict_tfidf_weights}) over every record, the token-less
+    included: each counts in n and gets an empty vector."""
+    df = {}
+    for rec in records:
+        for term in set(rec.tokens):
+            df[term] = df.get(term, 0) + 1
+    return df, {rec.sid: dict_tfidf_weights(rec.tokens, df, len(records)) for rec in records}
+
+
+def dict_postings(weights):
+    """term -> [(sid, weight)] sorted by sid, over ``weights`` (sid ->
+    {term: weight}): the postings lists the miner kept before its CSR arrays."""
     postings = {}
-    for sid in sorted(records):
-        for term, w in records[sid].weights.items():
+    for sid in sorted(weights):
+        for term, w in weights[sid].items():
             postings.setdefault(term, []).append((sid, w))
     return postings
 

@@ -420,6 +420,33 @@ def test_train_divergence_exit_3(tmp_path):
         _assert_kept(path, content)
 
 
+def test_train_empty_side_names_the_tsv_line(tmp_path, capsys):
+    data = tmp_path / "train.tsv"
+    data.write_text("a b\tc d\na b\t\ne f\tg\n", encoding="utf-8")
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: line 2: empty source or target after tokenization" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_mine_bytes_do_not_depend_on_blas_threads(tmp_path, three_source_docs):
+    """``mine`` at OPENBLAS_NUM_THREADS 1 and 2, each in its own interpreter
+    (the thread count is read when numpy loads): the same TSV and sidecar."""
+    doc_dir = write_doc_fixture(tmp_path, three_source_docs)
+    src = str(Path(paragen.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pairs{threads}.tsv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "paragen.cli", "--seed", "1", "mine",
+                              "--docs", str(doc_dir), "--out", str(out), "--min-sim", "0.3"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append((out.read_bytes(), Path(f"{out}.jsonl").read_bytes()))
+    assert outputs[0][0] and outputs[0] == outputs[1]
+
+
 def test_train_tokenizes_each_text_once(tmp_path, monkeypatch):
     """The vocabulary is counted from the token lists training runs on, so
     12 pairs make 24 ``tokenize`` calls, one per text."""

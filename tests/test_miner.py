@@ -1,9 +1,12 @@
+import copy
 import io
 import json
 import logging
+import math
 import urllib.error
 import urllib.parse
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from paragen.vocab import PUNCTUATION, tokenize
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
                       write_doc_fixture, zipf_sentence_docs)
 from oracles import (brute_force_neighbours, dense_tfidf, dict_postings, dict_query_similar,
-                     loop_segment, loop_tokenize)
+                     dict_tfidf, dict_tfidf_weights, loop_segment, loop_tokenize)
 
 
 def _doc(body, doc_id="d0", source="s0"):
@@ -154,15 +157,43 @@ def test_pairwise_cosines_match_dense_oracle():
             assert got == pytest.approx(dense[rec.sid, other.sid], abs=1e-9)
 
 
+def _named(index, terms, weights):
+    """An index vector (term ids, weights) as [(term, weight)], in its order."""
+    names = list(index.term_ids)
+    return [(names[t], w) for t, w in zip(terms.tolist(), weights.tolist())]
+
+
+def _row(index, sid):
+    """Sentence ``sid``'s sid-major row of ``index`` as [(term, weight)]."""
+    span = slice(index.row_ptr[sid], index.row_ptr[sid + 1])
+    return _named(index, index.row_terms[span], index.row_weights[span])
+
+
 def test_vectorize_reproduces_indexed_weights():
     recs = sentence_records(random_sentence_docs(seed=2, n_sentences=80, vocab_size=50))
     # a record with no tokens gets no weights but still counts in n
     recs.append(SentenceRecord(sid=len(recs), doc_id="e", source="srcE", text="", tokens=[]))
     index = build_index(recs)
+    _, want = dict_tfidf(recs)
     assert len(index.records) == len(recs) - 1
     for rec in recs[:-1]:
-        assert index.vectorize(rec.tokens) == rec.weights
-    assert index.vectorize(["never", "indexed"]) == {}
+        assert _named(index, *index.vectorize(rec.tokens)) == list(want[rec.sid].items())
+        assert _row(index, rec.sid) == list(want[rec.sid].items())
+    assert _named(index, *index.vectorize(["never", "indexed"])) == []
+
+
+def test_norm_adds_squares_left_to_right():
+    """The squares of [1, 1e-8 x 4] sum to 1.0 added in order, but to
+    1 + 4e-16 rounded once (fsum) or compensated (Python 3.12's ``sum()``):
+    the miner's norm is the ordered one on every Python."""
+    raw = [1.0] + [1e-8] * 4
+    ordered = 0.0
+    for w in raw:
+        ordered += w * w
+    assert ordered != math.fsum(w * w for w in raw)
+    got = miner._tfidf_weights(np.zeros(5, dtype=np.int64), np.arange(5), np.ones(5, np.int64),
+                               np.array(raw))
+    assert got.tolist() == [w / math.sqrt(ordered) for w in raw]
 
 
 def test_query_similar_exact_vs_brute_force():
@@ -213,12 +244,13 @@ C5_SIZES = [50, 75, 100, 150, 200, 250, 300, 350, 400, 450,
 
 def _exact_against_dict_path(recs, stride):
     index = build_index(recs)
-    postings = dict_postings(index.records)
+    _, weights = dict_tfidf(recs)
+    postings = dict_postings(weights)
     for rec in recs[::stride]:
         for k in (1, 5, len(recs)):  # k = every candidate compares the whole ranking
-            want = dict_query_similar(rec.weights, rec.source, index.records, postings, k)
+            want = dict_query_similar(weights[rec.sid], rec.source, index.records, postings, k)
             assert query_similar(rec, index, k) == want, (rec.sid, k)
-        everything = dict_query_similar(rec.weights, None, index.records, postings, len(recs))
+        everything = dict_query_similar(weights[rec.sid], None, index.records, postings, len(recs))
         assert index.scores(rec) == dict(everything)
 
 
@@ -275,24 +307,64 @@ def test_query_similar_boundary_tie_keeps_lowest_sids():
     hits = query_similar(recs[0], index, k=2)
     assert [sid for sid, _ in hits] == copies[:2]
     assert hits[0][1] == hits[1][1] == index.scores(recs[0])[copies[4]]
-    postings = dict_postings(index.records)
+    _, weights = dict_tfidf(recs)
+    postings = dict_postings(weights)
     for k in range(1, 7):
         assert query_similar(recs[0], index, k) == dict_query_similar(
-            recs[0].weights, "srcA", index.records, postings, k)
+            weights[recs[0].sid], "srcA", index.records, postings, k)
+
+
+_FEW_WORDS = st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta", "."]), max_size=7)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.sampled_from(["s0", "s1", "s2"]), _FEW_WORDS), max_size=20),
+       _FEW_WORDS.filter(bool), st.lists(st.sampled_from(["beta", "unseen", "."]), max_size=4),
+       st.integers(1, 6))
+def test_array_index_equals_dict_oracle(rows, copied, stranger_tokens, k):
+    """Weights (value and order), ``scores`` and ``top_k`` equal the dict path
+    on corpora of five words: repeated tokens, token-less records that count
+    in n, ties at the k-th score (the same sentence in all three sources),
+    and a record outside the index that reuses sid 0, in a block with the
+    indexed records and alone."""
+    rows = [(source, copied) for source in ("s0", "s1", "s2")] + rows
+    recs = [SentenceRecord(sid=i, doc_id=f"d{i}", source=source, text=" ".join(tokens),
+                           tokens=tokens) for i, (source, tokens) in enumerate(rows)]
+    index = build_index(recs)
+    df, weights = dict_tfidf(recs)
+    postings = dict_postings(weights)
+    for rec in recs:
+        assert _named(index, *index.vectorize(rec.tokens)) == list(weights[rec.sid].items())
+        if rec.tokens:
+            assert _row(index, rec.sid) == list(weights[rec.sid].items())
+        else:
+            assert rec.sid not in index.records
+    indexed = [index.records[sid] for sid in sorted(index.records)]
+    stranger = SentenceRecord(sid=0, doc_id="q", source="s1", text="", tokens=stranger_tokens)
+    queries = indexed + [stranger]
+    got = index.top_k(queries, k)
+    assert index.top_k(indexed, k) == got[:-1] and index.top_k([stranger], k) == got[-1:]
+    for query, hits in zip(queries, got):
+        vector = dict_tfidf_weights(query.tokens, df, len(recs))
+        assert hits == dict_query_similar(vector, query.source, index.records, postings, k)
+        everything = dict_query_similar(vector, None, index.records, postings, len(recs))
+        assert index.scores(query) == dict(everything)
 
 
 def test_query_similar_record_outside_the_index():
     recs = sentence_records(random_sentence_docs(seed=6, n_sentences=200, vocab_size=50))
     index = build_index(recs)
-    postings = dict_postings(index.records)
+    df, weights = dict_tfidf(recs)
+    postings = dict_postings(weights)
     text = " ".join(recs[3].tokens[:4] + recs[150].tokens[:4] + ["never", "indexed"])
     for source in ("src1", "elsewhere"):
         ref = SentenceRecord(sid=10 ** 6, doc_id="q", source=source, text=text,
                              tokens=tokenize(text))
-        want = dict_query_similar(index.vectorize(ref.tokens), source, index.records,
-                                  postings, 5)
+        before = copy.deepcopy(ref)
+        want = dict_query_similar(dict_tfidf_weights(ref.tokens, df, len(recs)), source,
+                                  index.records, postings, 5)
         assert want and query_similar(ref, index, 5) == want
-        assert ref.weights == {}
+        assert ref == before
     alone = SentenceRecord(sid=0, doc_id="q", source="s", text="", tokens=["never"])
     assert query_similar(alone, index, 3) == [] and index.scores(alone) == {}
 

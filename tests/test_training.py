@@ -122,9 +122,12 @@ def test_train_tokenizes_and_truncates_each_pair_once_per_run(caplog, monkeypatc
 
 
 def test_empty_pair_rejected():
+    """The error names the pair's index in what the caller passed."""
     params, vocab = tiny_model(seed=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^pair 0: empty source or target"):
         sequence_loss(("", "alpha"), params, vocab)
+    with pytest.raises(ValidationError, match="^pair 2: empty source or target"):
+        train([("a b", "c"), ("d", "e f"), ("g", " \t")], TrainConfig(seed=0))
 
 
 def test_clip_gradients_norm_and_direction():
