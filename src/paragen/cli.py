@@ -31,7 +31,7 @@ def _field_defaults(config, drop=(), **renamed):
 
 SEED = 0
 MINE_DEFAULTS = {**_field_defaults(MineConfig, drop=("abbreviations",)),
-                 "stoplist": None, "threads": 1, "seed": SEED}
+                 "stoplist": None, "seed": SEED}
 TRAIN_DEFAULTS = {**_field_defaults(TrainConfig), "seed": SEED}
 GENERATE_DEFAULTS = {**_field_defaults(BeamConfig, beam_width="beam"),
                      "greedy": False, "plain": False, "force_p_gen": None, "seed": SEED}
@@ -74,8 +74,7 @@ def build_parser():
              min_sim="similarity band lower bound", max_sim="similarity band upper bound",
              min_tokens="shortest sentence kept", max_tokens="longest sentence kept",
              stoplist="file of abbreviations that never end a sentence; off means the "
-                      "built-in list",
-             threads="threads over query blocks; output is identical")
+                      "built-in list")
     mine.set_defaults(func=cmd_mine)
 
     tr = sub.add_parser("train", help="train a model on a pair-per-line TSV")
@@ -169,7 +168,7 @@ def cmd_mine(args):
               else DEFAULT_ABBREVIATIONS)
     cfg = _build(MineConfig, cfg_map, abbreviations=abbrev)
     docs = load_documents(args.docs)
-    pairs = align(docs, cfg, threads=cfg_map["threads"])
+    pairs = align(docs, cfg)
     write_pairs(pairs, args.out, args.out + ".jsonl")
     print(f"{len(pairs)} pairs")
     return 0

@@ -1,8 +1,10 @@
-"""Text lines split on LF only, and atomic file writes: a reader finds the
-old file or the whole new one."""
+"""Text lines split on LF only, pair lines that read back as written, and
+atomic file writes: a reader finds the old file or the whole new one."""
 
 import os
 from contextlib import contextmanager
+
+from .errors import ValidationError
 
 
 @contextmanager
@@ -30,3 +32,12 @@ def read_lines(path):
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def write_pair_lines(fh, pairs):
+    """Write each (x, y) text pair as an ``x<TAB>y`` line; a text holding a TAB
+    or an LF would not read back, so it raises ValidationError naming the pair."""
+    for i, (x, y) in enumerate(pairs):
+        if "\t" in x + y or "\n" in x + y:
+            raise ValidationError(f"pair {i}: a text holds a TAB or an LF")
+        fh.write(f"{x}\t{y}\n")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, write_pair_lines
 from .vocab import tokenize
 
 log = logging.getLogger(__name__)
@@ -72,11 +72,6 @@ class SentencePair:
     y_source: str
     x_doc: str = ""
     y_doc: str = ""
-
-    def provenance(self):
-        return {"x_sid": self.x_sid, "y_sid": self.y_sid,
-                "x_source": self.x_source, "y_source": self.y_source,
-                "x_doc": self.x_doc, "y_doc": self.y_doc}
 
 
 @dataclass
@@ -161,111 +156,105 @@ def _spans(ptr, keys):
 
 
 class InvertedIndex:
-    """Exact cosine scoring over L2-normalized log-TF-IDF sentence vectors,
-    held as two CSRs of the same weights. Term-major: term id ``t``
-    (``term_ids[term]``) occurs in sentences ``sids[ptr[t]:ptr[t + 1]]``
+    """Exact cosine scoring of the held sentences, queried by sid, over
+    L2-normalized log-TF-IDF vectors in two CSRs of the same weights.
+    Term-major: term id ``t`` occurs in sentences ``sids[ptr[t]:ptr[t + 1]]``
     (ascending) with ``weights`` of that span. Sid-major: sentence ``s`` holds
-    term ids ``row_terms[row_ptr[s]:row_ptr[s + 1]]`` (first occurrence
-    first) with ``row_weights`` of that span. ``source_ids[sid]`` numbers each
-    indexed sentence's source (-1 for a sid with no record)."""
+    term ids ``row_terms[row_ptr[s]:row_ptr[s + 1]]`` (first occurrence first)
+    with ``row_weights`` of that span. ``source_ids[sid]`` numbers each held
+    sentence's source (-1 for a sid with no record)."""
 
     def __init__(self, records):
         records = sorted(records, key=lambda rec: rec.sid)
-        self.term_ids, self.sources = {}, {}
-        ids = [self.term_ids.setdefault(tok, len(self.term_ids))
-               for rec in records for tok in rec.tokens]
+        term_ids, sources = {}, {}
+        ids = [term_ids.setdefault(tok, len(term_ids)) for rec in records for tok in rec.tokens]
         rows, self.row_terms, tf = _distinct_terms(ids, [len(rec.tokens) for rec in records],
-                                                   len(self.term_ids))
-        df = np.bincount(self.row_terms, minlength=len(self.term_ids))
+                                                   len(term_ids))
+        df = np.bincount(self.row_terms, minlength=len(term_ids))
         df_values, at = np.unique(df, return_inverse=True)  # n counts token-less records too
-        self.idf = np.array([math.log(1.0 + len(records) / d) for d in df_values.tolist()])[at]
-        self.row_weights = _tfidf_weights(rows, self.row_terms, tf, self.idf)
+        idf = np.array([math.log(1.0 + len(records) / d) for d in df_values.tolist()])[at]
+        self.row_weights = _tfidf_weights(rows, self.row_terms, tf, idf)
         self.records = {rec.sid: rec for rec in records if rec.tokens}  # sid -> SentenceRecord
         self.width = max(self.records, default=-1) + 1  # columns of a dense score row
         self.source_ids = np.full(self.width, -1)
         self.source_ids[list(self.records)] = [
-            self.sources.setdefault(rec.source, len(self.sources)) for rec in self.records.values()]
+            sources.setdefault(rec.source, len(sources)) for rec in self.records.values()]
         sids = np.array([rec.sid for rec in records], dtype=np.int64)[rows]
         self.row_ptr = np.concatenate([[0], np.cumsum(np.bincount(sids, minlength=self.width))])
         order = np.argsort(self.row_terms, kind="stable")  # each term's sids stay ascending
         self.sids, self.weights = sids[order], self.row_weights[order]
         self.ptr = np.concatenate([[0], np.cumsum(df)])
 
-    def vectorize(self, tokens):
-        """Weight an arbitrary token list with this index's statistics, as
-        (term ids, weights) in first-occurrence order; terms unseen by the
-        index are dropped, so the vector may be empty."""
-        ids = [self.term_ids[tok] for tok in tokens if tok in self.term_ids]
-        rows, terms, tf = _distinct_terms(ids, [len(ids)], len(self.term_ids))
-        return terms, _tfidf_weights(rows, terms, tf, self.idf)
+    def _sid(self, record):
+        """``record``'s sid as a one-query array, if this index holds ``record``."""
+        if self.records.get(record.sid) != record:
+            raise ValidationError(f"sid {record.sid}: not a record this index holds")
+        return np.array([record.sid])
 
-    def _dense_scores(self, queries):
-        """Cosines of each query record (a row each) against every sid column.
-        A record of this index reads its sid-major row; any other (a stranger
-        may reuse an indexed sid) is vectorized, to the same weights. Each
-        query's postings, in the order of its terms, are added by one
-        ``bincount``, which sums in input order: every cosine is the same
-        sequence of float additions, whatever the block."""
-        if all(self.records.get(rec.sid) is rec for rec in queries):
-            at, counts = _spans(self.row_ptr, np.fromiter((r.sid for r in queries), np.int64))
-            terms, query_weights = self.row_terms[at], self.row_weights[at]
-        else:
-            vectors = [self.vectorize(rec.tokens) for rec in queries]
-            counts = [len(terms) for terms, _ in vectors]
-            terms, query_weights = map(np.concatenate, zip(*vectors))
-        at, lengths = _spans(self.ptr, terms)
+    def _dense_scores(self, sids):
+        """Cosines of held sentences ``sids`` (an int array; a row each) against
+        every sid column. Each query's postings, in the order of its sid-major
+        row, are added by one ``bincount``, which sums in input order: every
+        cosine is the same sequence of float additions, whatever the block."""
+        if missing := [sid for sid in sids.tolist() if sid not in self.records]:
+            raise ValidationError(f"sid {missing[0]}: not a sentence this index holds")
+        at, counts = _spans(self.row_ptr, sids)
+        query_weights = self.row_weights[at]
+        at, lengths = _spans(self.ptr, self.row_terms[at])
         cells = self.sids[at]
-        cells += np.repeat(np.repeat(np.arange(len(queries)) * self.width, counts), lengths)
+        cells += np.repeat(np.repeat(np.arange(len(sids)) * self.width, counts), lengths)
         products = self.weights[at]
         products *= np.repeat(query_weights, lengths)
-        block = np.bincount(cells, products, minlength=len(queries) * self.width)
-        return block.reshape(len(queries), self.width)
+        block = np.bincount(cells, products, minlength=len(sids) * self.width)
+        return block.reshape(len(sids), self.width)
 
     def scores(self, record):
-        """Cosine of ``record`` against every indexed sentence it shares a term
-        with (no exclusions), as {sid: cosine} in sid order."""
-        row = self._dense_scores([record])[0]
+        """Cosine of held ``record`` against every indexed sentence it shares
+        a term with (no exclusions), as {sid: cosine} in sid order."""
+        row = self._dense_scores(self._sid(record))[0]
         hit = np.flatnonzero(row)
         return dict(zip(hit.tolist(), row[hit].tolist()))
 
-    def top_k(self, queries, k):
-        """Exact top-k other-source neighbours of each query record, as one
-        [(sid, cosine)] list per query, ranked by (-cosine, sid)."""
-        block = self._dense_scores(queries)
-        own = np.array([self.sources.get(rec.source, -1) for rec in queries])
-        block *= own[:, None] != self.source_ids  # same-source cosines to 0, the rest exact
+    def top_k(self, sids, k):
+        """Exact top-k other-source neighbours of held sentences ``sids`` (an
+        int array), one [(sid, cosine)] list each, ranked by (-cosine, sid)."""
+        block = self._dense_scores(sids)
+        block *= self.source_ids[sids, None] != self.source_ids  # same source to 0, rest exact
         # every candidate tied with the k-th largest stays for the sid tie-break; at
         # k >= width the k-th is the row minimum, so every nonzero cosine stays
         cut = self.width - min(k, self.width)
         kth = np.partition(block, cut, axis=1)[:, cut, None]
         hits = np.flatnonzero((block >= kth) & (block > 0.0))
-        rows, sids = np.divmod(hits, self.width)
+        rows, cols = np.divmod(hits, self.width)
         sims = block.ravel()[hits]
-        order = np.lexsort((sids, -sims, rows))
-        rows, sids, sims = rows[order], sids[order], sims[order]
+        order = np.lexsort((cols, -sims, rows))
+        rows, cols, sims = rows[order], cols[order], sims[order]
         keep = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
-        rows, sids, sims = rows[keep], sids[keep], sims[keep]
-        bounds = np.searchsorted(rows, np.arange(len(queries) + 1)).tolist()
-        pairs = list(zip(sids.tolist(), sims.tolist()))
+        rows, cols, sims = rows[keep], cols[keep], sims[keep]
+        bounds = np.searchsorted(rows, np.arange(len(sids) + 1)).tolist()
+        pairs = list(zip(cols.tolist(), sims.tolist()))
         return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def build_index(records):
-    """Weight the sentence records, token-less ones counted in n, and index them."""
+    """Weight the records, token-less ones counted in n, and index them by sid (distinct, >= 0)."""
     if not records:
         raise ValidationError("build_index: no sentences")
+    sids = sorted(rec.sid for rec in records)
+    if bad := [b for a, b in zip([-1] + sids, sids) if b <= a]:  # not above the one before
+        raise ValidationError(f"build_index: sid {bad[0]} is negative or repeated")
     return InvertedIndex(records)
 
 
 def query_similar(ref, index, k):
-    """Exact top-k cosine neighbours of ``ref`` from other sources.
+    """Exact top-k cosine neighbours of ``ref``, a held record, from other sources.
 
     Sentences sharing the reference's source identifier are excluded (which
     also removes the reference itself). Ties break toward the lower sid.
     """
     if k < 1:
         raise ValidationError("query_similar: k must be >= 1")
-    return index.top_k([ref], k)[0]
+    return index.top_k(index._sid(ref), k)[0]
 
 
 def sentence_records(docs, cfg=MineConfig()):
@@ -293,9 +282,9 @@ def align(docs, cfg=MineConfig(), threads=1):
     if not records:
         return []
     index = build_index(records)
-    indexed = list(index.records.values())  # in sid order
+    held = np.fromiter(index.records, np.int64)  # in sid order
     step = max(1, BLOCK_ELEMENTS // index.width)
-    blocks = [indexed[i:i + step] for i in range(0, len(indexed), step)]
+    blocks = [held[i:i + step] for i in range(0, len(held), step)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             block_hits = list(pool.map(index.top_k, blocks, [cfg.k] * len(blocks)))
@@ -304,11 +293,11 @@ def align(docs, cfg=MineConfig(), threads=1):
     all_hits = [hits for per_block in block_hits for hits in per_block]
 
     pairs = {}
-    for rec, hits in zip(indexed, all_hits):
+    for query, hits in zip(held.tolist(), all_hits):
         for sid, sim in hits:
             if not cfg.min_sim <= sim <= cfg.max_sim:
                 continue
-            lo, hi = (rec.sid, sid) if rec.sid < sid else (sid, rec.sid)
+            lo, hi = (query, sid) if query < sid else (sid, query)
             if (lo, hi) not in pairs:
                 a, b = index.records[lo], index.records[hi]
                 pairs[(lo, hi)] = SentencePair(
@@ -319,17 +308,14 @@ def align(docs, cfg=MineConfig(), threads=1):
     return [pairs[key] for key in sorted(pairs)]
 
 
-def write_pairs(pairs, tsv_path, sidecar_path=None):
-    """Write the training TSV and a JSON-lines sidecar with provenance."""
-    with atomic_write(tsv_path) as fh:
+def write_pairs(pairs, tsv_path, sidecar_path):
+    """Write the training TSV and a JSON-lines sidecar of every other field, both
+    in full before either is replaced (the sidecar first): a failure keeps the old TSV."""
+    with atomic_write(tsv_path) as tsv, atomic_write(sidecar_path) as sidecar:
+        write_pair_lines(tsv, ((p.x, p.y) for p in pairs))
         for p in pairs:
-            fh.write(f"{p.x}\t{p.y}\n")
-    if sidecar_path is not None:
-        with atomic_write(sidecar_path) as fh:
-            for p in pairs:
-                rec = {"similarity": p.similarity}
-                rec.update(p.provenance())
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            meta = {key: value for key, value in vars(p).items() if key not in ("x", "y")}
+            sidecar.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import backward
 from .errors import NumericalError, ValidationError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_lines, write_pair_lines
 from .layers import LOG_FLOOR
 from .model import (ModelDims, ModelParams, params_from_payload, prepare_source, source_backward,
                     stack_cells)
@@ -377,9 +377,7 @@ def load_pairs_tsv(path):
 
 def save_pairs_tsv(pairs, path):
     with atomic_write(path) as fh:
-        for pair in pairs:
-            x, y = _pair_texts(pair)
-            fh.write(f"{x}\t{y}\n")
+        write_pair_lines(fh, map(_pair_texts, pairs))
 
 
 def save_checkpoint(params, path, vocab):

@@ -173,11 +173,12 @@ def test_eval_rejects_threads_flag(tmp_path):
     assert run_cli("eval", "--hyp", "x", "--ref", "y", "--threads", "2") == 2
 
 
-def test_mine_accepts_threads_flag(tmp_path, three_source_docs):
+def test_mine_rejects_threads_flag(tmp_path, three_source_docs):
     doc_dir = write_doc_fixture(tmp_path, three_source_docs)
     out = tmp_path / "pairs.tsv"
     assert run_cli("mine", "--docs", str(doc_dir), "--out", str(out),
-                   "--min-sim", "0.3", "--threads", "2") == 0
+                   "--min-sim", "0.3", "--threads", "2") == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["mine", "train", "generate", "eval"])
@@ -242,7 +243,7 @@ def test_flag_defaults_come_from_config_dataclass(cmd, required, field, key, tmp
 @pytest.mark.parametrize("section,expected", [
     ({"mine": {"k": "3"}}, "k"),
     ({"mine": {"min_sim": True}}, "min_sim"),
-    ({"mine": {"threads": 1.5}}, "threads"),
+    ({"mine": {"max_tokens": 1.5}}, "max_tokens"),
     ({"mine": {"stoplist": 7}}, "stoplist"),
     ({"train": {"epochs": "2"}}, "epochs"),
     ({"train": {"d_h": True}}, "d_h"),
@@ -264,6 +265,7 @@ def test_config_file_value_of_wrong_type_exit_2(section, expected, tmp_path, cap
     ({"mine": {"k": 2, "train": {"epochs": 1}}}, "mine", "train"),
     ({"train": {"d_h": 4, "min_sim": 0.3}}, "train", "min_sim"),
     ({"k": 2, "epochs": 1, "no_such_key": 1}, "mine", "no_such_key"),
+    ({"mine": {"threads": 1.5}}, "mine", "threads"),
 ])
 def test_config_file_unknown_key_exit_2(config, cmd, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import logging
@@ -22,7 +23,7 @@ from paragen.vocab import PUNCTUATION, tokenize
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
                       write_doc_fixture, zipf_sentence_docs)
 from oracles import (brute_force_neighbours, dense_tfidf, dict_postings, dict_query_similar,
-                     dict_tfidf, dict_tfidf_weights, loop_segment, loop_tokenize)
+                     dict_tfidf, loop_segment, loop_tokenize)
 
 
 def _doc(body, doc_id="d0", source="s0"):
@@ -157,29 +158,40 @@ def test_pairwise_cosines_match_dense_oracle():
             assert got == pytest.approx(dense[rec.sid, other.sid], abs=1e-9)
 
 
-def _named(index, terms, weights):
-    """An index vector (term ids, weights) as [(term, weight)], in its order."""
-    names = list(index.term_ids)
-    return [(names[t], w) for t, w in zip(terms.tolist(), weights.tolist())]
+def _rows(index, recs):
+    """Each held sentence's sid-major row of ``index`` as [(term, weight)]. Term
+    ids number the tokens in first-occurrence order over ``recs`` in sid order."""
+    names = list(dict.fromkeys(tok for rec in sorted(recs, key=lambda r: r.sid)
+                               for tok in rec.tokens))
+    rows = {}
+    for sid in index.records:
+        span = slice(index.row_ptr[sid], index.row_ptr[sid + 1])
+        rows[sid] = [(names[t], w) for t, w in zip(index.row_terms[span].tolist(),
+                                                    index.row_weights[span].tolist())]
+    return rows
 
 
-def _row(index, sid):
-    """Sentence ``sid``'s sid-major row of ``index`` as [(term, weight)]."""
-    span = slice(index.row_ptr[sid], index.row_ptr[sid + 1])
-    return _named(index, index.row_terms[span], index.row_weights[span])
-
-
-def test_vectorize_reproduces_indexed_weights():
+def test_sid_rows_reproduce_dict_weights():
     recs = sentence_records(random_sentence_docs(seed=2, n_sentences=80, vocab_size=50))
     # a record with no tokens gets no weights but still counts in n
     recs.append(SentenceRecord(sid=len(recs), doc_id="e", source="srcE", text="", tokens=[]))
     index = build_index(recs)
     _, want = dict_tfidf(recs)
     assert len(index.records) == len(recs) - 1
-    for rec in recs[:-1]:
-        assert _named(index, *index.vectorize(rec.tokens)) == list(want[rec.sid].items())
-        assert _row(index, rec.sid) == list(want[rec.sid].items())
-    assert _named(index, *index.vectorize(["never", "indexed"])) == []
+    assert _rows(index, recs) == {rec.sid: list(want[rec.sid].items()) for rec in recs[:-1]}
+
+
+def test_build_index_rejects_duplicate_or_negative_sids():
+    def record(sid, text):
+        return SentenceRecord(sid=sid, doc_id=f"d{sid}", source=f"s{sid}", text=text,
+                              tokens=text.split())
+
+    with pytest.raises(ValidationError, match="sid 1 is negative or repeated"):
+        build_index([record(0, "x y"), record(1, "x y"), record(1, "z w")])
+    with pytest.raises(ValidationError, match="sid 0 is negative or repeated"):
+        build_index([record(0, "x y"), record(0, "")])  # a token-less duplicate too
+    with pytest.raises(ValidationError, match="sid -1 is negative or repeated"):
+        build_index([record(0, "x y"), record(-1, "z w")])
 
 
 def test_norm_adds_squares_left_to_right():
@@ -276,9 +288,9 @@ def test_align_independent_of_block_size(monkeypatch):
     top_k = InvertedIndex.top_k
     sizes = []
 
-    def spy(index, queries, k):
-        sizes.append(len(queries))
-        return top_k(index, queries, k)
+    def spy(index, sids, k):
+        sizes.append(len(sids))
+        return top_k(index, sids, k)
 
     monkeypatch.setattr(InvertedIndex, "top_k", spy)
     runs = {}
@@ -325,48 +337,54 @@ def test_array_index_equals_dict_oracle(rows, copied, stranger_tokens, k):
     """Weights (value and order), ``scores`` and ``top_k`` equal the dict path
     on corpora of five words: repeated tokens, token-less records that count
     in n, ties at the k-th score (the same sentence in all three sources),
-    and a record outside the index that reuses sid 0, in a block with the
-    indexed records and alone."""
+    in one block and one sid at a time. A record outside the index that
+    reuses sid 0, and a sid the index does not hold, are rejected."""
     rows = [(source, copied) for source in ("s0", "s1", "s2")] + rows
     recs = [SentenceRecord(sid=i, doc_id=f"d{i}", source=source, text=" ".join(tokens),
                            tokens=tokens) for i, (source, tokens) in enumerate(rows)]
     index = build_index(recs)
-    df, weights = dict_tfidf(recs)
+    _, weights = dict_tfidf(recs)
     postings = dict_postings(weights)
-    for rec in recs:
-        assert _named(index, *index.vectorize(rec.tokens)) == list(weights[rec.sid].items())
-        if rec.tokens:
-            assert _row(index, rec.sid) == list(weights[rec.sid].items())
-        else:
-            assert rec.sid not in index.records
-    indexed = [index.records[sid] for sid in sorted(index.records)]
-    stranger = SentenceRecord(sid=0, doc_id="q", source="s1", text="", tokens=stranger_tokens)
-    queries = indexed + [stranger]
-    got = index.top_k(queries, k)
-    assert index.top_k(indexed, k) == got[:-1] and index.top_k([stranger], k) == got[-1:]
-    for query, hits in zip(queries, got):
-        vector = dict_tfidf_weights(query.tokens, df, len(recs))
-        assert hits == dict_query_similar(vector, query.source, index.records, postings, k)
-        everything = dict_query_similar(vector, None, index.records, postings, len(recs))
+    assert _rows(index, recs) == {rec.sid: list(weights[rec.sid].items())
+                                  for rec in recs if rec.tokens}
+    held = np.array([rec.sid for rec in recs if rec.tokens])
+    assert held.tolist() == list(index.records)
+    got = index.top_k(held, k)
+    assert [index.top_k(held[i:i + 1], k)[0] for i in range(len(held))] == got
+    for sid, hits in zip(held.tolist(), got):
+        query = index.records[sid]
+        assert hits == dict_query_similar(weights[sid], query.source, index.records, postings, k)
+        everything = dict_query_similar(weights[sid], None, index.records, postings, len(recs))
         assert index.scores(query) == dict(everything)
+    stranger = SentenceRecord(sid=0, doc_id="q", source="s1", text="", tokens=stranger_tokens)
+    for call in (lambda: query_similar(stranger, index, k), lambda: index.scores(stranger)):
+        with pytest.raises(ValidationError, match="sid 0: not a record this index holds"):
+            call()
+    for sid in [rec.sid for rec in recs if not rec.tokens] + [-1, index.width]:
+        with pytest.raises(ValidationError, match=f"sid {sid}: not a sentence this index holds"):
+            index.top_k(np.append(held, sid), k)
 
 
 def test_query_similar_record_outside_the_index():
+    """Only a record equal to the one the index holds under its sid is
+    queried; any other, a token-less record the index received included, is
+    rejected and left as it was."""
     recs = sentence_records(random_sentence_docs(seed=6, n_sentences=200, vocab_size=50))
+    recs.append(SentenceRecord(sid=len(recs), doc_id="e", source="src1", text="", tokens=[]))
     index = build_index(recs)
-    df, weights = dict_tfidf(recs)
-    postings = dict_postings(weights)
     text = " ".join(recs[3].tokens[:4] + recs[150].tokens[:4] + ["never", "indexed"])
-    for source in ("src1", "elsewhere"):
-        ref = SentenceRecord(sid=10 ** 6, doc_id="q", source=source, text=text,
-                             tokens=tokenize(text))
+    outsiders = [SentenceRecord(sid=10 ** 6, doc_id="q", source=source, text=text,
+                                tokens=tokenize(text)) for source in ("src1", "elsewhere")]
+    outsiders += [SentenceRecord(sid=0, doc_id="q", source="s", text="", tokens=["never"]),
+                  dataclasses.replace(recs[0], source="elsewhere"), recs[-1]]
+    for ref in outsiders:
         before = copy.deepcopy(ref)
-        want = dict_query_similar(dict_tfidf_weights(ref.tokens, df, len(recs)), source,
-                                  index.records, postings, 5)
-        assert want and query_similar(ref, index, 5) == want
+        for call in (lambda: query_similar(ref, index, 3), lambda: index.scores(ref)):
+            with pytest.raises(ValidationError, match=f"sid {ref.sid}: not a record"):
+                call()
         assert ref == before
-    alone = SentenceRecord(sid=0, doc_id="q", source="s", text="", tokens=["never"])
-    assert query_similar(alone, index, 3) == [] and index.scores(alone) == {}
+    # held is compared by value: an equal copy of a held record is that record
+    assert query_similar(copy.deepcopy(recs[0]), index, 5) == query_similar(recs[0], index, 5)
 
 
 def test_align_band_excludes_verbatim_copies():
