@@ -19,7 +19,7 @@ dims = ModelDims(vocab_size=vocab.size, d_emb=16, d_h=16, d_s=16, d_a=16)
 params = ModelParams(dims, seed=7)
 
 tokens = ["the", "zyxxy", "river", "flooded"]
-ev, states, state, _ = prepare_source(tokens, params, vocab)
+(ev,), states, state, _ = prepare_source([tokens], params, vocab)
 print("source tokens:", tokens)
 print("extended ids: ", ev.source_ids, f"(fixed vocab ends at {vocab.size - 1})")
 print("OOV extension:", ev.source_oovs)

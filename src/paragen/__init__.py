@@ -14,9 +14,9 @@ from .metrics import BleuReport, bleu, token_accuracy
 from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceRecord,
                     align, build_index, ingest, query_similar, segment)
 from .model import (EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout,
-                    prepare_source, source_backward, stack_cells)
+                    prepare_source, source_backward)
 from .pointer import (StepOutputs, copy_distribution, mix, output_backward, output_forward,
-                      recur_backward, recur_forward, recur_grads, recur_sequence, step_forward,
+                      recur_backward, recur_forced, recur_forward, recur_grads, step_forward,
                       vocab_forward)
 from .training import (Adam, TrainConfig, TrainReport, clip_gradients, load_checkpoint,
                        load_pairs_tsv, save_checkpoint, save_pairs_tsv, sequence_loss,

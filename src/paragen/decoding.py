@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .layers import LOG_FLOOR
 from .model import prepare_source
-from .pointer import output_forward, recur_sequence, step_forward as full_step
+from .pointer import output_forward, recur_forced, step_forward as full_step
 from .vocab import BOS, EOS, PAD, tokenize
 
 # Clamped probabilities whose logs round to the same double differ by under
@@ -84,7 +84,7 @@ def beam_decode(source, params, vocab, cfg, force_p_gen=None):
     search stops once the pool holds beam_width hypotheses or at max_len,
     where live hypotheses join the pool unfinished. Width 1 is greedy.
     """
-    ev, states, state, _ = prepare_source(tokenize(source), params, vocab)
+    (ev,), states, state, _ = prepare_source([tokenize(source)], params, vocab)
     B, pool = cfg.beam_width, []
     live = [Hypothesis(ids=(), log_prob=0.0, finished=False)]
 
@@ -115,12 +115,12 @@ def score_sequence(source, ids, params, vocab, force_p_gen=None):
     The decoder consumes the sequence's own tokens as previous words, exactly
     as beam search did when it produced them.
     """
-    ev, states, state, _ = prepare_source(tokenize(source), params, vocab)
+    (ev,), states, state, _ = prepare_source([tokenize(source)], params, vocab)
     for idx in ids:
         if not (isinstance(idx, (int, np.integer)) and 0 <= idx < ev.size):
             raise ValidationError(f"score_sequence: id {idx!r} not an int in [0, {ev.size})")
     if len(ids) == 0:
         return 0.0
-    rows, _ = recur_sequence([BOS, *ids[:-1]], states, state, params)
-    p = output_forward(*rows, ev.source_ids, ev.size, params, force_p_gen)[0][0]
+    rows, *_ = recur_forced([[BOS, *ids[:-1]]], states, state, params)
+    p = output_forward(*(r[0] for r in rows), ev.source_ids, ev.size, params, force_p_gen)[0][0]
     return float(np.log(np.maximum(p[np.arange(len(ids)), ids], LOG_FLOOR)).sum())

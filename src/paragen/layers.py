@@ -53,6 +53,12 @@ def accumulate_gates(cell, D, Z):
         getattr(cell, f"b_{gate}").grad += g_b
 
 
+def row_product(a, b):
+    """a @ b, a one-row ``a`` computed as a row of a two-row product: numpy
+    sends one row to gemv, which rounds apart from gemm's rows."""
+    return a @ b if a.shape[-2] != 1 else (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+
+
 def softmax_rows(x, out=None):
     """Stable softmax along the last axis, into ``out`` (which may be x) if given."""
     e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)

@@ -192,33 +192,38 @@ class InvertedIndex:
         return np.array([record.sid])
 
     def _dense_scores(self, sids):
-        """Cosines of held sentences ``sids`` (an int array; a row each) against
-        every sid column. Each query's postings, in the order of its sid-major
-        row, are added by one ``bincount``, which sums in input order: every
-        cosine is the same sequence of float additions, whatever the block."""
+        """(sids as an intp array, cosines of held sentences ``sids`` (any int
+        sequence; a row each) against every sid column). Each query's postings,
+        in the order of its sid-major row, are added by one ``bincount`` in input
+        order: every cosine is the same sequence of additions, whatever the block."""
+        sids = np.asarray(sids)
+        if sids.ndim != 1 or sids.size and sids.dtype.kind not in "iu":
+            raise ValidationError(f"sids {sids.tolist()!r}: not a sequence of ints")
         if missing := [sid for sid in sids.tolist() if sid not in self.records]:
             raise ValidationError(f"sid {missing[0]}: not a sentence this index holds")
+        sids = sids.astype(np.intp, copy=False)
         at, counts = _spans(self.row_ptr, sids)
         query_weights = self.row_weights[at]
         at, lengths = _spans(self.ptr, self.row_terms[at])
-        cells = self.sids[at]
-        cells += np.repeat(np.repeat(np.arange(len(sids)) * self.width, counts), lengths)
         products = self.weights[at]
         products *= np.repeat(query_weights, lengths)
+        cells = self.sids[at]
+        del at  # 3 postings-long arrays live, not 4: glibc reuses their pages every block
+        cells += np.repeat(np.repeat(np.arange(len(sids)) * self.width, counts), lengths)
         block = np.bincount(cells, products, minlength=len(sids) * self.width)
-        return block.reshape(len(sids), self.width)
+        return sids, block.reshape(len(sids), self.width)
 
     def scores(self, record):
         """Cosine of held ``record`` against every indexed sentence it shares
         a term with (no exclusions), as {sid: cosine} in sid order."""
-        row = self._dense_scores(self._sid(record))[0]
+        row = self._dense_scores(self._sid(record))[1][0]
         hit = np.flatnonzero(row)
         return dict(zip(hit.tolist(), row[hit].tolist()))
 
     def top_k(self, sids, k):
-        """Exact top-k other-source neighbours of held sentences ``sids`` (an
-        int array), one [(sid, cosine)] list each, ranked by (-cosine, sid)."""
-        block = self._dense_scores(sids)
+        """Exact top-k other-source neighbours of held sentences ``sids`` (any
+        sequence of ints), one [(sid, cosine)] list each, ranked by (-cosine, sid)."""
+        sids, block = self._dense_scores(sids)
         block *= self.source_ids[sids, None] != self.source_ids  # same source to 0, rest exact
         # every candidate tied with the k-th largest stays for the sid tie-break; at
         # k >= width the k-th is the row minimum, so every nonzero cosine stays

@@ -1,8 +1,9 @@
 """Bidirectional LSTM encoder, the bridge to the decoder's initial state, the
 source half of additive attention (together ``prepare_source`` and its
-``source_backward``), and the model's parameters; the decoder step itself
-is in pointer.py. Each forward has a numpy backward and reads the
-weights through their tensors' ``.data``, which gradcheck may swap.
+``source_backward``, on a right-padded batch of sources), and the model's
+parameters; the decoder step itself is in pointer.py. Each forward has a
+numpy backward and reads the weights through their tensors' ``.data``,
+which gradcheck may swap.
 
 Widths used throughout: d_emb embedding size, d_h encoder hidden size per
 direction (so encoder states are 2*d_h wide), d_s decoder state size, d_a
@@ -16,73 +17,81 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import ValidationError
-from .layers import GATES, accumulate_gates, lstm_cell, lstm_cell_backward, stack_gates
-from .vocab import UNK, ExtendedVocab
+from .layers import (GATES, accumulate_gates, lstm_cell, lstm_cell_backward, row_product,
+                     stack_gates)
+from .vocab import PAD, UNK, ExtendedVocab
 
 
 @dataclass
 class EncoderStates:
-    """Per-token bidirectional states H (N x 2*d_h), the combined final state
-    (2*d_h), and what every decoder step reuses: the attention features
-    W_H·H + b (N x d_a) and the decoder cell's ``stack_gates`` (weight, bias).
-
-    Both are copies taken from the weights at encoding time, so the states are
-    valid only until the next optimizer update; training encodes every pair
-    afresh, so each batch runs on the weights the previous update left (its
-    pairs share one ``stack_cells`` copy of the gates, given to ``prepare_source``)."""
+    """S sources right-padded to N: H (S x N x 2*d_h, 0 at pads), valid, final
+    states, and what each decoder step reuses: features W_H·H + b (S x N x d_a)
+    and the decoder's stacked gates (W, b, contiguous W.T), copies of weights
+    that go stale at the next update (training encodes each batch afresh).
+    A step's rows all read source 0 if S is 1, else row r reads source r."""
 
     H: np.ndarray
+    valid: np.ndarray
     h_final: np.ndarray
     features: np.ndarray
     gates: tuple
 
 
-def encode(embeddings, fwd, bwd, gates=None):
-    """Run both encoder directions over a source embedding matrix (N x d_emb).
+def _steps(fwd, bwd):
+    """Per-direction arrays (B x N x ...) as (N x 2 x B x ...) in each one's
+    step order: the backward direction reads position N-1-k at step k."""
+    return np.stack([fwd.swapaxes(0, 1), bwd.swapaxes(0, 1)[::-1]], axis=1)
 
-    Row i of H holds the forward state after reading token i concatenated
-    with the backward state after reading tokens N..i. The combined final
-    state is forward-at-N alongside backward-at-1. A direction's input half
-    of the gates is one product over all tokens. ``gates``: each direction's
-    ``stack_gates``, if already stacked. Returns (H, h_final, cache).
-    """
-    n, d_emb = embeddings.shape
-    if n < 1:
+
+def encode(embeddings, valid, fwd, bwd):
+    """Both encoder directions over B right-padded sources (B x N x d_emb), row
+    b's tokens where ``valid[b]`` (a nonempty prefix): H[b, i] = [forward after
+    token i, backward after the last back to i], 0 at pads. One stacked product
+    a step; a row holds its state through pads, so h_final is [forward at its
+    last token, backward at its first]. Returns (H, h_final, cache)."""
+    b, n, d_emb = embeddings.shape
+    if b < 1 or n < 1 or not valid[:, 0].all():
         raise ValidationError("encode: empty source")
-
-    def run(cell, order, stacked):
-        W, b = stacked
-        X, W_hT = embeddings @ W[:, :d_emb].T + b, W[:, d_emb:].T
-        Z = np.concatenate([embeddings, np.zeros((n, W_hT.shape[0]))], axis=1)  # steps' [x, h]
-        h = c = np.zeros((1, W_hT.shape[0]))
-        states, caches = [None] * n, [None] * n
-        for i in order:
-            Z[i, d_emb:] = h[0]
-            h, c, caches[i] = lstm_cell(X[i:i + 1] + h @ W_hT, c)
-            states[i] = h[0]
-        return states, (cell, W, Z, order, caches)
-
-    gates = gates or (stack_gates(fwd), stack_gates(bwd))
-    fwd_states, fwd_cache = run(fwd, range(n), gates[0])
-    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1), gates[1])
-    H = np.concatenate([np.stack(fwd_states), np.stack(bwd_states)], axis=1)
-    h_final = np.concatenate([fwd_states[-1], bwd_states[0]])
-    return H, h_final, (fwd_cache, bwd_cache)
+    (W_f, b_f), (W_b, b_b) = stack_gates(fwd), stack_gates(bwd)
+    d_h, flat = W_f.shape[0] // 4, embeddings.reshape(-1, d_emb)
+    X = _steps(*((row_product(flat, W[:, :d_emb].T) + bias).reshape(b, n, -1)
+                 for W, bias in ((W_f, b_f), (W_b, b_b))))
+    keep = _steps(valid[:, :, None], valid[:, :, None])
+    W_hT = np.stack([W_f[:, d_emb:].T, W_b[:, d_emb:].T])  # 2 x d_h x 4*d_h
+    hs = np.zeros((n + 1, 2, b, d_h), X.dtype)  # X's dtype: gradcheck probes at longdouble
+    c, caches = np.zeros((2 * b, d_h), X.dtype), [None] * n
+    for k in range(n):
+        h, c_new, caches[k] = lstm_cell((X[k] + row_product(hs[k], W_hT)).reshape(2 * b, -1), c)
+        hs[k + 1] = np.where(keep[k], h.reshape(2, b, d_h), hs[k])
+        c = np.where(keep[k].reshape(-1, 1), c_new, c)
+    H = np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=2).swapaxes(0, 1)
+    return (np.where(valid[:, :, None], H, 0.0), np.concatenate([hs[n, 0], hs[n, 1]], axis=1),
+            (fwd, bwd, W_f, W_b, embeddings, keep, hs, caches))
 
 
 def encode_backward(cache, g_H, g_final):
-    """Gradients of ``encode`` for d H and d h_final: per direction, one
-    ``accumulate_gates`` over every step's d pre, and one product for the
-    embeddings' share. Returns d embeddings (N x d_emb)."""
-    d_h, g_emb = g_H.shape[1] // 2, 0.0
-    for (cell, W, Z, order, caches), cols in zip(cache, (slice(0, d_h), slice(d_h, None))):
-        D, g_h, g_c = np.empty((len(caches), 4 * d_h)), g_final[None, cols], np.zeros((1, d_h))
-        for i in reversed(order):  # the last step's h also feeds h_final
-            d_pre, g_c = lstm_cell_backward(caches[i], g_H[i:i + 1, cols] + g_h, g_c)
-            D[i], g_h = d_pre[0], d_pre @ W[:, -d_h:]
-        accumulate_gates(cell, D, Z)
-        g_emb = g_emb + D @ W[:, :-d_h]
-    return g_emb
+    """Gradients of ``encode``: the steps in reverse (a held step passes its d
+    state through), then per direction one ``accumulate_gates`` over its real
+    steps and one product for d embeddings (B x N x d_emb, 0 at pads)."""
+    fwd, bwd, W_f, W_b, embeddings, keep, hs, caches = cache
+    (n, _, b, d_h), d_emb = hs[1:].shape, embeddings.shape[2]
+    g_steps = np.where(keep, _steps(g_H[:, :, :d_h], g_H[:, :, d_h:]), 0.0)  # pads' H are 0
+    W_h = np.stack([W_f[:, d_emb:], W_b[:, d_emb:]])  # 2 x 4*d_h x d_h
+    D = np.zeros((2, n, b, 4 * d_h))
+    g_h, g_c = g_final.reshape(b, 2, d_h).swapaxes(0, 1), np.zeros((2 * b, d_h))
+    for k in reversed(range(n)):
+        g = g_steps[k] + g_h
+        d_pre, g_c_prev = lstm_cell_backward(caches[k], g.reshape(2 * b, -1), g_c)
+        D[:, k] = np.where(keep[k], d_pre.reshape(2, b, -1), 0.0)
+        g_h = np.where(keep[k], row_product(D[:, k], W_h), g)
+        g_c = np.where(keep[k].reshape(-1, 1), g_c_prev, g_c)
+    inputs, real = _steps(embeddings, embeddings), keep[..., 0]
+    for direction, cell in enumerate((fwd, bwd)):
+        accumulate_gates(cell, D[direction][real[:, direction]], np.concatenate(
+            [inputs[:, direction], hs[:-1, direction]], axis=2)[real[:, direction]])
+    g_f, g_b = ((D[d].reshape(-1, 4 * d_h) @ W[:, :d_emb]).reshape(n, b, d_emb)
+                for d, W in enumerate((W_f, W_b)))
+    return (g_f + g_b[::-1]).swapaxes(0, 1)
 
 
 @dataclass
@@ -195,46 +204,44 @@ class ModelParams:
         return np.where(ids < self.dims.vocab_size, ids, UNK)
 
 
-def stack_cells(params):
-    """``stack_gates`` of the two encoder cells and of the decoder cell, in that order."""
-    return [stack_gates(c) for c in (params.encoder_fwd, params.encoder_bwd, params.decoder)]
+def prepare_source(sources, params, vocab):
+    """All a decoder needs before step 1, for a batch of source token lists:
+    their ExtendedVocabs, ``source_states`` of their extended ids (padded with
+    PAD, embedded by ``embedding_rows``), initial states tanh([W_h·h_final ;
+    W_c·h_final]) (B x 2*d_s) and the cache training keeps for the backward."""
+    evs = [ExtendedVocab(vocab, tokens) for tokens in sources]
+    lengths = np.array([len(ev.source_ids) for ev in evs], dtype=np.intp)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.full(valid.shape, PAD)
+    ids[valid] = [i for ev in evs for i in ev.source_ids]
+    H, h_final, cache = encode(params.embedding.data[params.embedding_rows(ids)], valid,
+                               params.encoder_fwd, params.encoder_bwd)
+    state = np.tanh(np.concatenate([row_product(h_final, params.bridge_hidden.data.T),
+                                    row_product(h_final, params.bridge_cell.data.T)], axis=1))
+    return evs, source_states(params, H, valid, h_final), state, (ids, cache)
 
 
-def prepare_source(tokens, params, vocab, gates=None):
-    """All a decoder needs before step 1, for source ``tokens``: returns
-    (ExtendedVocab, EncoderStates, initial decoder state, cache).
-
-    The extended source ids are embedded (``embedding_rows``) and encoded;
-    the attention features W_H·H + b and the decoder's stacked gates are
-    kept for every step; the initial state [hidden | cell] (1 x 2*d_s) is
-    bridged from the final encoder state: tanh([W_h·h_final ; W_c·h_final]).
-    ``gates``: ``stack_cells(params)``, if already stacked. Only training
-    keeps the cache, for ``source_backward``.
-    """
-    ev = ExtendedVocab(vocab, tokens)
-    *encoder_gates, decoder_gates = gates or stack_cells(params)
-    emb_ids = params.embedding_rows(ev.source_ids)
-    H, h_final, cache = encode(params.embedding.data[emb_ids],
-                               params.encoder_fwd, params.encoder_bwd, encoder_gates)
-    ap = params.attention
-    features = H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data
-    state = np.tanh(np.concatenate([params.bridge_hidden.data @ h_final,
-                                    params.bridge_cell.data @ h_final]))[None]
-    return ev, EncoderStates(H, h_final, features, decoder_gates), state, (emb_ids, cache)
+def source_states(params, H, valid, h_final):
+    """EncoderStates of H, ``valid`` and h_final, with the attention features
+    and the decoder's stacked gates taken from the current weights."""
+    ap, width = params.attention, H.shape[2]
+    features = row_product(H.reshape(-1, width), ap.weight.data[:, :width].T) + ap.bias.data
+    W, b = stack_gates(params.decoder)
+    return EncoderStates(H, valid, h_final, features.reshape(*H.shape[:2], -1),
+                         (W, b, np.ascontiguousarray(W.T)))
 
 
 def source_backward(params, cache, states, state, g_H, g_state):
-    """Gradients of ``prepare_source`` for d H and d initial state: the
-    bridge's, both encoder cells' and the embedding's (repeated ids add up),
-    accumulated into the grad views."""
-    emb_ids, encode_cache = cache
-    d_s = params.dims.d_s
-    g_pre = g_state[0] * (1.0 - state[0] * state[0])
-    g_hidden, g_cell = g_pre[:d_s], g_pre[d_s:]
-    params.bridge_hidden.grad += np.outer(g_hidden, states.h_final)
-    params.bridge_cell.grad += np.outer(g_cell, states.h_final)
-    g_final = g_hidden @ params.bridge_hidden.data + g_cell @ params.bridge_cell.data
-    np.add.at(params.embedding.grad, emb_ids, encode_backward(encode_cache, g_H, g_final))
+    """Add the gradients of ``prepare_source`` for d H and d initial states
+    into the grad views: the bridge's, the encoder's and the embedding's."""
+    ids, encode_cache = cache  # the padded extended source ids
+    g_hidden, g_cell = np.split(g_state * (1.0 - state * state), 2, axis=1)
+    params.bridge_hidden.grad += g_hidden.T @ states.h_final
+    params.bridge_cell.grad += g_cell.T @ states.h_final
+    g_final = (row_product(g_hidden, params.bridge_hidden.data)
+               + row_product(g_cell, params.bridge_cell.data))
+    np.add.at(params.embedding.grad, params.embedding_rows(ids[states.valid]),
+              encode_backward(encode_cache, g_H, g_final)[states.valid])
 
 
 def params_from_payload(dims, payload):

@@ -1,12 +1,13 @@
 """The decoder step in numpy, on B rows at once: attention, LSTM update,
 vocabulary softmax, copy distribution, generation gate and their mixture.
 
-``recur_forward`` (attention and the LSTM update) carries the state from step
-to step; the output layer reads a step's rows, and nothing later reads it.
-Its vocabulary half (``vocab_forward``) has independent rows, always V wide,
-so training runs it once per batch; its copy half (``copy_distribution``,
-``mix``) reads each row's source. ``step_forward`` composes a whole step and
-``recur_sequence`` runs the recurrence under teacher forcing. Going back,
+Training and decoding share one step, its rows attending over the padded
+sources of an ``EncoderStates``. ``recur_forward`` (attention and the LSTM
+update) carries the state; ``recur_forced`` runs it over T steps, the
+embedding third of the gates one product for all. The output layer reads a
+step's rows. Its vocabulary half (``vocab_forward``) has independent rows,
+always V wide, so training runs it once per batch on the real rows; its copy
+half (``copy_distribution``, ``mix``) reads each row's source. Going back,
 ``output_backward`` reads only each row's gold column, ``recur_backward``
 carries the state one step, and ``recur_grads`` forms each parameter
 gradient once over every step.
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .layers import accumulate_gates, lstm_cell, lstm_cell_backward, sigmoid, softmax_rows
+from .layers import (accumulate_gates, lstm_cell, lstm_cell_backward, row_product, sigmoid,
+                     softmax_rows)
 
 PROJECTION_BLOCK = 256  # vocabulary rows per product of the projection's weight gradient
 
@@ -118,83 +120,89 @@ class StepOutputs:
     state: np.ndarray    # B x 2*d_s next decoder state [hidden | cell]
 
 
-def recur_forward(prev_ids, states, state, params):
-    """The recurrence half of a decoder step for B rows: attend with the
-    incoming state (B x 2*d_s), then update the LSTM on [embedding of prev_ids
-    (``params.embedding_rows``), context]. Returns
-    ((emb, attn, context, next state), cache)."""
-    prev_ids = np.asarray(prev_ids, dtype=np.intp)
-    d_s = params.dims.d_s
-    if prev_ids.size and prev_ids.min() < 0:
-        raise ValidationError(f"step: negative previous id in {prev_ids}")
-    emb_ids = params.embedding_rows(prev_ids)
-    emb = params.embedding.data[emb_ids]
+def recur_forward(emb_ids, emb, x, states, state, params):
+    """The recurrence half of a step for B rows of previous embeddings and
+    their gate term x = emb·W_eᵀ + b: attend with the state (B x 2*d_s), a pad
+    weighing exactly 0, then update the LSTM. ((attn, context, state), cache)"""
+    d_s, e = params.dims.d_s, emb.shape[1]
     H, ap, hidden = states.H, params.attention, state[:, :d_s]
-    t = np.tanh(states.features + (hidden @ ap.weight.data[:, H.shape[1]:].T)[:, None, :])
-    attn = softmax_rows(t @ ap.score.data)
-    context = attn @ H
-    z = np.concatenate([emb, context, hidden], axis=1)
-    new_h, new_c, lstm_cache = lstm_cell(z @ states.gates[0].T + states.gates[1], state[:, d_s:])
-    return ((emb, attn, context, np.concatenate([new_h, new_c], axis=1)),
-            (params, states, emb_ids, z, t, attn, lstm_cache))
+    width = H.shape[2]
+    t = np.tanh(states.features + row_product(hidden, ap.weight.data[:, width:].T)[:, None, :])
+    attn = softmax_rows(np.where(states.valid, (t * ap.score.data).sum(axis=2), -np.inf))
+    context = (attn[:, :, None] * H).sum(axis=1)
+    z = np.concatenate([context, hidden], axis=1)
+    new_h, new_c, lstm_cache = lstm_cell(x + row_product(z, states.gates[2][e:]), state[:, d_s:])
+    return ((attn, context, np.concatenate([new_h, new_c], axis=1)),
+            (params, states, emb_ids, emb, z, t, attn, lstm_cache))
 
 
 def recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_state):
     """Gradients of ``recur_forward`` for the output layer's d emb, d hidden,
-    d context and d attn (the output layer's) and d next state.
-    Returns (d incoming state, pieces), and accumulates nothing: the
-    parameter gradients wait for ``recur_grads`` over every step's pieces."""
-    params, states, emb_ids, z, t, attn, lstm_cache = cache
-    d_s, e, width = params.dims.d_s, params.dims.d_emb, states.H.shape[1]
+    d context, d attn and for d next state: (d incoming state, pieces), with
+    every parameter gradient (the gates' share of d emb too) left to ``recur_grads``."""
+    params, states, emb_ids, emb, z, t, attn, lstm_cache = cache
+    d_s, width, H = params.dims.d_s, states.H.shape[2], states.H
     d_pre, g_cell = lstm_cell_backward(lstm_cache, g_hidden + g_state[:, :d_s], g_state[:, d_s:])
-    g_z = d_pre @ states.gates[0]
-    g_context = g_context + g_z[:, e:e + width]
+    g_z = row_product(d_pre, states.gates[0][:, emb.shape[1]:])
+    g_context = g_context + g_z[:, :width]
     # context = attn @ H, attn = softmax(tanh(features + W_s h) @ score)
-    g_attn = g_attn + g_context @ states.H.T
+    g_attn = g_attn + (H * g_context[:, None, :]).sum(axis=2)
     g_scores = attn * (g_attn - (g_attn * attn).sum(axis=1, keepdims=True))
-    g_pre = g_scores[:, :, None] * params.attention.score.data * (1.0 - t * t)
-    g_h = g_z[:, e + width:] + g_pre.sum(axis=1) @ params.attention.weight.data[:, width:]
+    u = params.attention.score.data * (1.0 - t * t)
+    g_pre = g_scores[:, :, None] * u
+    u_mean = (attn[:, :, None] * u).sum(axis=1, keepdims=True)
+    g_row = (g_scores[:, :, None] * (u - u_mean)).sum(axis=1)  # g_pre's would nearly cancel
+    g_h = g_z[:, width:] + row_product(g_row, params.attention.weight.data[:, width:])
     return (np.concatenate([g_h, g_cell], axis=1),
-            (emb_ids, z, t, attn, d_pre, g_emb + g_z[:, :e], g_context, g_scores, g_pre))
+            (emb_ids, emb, z, t, attn, d_pre, g_emb, g_context, g_scores, g_pre, g_row))
 
 
 def recur_grads(params, states, pieces):
-    """Accumulate the parameter gradients of ``recur_forward`` steps on one
-    source from their ``recur_backward`` pieces, each as one product or
-    scatter over all their rows: the decoder cell's, the embedding's and the
-    attention's, the features' share of W_H and b included. Returns d H."""
-    emb_ids, Z, T, attn, D, g_emb, g_context, g_scores, g_pre = (
+    """Add the parameter gradients of steps' ``recur_backward`` pieces, each
+    one product or scatter over all rows: the decoder cell's, the embedding's
+    and the attention's (with the features' W_H and b). Returns d H."""
+    emb_ids, emb, Z, T, attn, D, g_emb, g_context, g_scores, g_pre, g_row = (
         np.concatenate(column) for column in zip(*pieces))
-    ap, H, width = params.attention, states.H, states.H.shape[1]
-    accumulate_gates(params.decoder, D, Z)
-    np.add.at(params.embedding.grad, emb_ids, g_emb)
-    ap.score.grad += np.einsum("bn,bna->a", g_scores, T)
-    ap.weight.grad[:, width:] += g_pre.sum(axis=1).T @ Z[:, -params.dims.d_s:]
-    g_features = g_pre.sum(axis=0)
-    ap.weight.grad[:, :width] += g_features.T @ H
-    ap.bias.grad += g_features.sum(axis=0)
-    return attn.T @ g_context + g_features @ ap.weight.data[:, :width]
+    ap, H, (W, _, _) = params.attention, states.H, states.gates
+    (s, n, width), e, d_a = H.shape, emb.shape[1], T.shape[2]
+    accumulate_gates(params.decoder, D, np.concatenate([emb, Z], axis=1))
+    np.add.at(params.embedding.grad, emb_ids, g_emb + D @ W[:, :e])
+    ap.score.grad += g_scores.reshape(-1) @ T.reshape(-1, d_a)
+    ap.weight.grad[:, width:] += g_row.T @ Z[:, width:]
+    ap.bias.grad += g_row.reshape(-1, s, d_a).sum(axis=0).sum(axis=0)  # source by source
+    g_features = g_pre.reshape(-1, s, n, d_a).sum(axis=0)  # row r reads source r % S
+    ap.weight.grad[:, :width] += g_features.reshape(-1, d_a).T @ H.reshape(-1, width)
+    g_H = attn.reshape(-1, s, n).transpose(1, 2, 0) @ g_context.reshape(-1, s, width).swapaxes(0, 1)
+    return g_H + g_features @ ap.weight.data[:, :width]
 
 
 def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
-    """One decoder step for B rows: ``recur_forward``, then ``output_forward``
-    on its rows; force_p_gen overrides the learned gate for ablations.
-    Returns (StepOutputs, (recurrence cache, output cache))."""
-    (emb, attn, context, new_state), recur_cache = recur_forward(prev_ids, states, state, params)
+    """One decoder step for B rows, ``recur_forced`` then ``output_forward``
+    (force_p_gen overrides the gate): (StepOutputs, (recur cache, output cache))."""
+    (emb, hidden, context, attn), new_state, (recur_cache,) = recur_forced(
+        np.asarray(prev_ids)[:, None], states, state, params)
     (p, p_vocab, p_copy, p_gen), out_cache = output_forward(
-        emb, new_state[:, :params.dims.d_s], context, attn, ev.source_ids, ev.size, params,
+        emb[:, 0], hidden[:, 0], context[:, 0], attn[:, 0], ev.source_ids, ev.size, params,
         force_p_gen)
-    return (StepOutputs(attn, context, p_vocab, p_copy, p_gen, p, new_state),
+    return (StepOutputs(attn[:, 0], context[:, 0], p_vocab, p_copy, p_gen, p, new_state),
             (recur_cache, out_cache))
 
 
-def recur_sequence(prev_ids, states, state, params):
-    """``recur_forward`` step by step over the given previous ids (teacher
-    forcing), one row a step, from ``state`` (1 x 2*d_s). Returns
-    ((emb, hidden, context, attn), caches), a row and a cache per id."""
+def recur_forced(prev_ids, states, state, params):
+    """``recur_forward`` over T steps from ``state`` (B x 2*d_s), row b fed the
+    ids prev_ids[b] (B x T, read by ``embedding_rows``), all gate terms in one
+    product: ((emb, hidden, context, attn) each B x T x ..., last state, caches)."""
+    prev_ids = np.asarray(prev_ids, dtype=np.intp)
+    if prev_ids.size and prev_ids.min() < 0:
+        raise ValidationError(f"step: negative previous id in {prev_ids}")
+    emb_ids = params.embedding_rows(prev_ids)
+    emb = params.embedding.data[emb_ids]
+    e, (_, b, W_T) = emb.shape[2], states.gates
+    x = (row_product(emb.reshape(-1, e), W_T[:e]) + b).reshape(*prev_ids.shape, -1)
     rows, caches = [], []
-    for prev in prev_ids:
-        (emb, attn, context, state), cache = recur_forward([prev], states, state, params)
-        rows.append((emb, state[:, :params.dims.d_s], context, attn))
+    for t in range(prev_ids.shape[1]):
+        (attn, context, state), cache = recur_forward(emb_ids[:, t], emb[:, t], x[:, t], states,
+                                                      state, params)
+        rows.append((state[:, :params.dims.d_s], context, attn))
         caches.append(cache)
-    return tuple(np.concatenate(column) for column in zip(*rows)), caches
+    return (emb, *(np.stack(column, axis=1) for column in zip(*rows))), state, caches

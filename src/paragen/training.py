@@ -1,11 +1,12 @@
 """Teacher-forced NLL training with Adam, gradient clipping, and checkpoints.
 
-Training takes one optimizer update per batch of ``batch_size`` pairs. Each
-pair runs its own encoder and recurrence; the vocabulary half of the output
-layer then runs once over every pair's rows, unpadded since it is always V
-wide, and the copy half per pair. One backward adds the summed gradient into
-the flat gradient vector, which is scaled to the batch mean, clipped and
-stepped once. The whole loop is a pure function of (dataset, config, seed).
+Training takes one optimizer update per batch of ``batch_size`` pairs. The
+batch's sources are right-padded and encoded together, and its decoder runs
+one masked recurrence of a row per pair; the vocabulary half of the output
+layer then runs once over the real rows, since it is always V wide, and the
+copy half per pair. One backward adds the summed gradient into the flat
+gradient vector, which is scaled to the batch mean, clipped and stepped
+once. The whole loop is a pure function of (dataset, config, seed).
 """
 
 import json
@@ -22,12 +23,11 @@ from .autograd import backward
 from .errors import NumericalError, ValidationError
 from .fileio import atomic_write, read_lines, write_pair_lines
 from .layers import LOG_FLOOR
-from .model import (ModelDims, ModelParams, params_from_payload, prepare_source, source_backward,
-                    stack_cells)
+from .model import ModelDims, ModelParams, params_from_payload, prepare_source, source_backward
 from .pointer import step_forward as full_step  # noqa: F401 (perfbench traces this name)
-from .pointer import (copy_distribution, mix, output_backward, recur_backward, recur_grads,
-                      recur_sequence, vocab_forward)
-from .vocab import BOS, EOS, build_vocab, encode_target, tokenize
+from .pointer import (copy_distribution, mix, output_backward, recur_backward, recur_forced,
+                      recur_grads, vocab_forward)
+from .vocab import BOS, EOS, PAD, build_vocab, encode_target, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -160,31 +160,28 @@ def _truncated(token_pairs, max_source_len, max_target_len):
 
 
 def _teacher_forced(pairs, params, vocab):
-    """The NLL of a batch of token pairs (tokenized and truncated once per
+    """The NLL of a batch of B token pairs (tokenized and truncated once per
     run) as one loss, the sum of each pair's mean NLL, whose backward adds
-    their summed gradient into params.grad. The pairs share one
-    ``stack_cells`` copy of the gates. Returns (loss, each pair's mean NLL,
-    greedy-match count, gold ids, their gates)."""
-    seqs, gates = [], stack_cells(params)
-    for src, tgt in pairs:
-        ev, states, state0, encoder_cache = prepare_source(src, params, vocab, gates)
-        gold = np.array(encode_target(tgt, ev) + [EOS])
-        seqs.append((ev, states, state0, encoder_cache, gold,
-                     *recur_sequence([BOS, *gold[:-1]], states, state0, params)))
-    lengths = [len(gold) for *_, gold, _, _ in seqs]
-    ends = np.cumsum(lengths)[:-1]  # each pair's rows end here
-    (p_vocab, p_gen), vocab_cache = vocab_forward(
-        *(np.concatenate(column) for column in zip(*(rows[:3] for *_, rows, _ in seqs))), params)
+    their summed gradient into params.grad. One recurrence runs B rows over
+    the padded sources, a row fed PAD and masked once past its pair's EOS.
+    Returns (loss, each pair's mean NLL, greedy-match count, gold ids, gates)."""
+    evs, states, state0, source_cache = prepare_source([src for src, _ in pairs], params, vocab)
+    golds = [np.array(encode_target(tgt, ev) + [EOS]) for (_, tgt), ev in zip(pairs, evs)]
+    lengths = [len(gold) for gold in golds]
+    real = np.arange(max(lengths)) < np.array(lengths)[:, None]  # B x T
+    prev = [[BOS, *gold[:-1]] + [PAD] * (real.shape[1] - len(gold)) for gold in golds]
+    steps, _, caches = recur_forced(prev, states, state0, params)
+    (p_vocab, p_gen), vocab_cache = vocab_forward(*(rows[real] for rows in steps[:3]), params)
+    ends = np.cumsum(lengths)[:-1]  # each pair's rows end here, in pair order
     p_gold, p_copy_gold, correct = [], [], 0
-    for (ev, *_, gold, (*_, attn), _), rows_p_vocab, rows_p_gen in zip(
-            seqs, np.split(p_vocab, ends), np.split(p_gen, ends)):
-        p_copy = copy_distribution(attn, ev.source_ids, ev.size)
+    for ev, gold, attn, rows_p_vocab, rows_p_gen in zip(
+            evs, golds, steps[3], np.split(p_vocab, ends), np.split(p_gen, ends)):
+        p_copy = copy_distribution(attn[:len(gold), :len(ev.source_ids)], ev.source_ids, ev.size)
         p = mix(rows_p_vocab, p_copy, rows_p_gen)
         correct += int((np.argmax(p, axis=1) == gold).sum())
         p_gold.append(p[np.arange(len(gold)), gold])
         p_copy_gold.append(p_copy[np.arange(len(gold)), gold])
-    golds = np.concatenate([gold for *_, gold, _, _ in seqs])
-    p_gold, p_copy_gold = np.concatenate(p_gold), np.concatenate(p_copy_gold)
+    golds, p_gold, p_copy_gold = map(np.concatenate, (golds, p_gold, p_copy_gold))
     # summed in step order, so each loss equals a step-by-step sum bit for bit
     nlls = [np.cumsum(terms)[-1] * (1.0 / len(terms))
             for terms in np.split(-np.log(np.maximum(p_gold, LOG_FLOOR)), ends)]
@@ -192,17 +189,18 @@ def _teacher_forced(pairs, params, vocab):
     def back(g):
         g_nll = np.repeat([g * (1.0 / n) for n in lengths], lengths)
         g_gold = np.divide(-g_nll, p_gold, out=np.zeros_like(p_gold), where=p_gold > LOG_FLOOR)
-        outputs = output_backward(vocab_cache, golds, g_gold, p_copy_gold)
-        for (ev, states, state0, encoder_cache, gold, _, caches), *g_rows, g_copy in zip(
-                seqs, *(np.split(g_out, ends) for g_out in outputs)):
-            # d attn: each row's d copy at every source position holding its gold id
-            g_rows.append(np.where(np.equal.outer(gold, ev.source_ids), g_copy[:, None], 0.0))
-            g_state, pieces = np.zeros((1, 2 * params.dims.d_s)), [None] * len(caches)
-            for t in reversed(range(len(caches))):  # the recurrence, step by step
-                g_state, pieces[t] = recur_backward(caches[t], *(g[t:t + 1] for g in g_rows),
-                                                    g_state)
-            source_backward(params, encoder_cache, states, state0,
-                            recur_grads(params, states, pieces), g_state)
+        *g_real, g_copy = output_backward(vocab_cache, golds, g_gold, p_copy_gold)
+        # d attn: each row's d copy at every position of its source holding its gold id
+        sources = np.where(states.valid, source_cache[0], -1)[np.nonzero(real)[0]]
+        g_real.append(np.where(np.equal(golds[:, None], sources), g_copy[:, None], 0.0))
+        g_rows = [np.zeros(real.shape + g.shape[1:]) for g in g_real]  # zero past EOS
+        for g_pad, g_out in zip(g_rows, g_real):
+            g_pad[real] = g_out
+        g_state, pieces = np.zeros_like(state0), [None] * len(caches)
+        for t in reversed(range(len(caches))):  # the recurrence, step by step
+            g_state, pieces[t] = recur_backward(caches[t], *(g[:, t] for g in g_rows), g_state)
+        source_backward(params, source_cache, states, state0,
+                        recur_grads(params, states, pieces), g_state)
 
     return (ag._node(sum(nlls), back), [float(nll) for nll in nlls], correct, golds.tolist(),
             p_gen.tolist())

@@ -36,15 +36,13 @@ def model_part(name, seed=0, vocab_size=6, d_emb=2, d_h=2, d_s=2, d_a=2):
 
 
 def hand_states(params, H, h_final):
-    """EncoderStates over encoder states H built by hand, with what
-    ``prepare_source`` derives from them: the attention features W_H·H + b
-    and the decoder's stacked gates, from the current weights."""
-    from paragen.layers import stack_gates
-    from paragen.model import EncoderStates
+    """EncoderStates of one source over encoder states H (N x 2*d_h) built
+    by hand, with what ``prepare_source`` derives from them
+    (``source_states``): the attention features W_H·H + b and the decoder's
+    stacked gates, from the current weights."""
+    from paragen.model import source_states
 
-    ap = params.attention
-    return EncoderStates(H, h_final, H @ ap.weight.data[:, :H.shape[1]].T + ap.bias.data,
-                         stack_gates(params.decoder))
+    return source_states(params, H[None], np.ones((1, len(H)), dtype=bool), h_final[None])
 
 
 def gold_step_backward(params, ev, states, out, caches, gold, g_gold, g_state):
@@ -82,14 +80,14 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
     from paragen.pointer import step_forward
 
     S = leaf(rows)
-    H = leaf(states.H)
+    H = leaf(states.H[0])
     gold = rng.choice(ev.source_ids, size=len(prev_ids))
     wp = rng.normal(size=len(prev_ids))
     ws = rng.normal(size=rows.shape)
     p0 = []
 
     def f():
-        live = hand_states(params, H.data, states.h_final)
+        live = hand_states(params, H.data, states.h_final[0])
         out, caches = step_forward(prev_ids, ev, live, S.data, params)
         p_gold = out.p[np.arange(len(gold)), gold]
         if not p0:  # grad_check's first call is at the evaluation point
@@ -99,7 +97,7 @@ def step_loss_node(params, ev, states, rows, prev_ids, rng):
             g_state, g_H = gold_step_backward(params, ev, live, out, caches, gold,
                                               -g * wp / p_gold, g * ws)
             S.grad += g_state
-            H.grad += g_H
+            H.grad += g_H[0]
 
         return ag._node(-(wp * np.log(p_gold / p0[0])).sum() + (out.state * ws).sum(), back)
 

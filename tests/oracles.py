@@ -265,9 +265,9 @@ def four_product_lstm_backward(cell, z, cache, g_h, g_c):
 
 
 def per_step_encode(embeddings, fwd, bwd):
-    """``model.encode`` as it ran before the input half of the gates was
-    hoisted: ``four_product_lstm_forward`` on one row [x_i, h] per token.
-    Returns (H, h_final, cache), the cache in ``model.encode``'s form."""
+    """``model.encode`` of one source as it ran before the input half of the
+    gates was hoisted: ``four_product_lstm_forward`` on one row [x_i, h] per
+    token. Returns (H, h_final, cache), the cache in ``one_row_encode``'s form."""
     n, d_emb = embeddings.shape
 
     def run(cell, order):
@@ -287,7 +287,7 @@ def per_step_encode(embeddings, fwd, bwd):
 
 
 def per_step_encode_backward(cache, g_H, g_final):
-    """``model.encode_backward`` as it ran before: ``four_product_lstm_backward``
+    """``one_row_encode_backward`` as it ran before: ``four_product_lstm_backward``
     step by step, each step adding into the weight gradients and its row of
     d embeddings. Reads a cache of either encoder; returns d embeddings."""
     d_h = g_H.shape[1] // 2
@@ -303,13 +303,168 @@ def per_step_encode_backward(cache, g_H, g_final):
     return g_emb
 
 
+def one_row_encode(embeddings, fwd, bwd):
+    """``model.encode`` of one unpadded source (N x d_emb) as it ran before
+    sources were batched: each direction in turn, one row [x_i, h] per step
+    through the cell's stacked gates, the input half hoisted. Returns
+    (H, h_final, cache), the cache in ``per_step_encode``'s form."""
+    from paragen.layers import lstm_cell, stack_gates
+
+    n, d_emb = embeddings.shape
+    if n < 1:
+        raise ValueError("one_row_encode: empty source")
+
+    def run(cell, order):
+        W, b = stack_gates(cell)
+        X, W_hT = embeddings @ W[:, :d_emb].T + b, W[:, d_emb:].T
+        Z = np.concatenate([embeddings, np.zeros((n, W_hT.shape[0]))], axis=1)  # steps' [x, h]
+        h = c = np.zeros((1, W_hT.shape[0]))
+        states, caches = [None] * n, [None] * n
+        for i in order:
+            Z[i, d_emb:] = h[0]
+            h, c, caches[i] = lstm_cell(X[i:i + 1] + h @ W_hT, c)
+            states[i] = h[0]
+        return states, (cell, W, Z, order, caches)
+
+    fwd_states, fwd_cache = run(fwd, range(n))
+    bwd_states, bwd_cache = run(bwd, range(n - 1, -1, -1))
+    H = np.concatenate([np.stack(fwd_states), np.stack(bwd_states)], axis=1)
+    h_final = np.concatenate([fwd_states[-1], bwd_states[0]])
+    return H, h_final, (fwd_cache, bwd_cache)
+
+
+def one_row_encode_backward(cache, g_H, g_final):
+    """``model.encode_backward`` of ``one_row_encode``: per direction, the
+    steps one row at a time in reverse, then one ``accumulate_gates`` over
+    every step's d pre and one product for the embeddings' share. Returns
+    d embeddings (N x d_emb)."""
+    from paragen.layers import accumulate_gates, lstm_cell_backward
+
+    d_h, g_emb = g_H.shape[1] // 2, 0.0
+    for (cell, W, Z, order, caches), cols in zip(cache, (slice(0, d_h), slice(d_h, None))):
+        D, g_h, g_c = np.empty((len(caches), 4 * d_h)), g_final[None, cols], np.zeros((1, d_h))
+        for i in reversed(order):  # the last step's h also feeds h_final
+            d_pre, g_c = lstm_cell_backward(caches[i], g_H[i:i + 1, cols] + g_h, g_c)
+            D[i], g_h = d_pre[0], d_pre @ W[:, -d_h:]
+        accumulate_gates(cell, D, Z)
+        g_emb = g_emb + D @ W[:, :-d_h]
+    return g_emb
+
+
+def one_source(tokens, params, vocab):
+    """``model.prepare_source`` of one source as it ran before sources were
+    batched: ``one_row_encode`` of its embedded extended ids, the states as a
+    source axis of one (``model.source_states``), the bridge on one row.
+    Returns (ExtendedVocab, EncoderStates, initial state (1 x 2*d_s), cache)."""
+    from paragen.model import source_states
+    from paragen.vocab import ExtendedVocab
+
+    ev = ExtendedVocab(vocab, tokens)
+    emb_ids = params.embedding_rows(ev.source_ids)
+    H, h_final, cache = one_row_encode(params.embedding.data[emb_ids],
+                                       params.encoder_fwd, params.encoder_bwd)
+    state = np.tanh(np.concatenate([params.bridge_hidden.data @ h_final,
+                                    params.bridge_cell.data @ h_final]))[None]
+    states = source_states(params, H[None], np.ones((1, len(emb_ids)), dtype=bool), h_final[None])
+    return ev, states, state, (emb_ids, cache)
+
+
+def one_source_backward(params, cache, states, state, g_H, g_state):
+    """``model.source_backward`` of ``one_source``: the bridge's gradients
+    on one row, then ``one_row_encode_backward`` and the embedding scatter."""
+    emb_ids, encode_cache = cache
+    d_s = params.dims.d_s
+    g_pre = g_state[0] * (1.0 - state[0] * state[0])
+    g_hidden, g_cell = g_pre[:d_s], g_pre[d_s:]
+    h_final = states.h_final[0]
+    params.bridge_hidden.grad += np.outer(g_hidden, h_final)
+    params.bridge_cell.grad += np.outer(g_cell, h_final)
+    g_final = g_hidden @ params.bridge_hidden.data + g_cell @ params.bridge_cell.data
+    g_emb = one_row_encode_backward(encode_cache, g_H[0], g_final)
+    np.add.at(params.embedding.grad, emb_ids, g_emb)
+
+
+def recur_sequence(prev_ids, states, state, params):
+    """``pointer.recur_forced`` one step at a time over the given previous
+    ids (teacher forcing), one row a step from ``state`` (1 x 2*d_s). Returns
+    ((emb, hidden, context, attn), caches), a row and a cache per id."""
+    from paragen.pointer import recur_forced
+
+    rows, caches = [], []
+    for prev in prev_ids:
+        steps, state, (cache,) = recur_forced([[prev]], states, state, params)
+        rows.append(tuple(column[:, 0] for column in steps))
+        caches.append(cache)
+    return tuple(np.concatenate(column) for column in zip(*rows)), caches
+
+
+def per_pair_teacher_forced(pairs, params, vocab):
+    """``training._teacher_forced`` as it ran before a batch became one
+    padded recurrence: per pair, ``one_source`` and ``recur_sequence``; the
+    vocabulary half of the output layer once over every pair's rows, the
+    copy half per pair; going back, per pair, ``recur_backward`` one row a
+    step, ``recur_grads`` and ``one_source_backward``. The decoder step,
+    the output layer and their backwards are the library's, at one source.
+    Returns (loss node, each pair's mean NLL, greedy-match count, gold ids,
+    their gates)."""
+    import paragen.autograd as ag
+    from paragen.layers import LOG_FLOOR
+    from paragen.pointer import (copy_distribution, mix, output_backward, recur_backward,
+                                 recur_grads, vocab_forward)
+    from paragen.vocab import BOS, EOS, encode_target
+
+    seqs = []
+    for src, tgt in pairs:
+        ev, states, state0, encoder_cache = one_source(src, params, vocab)
+        gold = np.array(encode_target(tgt, ev) + [EOS])
+        seqs.append((ev, states, state0, encoder_cache, gold,
+                     *recur_sequence([BOS, *gold[:-1]], states, state0, params)))
+    lengths = [len(gold) for *_, gold, _, _ in seqs]
+    ends = np.cumsum(lengths)[:-1]  # each pair's rows end here
+    (p_vocab, p_gen), vocab_cache = vocab_forward(
+        *(np.concatenate(column) for column in zip(*(rows[:3] for *_, rows, _ in seqs))), params)
+    p_gold, p_copy_gold, correct = [], [], 0
+    for (ev, *_, gold, (*_, attn), _), rows_p_vocab, rows_p_gen in zip(
+            seqs, np.split(p_vocab, ends), np.split(p_gen, ends)):
+        p_copy = copy_distribution(attn, ev.source_ids, ev.size)
+        p = mix(rows_p_vocab, p_copy, rows_p_gen)
+        correct += int((np.argmax(p, axis=1) == gold).sum())
+        p_gold.append(p[np.arange(len(gold)), gold])
+        p_copy_gold.append(p_copy[np.arange(len(gold)), gold])
+    golds = np.concatenate([gold for *_, gold, _, _ in seqs])
+    p_gold, p_copy_gold = np.concatenate(p_gold), np.concatenate(p_copy_gold)
+    nlls = [np.cumsum(terms)[-1] * (1.0 / len(terms))
+            for terms in np.split(-np.log(np.maximum(p_gold, LOG_FLOOR)), ends)]
+
+    def back(g):
+        g_nll = np.repeat([g * (1.0 / n) for n in lengths], lengths)
+        g_gold = np.divide(-g_nll, p_gold, out=np.zeros_like(p_gold), where=p_gold > LOG_FLOOR)
+        outputs = output_backward(vocab_cache, golds, g_gold, p_copy_gold)
+        for (ev, states, state0, encoder_cache, gold, _, caches), *g_rows, g_copy in zip(
+                seqs, *(np.split(g_out, ends) for g_out in outputs)):
+            g_rows.append(np.where(np.equal.outer(gold, ev.source_ids), g_copy[:, None], 0.0))
+            g_state, pieces = np.zeros((1, 2 * params.dims.d_s)), [None] * len(caches)
+            for t in reversed(range(len(caches))):
+                g_state, pieces[t] = recur_backward(caches[t], *(g[t:t + 1] for g in g_rows),
+                                                    g_state)
+            one_source_backward(params, encoder_cache, states, state0,
+                                recur_grads(params, states, pieces), g_state)
+
+    total = 0.0
+    for nll in nlls:  # in pair order, as the library adds them
+        total = total + nll
+    return (ag._node(total, back), [float(nll) for nll in nlls], correct, golds.tolist(),
+            p_gen.tolist())
+
+
 def accumulating_recur_backward(cache, g_emb, g_hidden, g_context, g_attn, g_state):
     """``pointer.recur_backward`` as it ran before its parameter gradients
     were deferred: the step adds its own decoder-cell (per gate), embedding
     and attention gradients. Returns (d incoming state, d H)."""
-    params, states, emb_ids, z, t, attn, lstm_cache = cache
-    d_s, e, width = params.dims.d_s, params.dims.d_emb, states.H.shape[1]
-    ap, H, hidden = params.attention, states.H, z[:, -d_s:]
+    params, states, emb_ids, emb, z, t, attn, lstm_cache = cache
+    d_s, e, width = params.dims.d_s, params.dims.d_emb, states.H.shape[2]
+    ap, H, hidden = params.attention, states.H[0], z[:, -d_s:]
+    z = np.concatenate([emb, z], axis=1)
     g_z, g_cell = four_product_lstm_backward(params.decoder, z, lstm_cache,
                                              g_hidden + g_state[:, :d_s], g_state[:, d_s:])
     np.add.at(params.embedding.grad, emb_ids, g_emb + g_z[:, :e])
@@ -357,16 +512,16 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     whole step_forward per gold token, then, per step in reverse, that
     step's ``dense_output_backward`` and ``accumulating_recur_backward``, then the
     bridge and ``per_step_encode_backward``. Unlike the oracles above its
-    forward is the library's own (prepare_source and step_forward), which
-    the straight-line and finite-difference tests check.
+    forward is the library's own decoder step (step_forward, after
+    ``one_source``), which the straight-line and finite-difference tests
+    check.
 
     Zeroes params' gradients first and leaves the result in them; returns
     (mean NLL, greedy-match count, per-step p_gen list)."""
-    from paragen.model import prepare_source
     from paragen.pointer import step_forward
     from paragen.vocab import BOS, EOS, encode_target
 
-    ev, states, state0, (emb_ids, encode_cache) = prepare_source(src_tokens, params, vocab)
+    ev, states, state0, (emb_ids, encode_cache) = one_source(src_tokens, params, vocab)
     state = state0
     gold = encode_target(tgt_tokens, ev) + [EOS]
     prev, nll, correct, p_gen, steps = BOS, 0.0, 0, [], []
@@ -381,7 +536,7 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
 
     params.zero_grad()
     g_nll = 1.0 / len(gold)
-    g_state, g_H = np.zeros_like(state0), np.zeros_like(states.H)
+    g_state, g_H = np.zeros_like(state0), np.zeros_like(states.H[0])
     for recur_cache, out_cache, gold_id, p_gold in reversed(steps):
         g_p = np.zeros((1, ev.size))
         g_p[0, gold_id] = -g_nll / p_gold if p_gold > 1e-12 else 0.0
@@ -391,8 +546,8 @@ def per_step_sequence_loss(params, vocab, src_tokens, tgt_tokens):
     # the bridge state0 = tanh([W_h ; W_c] h_final), then the encoder
     d_s = params.dims.d_s
     g_pre = g_state[0] * (1.0 - state0[0] * state0[0])
-    params.bridge_hidden.grad += np.outer(g_pre[:d_s], states.h_final)
-    params.bridge_cell.grad += np.outer(g_pre[d_s:], states.h_final)
+    params.bridge_hidden.grad += np.outer(g_pre[:d_s], states.h_final[0])
+    params.bridge_cell.grad += np.outer(g_pre[d_s:], states.h_final[0])
     g_final = g_pre[:d_s] @ params.bridge_hidden.data + g_pre[d_s:] @ params.bridge_cell.data
     np.add.at(params.embedding.grad, emb_ids,
               per_step_encode_backward(encode_cache, g_H, g_final))

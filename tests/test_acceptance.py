@@ -59,7 +59,7 @@ def test_c2_distribution_laws():
             p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        ev, states, state, _ = prepare_source(tokens, params, vocab)
+        (ev,), states, state, _ = prepare_source([tokens], params, vocab)
         prev = int(rng.integers(0, ev.size))
         out, _ = step_forward([prev], ev, states, state, params)
 
@@ -129,7 +129,7 @@ def test_c4_straight_line_oracle_equivalence():
         params, vocab = tiny_model(seed=case, n_tokens=8, width=8)
         n = int(rng.integers(1, 6))
         tokens = [pool[int(i)] for i in rng.integers(0, len(pool), size=n)]
-        ev, states, state, _ = prepare_source(tokens, params, vocab)
+        (ev,), states, state, _ = prepare_source([tokens], params, vocab)
         prev = int(rng.integers(0, ev.size))
 
         out, _ = step_forward([prev], ev, states, state, params)
@@ -137,7 +137,7 @@ def test_c4_straight_line_oracle_equivalence():
         from paragen.vocab import UNK
         prev_emb = w["embedding"][prev if prev < vocab.size else UNK]
         d_s = params.dims.d_s
-        oracle = straight_line_step(w, states.H.copy(), ev.source_ids, ev.size,
+        oracle = straight_line_step(w, states.H[0].copy(), ev.source_ids, ev.size,
                                     prev_emb, state[0, :d_s].copy(), state[0, d_s:].copy())
         for mine, theirs in ((out.p[0], oracle["p"]),
                              (out.p_vocab[0], oracle["p_vocab"]),
@@ -209,7 +209,7 @@ def test_c6_beam_sanity():
         top = beam_decode(source, params, vocab, cfg)[0]
 
         def step_probs(prefix):
-            _, states, state, _ = prepare_source(tokenize(source), params, vocab)
+            (_,), states, state, _ = prepare_source([tokenize(source)], params, vocab)
             for prev in (BOS,) + prefix:
                 out, _ = step_forward([prev], ev, states, state, params)
                 state = out.state

@@ -185,7 +185,7 @@ def test_decoding_builds_no_graph_after_prepare_source(monkeypatch):
         return out
 
     monkeypatch.setattr(ag, "_node", counting_node)
-    prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
+    prepare_source([["alpha", "zyxxy", "beta"]], params, vocab)
     hyps = beam_decode("alpha zyxxy beta", params, vocab, BeamConfig(beam_width=3, max_len=6))
     score_sequence("alpha zyxxy beta", hyps[0].ids, params, vocab)
     assert built == []

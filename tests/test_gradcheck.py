@@ -119,7 +119,7 @@ def test_single_step_oov_loss_gradient_flows_only_through_copy_branch():
     from paragen.pointer import step_forward
     from paragen.vocab import BOS
 
-    ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta"], params, vocab)
+    (ev,), states, state, _ = prepare_source([["alpha", "zyxxy", "beta"]], params, vocab)
     oov = ev.lookup("zyxxy")
     out, caches = step_forward([BOS], ev, states, state, params)
     # the gradient of -log p(zyxxy), and none through the next state

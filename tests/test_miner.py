@@ -365,6 +365,24 @@ def test_array_index_equals_dict_oracle(rows, copied, stranger_tokens, k):
             index.top_k(np.append(held, sid), k)
 
 
+def test_top_k_takes_any_sequence_of_ints():
+    """A list, a tuple or an int array of held sids gives the same answer; a
+    float array (integral values or not), a nested list, a bare int, a bool
+    and an unheld sid are rejected with ValidationError."""
+    recs = sentence_records(random_sentence_docs(seed=2, n_sentences=30))
+    index = build_index(recs)
+    held = [rec.sid for rec in recs if rec.tokens][:4]
+    want = index.top_k(np.array(held), 3)
+    assert index.top_k(held, 3) == index.top_k(tuple(held), 3) == want
+    assert index.top_k(np.array(held, dtype=np.int32), 3) == want
+    assert index.top_k([held[0]], 3) == want[:1] and index.top_k([], 3) == []
+    for bad in (np.array(held, dtype=float), [0.5], [held[:2]], held[0], [True]):
+        with pytest.raises(ValidationError, match="not a sequence of ints"):
+            index.top_k(bad, 3)
+    with pytest.raises(ValidationError, match=f"sid {index.width}: not a sentence"):
+        index.top_k([held[0], index.width], 3)
+
+
 def test_query_similar_record_outside_the_index():
     """Only a record equal to the one the index holds under its sid is
     queried; any other, a token-less record the index received included, is

@@ -11,14 +11,26 @@ from paragen.pointer import output_forward, step_forward
 from paragen.vocab import BOS, UNK
 
 from conftest import TINY_TOKENS, hand_states, leaf, model_part, step_loss_node, tiny_model
-from oracles import (cell_arrays, lstm_step_scalar, model_arrays, per_step_encode,
-                     per_step_encode_backward, softmax_highprec, straight_line_encode)
+from oracles import (cell_arrays, lstm_step_scalar, model_arrays, one_row_encode,
+                     one_row_encode_backward, per_step_encode, per_step_encode_backward,
+                     softmax_highprec, straight_line_encode)
 
 
 def _cell_step(cell, z, c):
     """The cell on rows z = [x, h] through its stacked gates: (h', c', cache)."""
     W, b = stack_gates(cell)
     return lstm_cell(z @ W.T + b, c)
+
+
+def _encode_one(emb, fwd, bwd):
+    """``encode`` of one unpadded source (N x d_emb): (H, h_final, cache)
+    without the source axis."""
+    H, h_final, cache = encode(emb[None], np.ones((1, len(emb)), dtype=bool), fwd, bwd)
+    return H[0], h_final[0], cache
+
+
+def _encode_one_backward(cache, g_H, g_final):
+    return encode_backward(cache, g_H[None], g_final[None])[0]
 
 
 def _zero_cell(name="encoder_fwd", **widths):
@@ -67,7 +79,7 @@ def test_encode_single_token():
     rng = np.random.default_rng(4)
     fwd = model_part("encoder_fwd", seed=4, d_emb=4, d_h=3)
     bwd = model_part("encoder_bwd", seed=4, d_emb=4, d_h=3)
-    H, h_final, _ = encode(rng.normal(size=(1, 4)), fwd, bwd)
+    H, h_final, _ = _encode_one(rng.normal(size=(1, 4)), fwd, bwd)
     assert H.shape == (1, 6)
     np.testing.assert_array_equal(H[0], h_final)
 
@@ -78,7 +90,7 @@ def test_encode_palindrome_symmetry():
     emb = rng.normal(size=(5, 4))
     emb[3] = emb[1]
     emb[4] = emb[0]  # palindrome rows
-    H, _, _ = encode(emb, shared, shared)
+    H, _, _ = _encode_one(emb, shared, shared)
     d = 3
     for i in range(5):
         np.testing.assert_allclose(H[i, :d], H[5 - 1 - i, d:], atol=1e-12)
@@ -93,14 +105,14 @@ def test_encode_matches_unrolled_cells():
     covered = set()
     for n in range(1, 13):
         tokens = [words[i] for i in rng.integers(0, len(words), size=n)]
-        ev, states, _, _ = prepare_source(tokens, params, vocab)
+        (ev,), states, _, _ = prepare_source([tokens], params, vocab)
         src_ids = ev.source_ids
         covered |= {"oov"} if max(src_ids) >= vocab.size else set()
         covered |= {"repeat"} if len(set(src_ids)) < n else set()
         emb_ids = [i if i < vocab.size else UNK for i in src_ids]
         H, h_final = straight_line_encode(model_arrays(params), emb_ids, params.dims.d_h)
-        np.testing.assert_allclose(states.H, H, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(states.h_final, h_final, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(states.H[0], H, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(states.h_final[0], h_final, atol=1e-12, rtol=0)
     assert covered == {"oov", "repeat"}
 
 
@@ -115,10 +127,10 @@ def test_encode_backward_matches_finite_differences():
              + [("E", E)])
 
     def f():
-        H, h_final, cache = encode(E.data, params.encoder_fwd, params.encoder_bwd)
+        H, h_final, cache = _encode_one(E.data, params.encoder_fwd, params.encoder_bwd)
 
         def back(g):
-            E.grad += encode_backward(cache, g * wH, g * wf)
+            E.grad += _encode_one_backward(cache, g * wH, g * wf)
 
         return ag._node((H * wH).sum() + (h_final * wf).sum(), back)
 
@@ -139,7 +151,7 @@ def test_encode_matches_per_step_oracle(n):
         g_H, g_final = rng.normal(size=(n, 2 * width)), rng.normal(size=2 * width)
         cells = params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
         results = []
-        for run, run_backward in ((encode, encode_backward),
+        for run, run_backward in ((_encode_one, _encode_one_backward),
                                   (per_step_encode, per_step_encode_backward)):
             params.zero_grad()
             H, h_final, cache = run(emb, params.encoder_fwd, params.encoder_bwd)
@@ -153,10 +165,71 @@ def test_encode_matches_per_step_oracle(n):
             assert np.abs(mine - want).max() <= 1e-12 * np.abs(want).max(), (width, name)
 
 
+def _padded_sources(rng, lengths, d_emb):
+    """Right-padded embeddings (B x N x d_emb) of sources of these lengths,
+    with random values at the pads too, and their ``valid`` mask."""
+    valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    return rng.normal(size=valid.shape + (d_emb,)), valid
+
+
+def test_padded_encoder_matches_one_row_oracle():
+    """A batch of sources of 1-12 tokens against each source encoded alone
+    by the one-row encoder it replaced: H and h_final to 1e-12 and H zero at
+    pads; d embeddings to 1e-12 of their largest and zero at pads; each cell
+    tensor's gradient to 1e-12 of its largest entry. Pads hold values and
+    gradients that must not leak in."""
+    rng = np.random.default_rng(17)
+    for width, lengths in ((3, [1, 12, 5, 1]), (5, [7, 2]), (2, [4]), (4, list(range(1, 13)))):
+        params = ModelParams(ModelDims(vocab_size=6, d_emb=width + 1, d_h=width), seed=width)
+        emb, valid = _padded_sources(rng, lengths, width + 1)
+        g_H = rng.normal(size=valid.shape + (2 * width,))
+        g_final = rng.normal(size=(len(lengths), 2 * width))
+        cells = params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
+        params.zero_grad()
+        H, h_final, cache = encode(emb, valid, params.encoder_fwd, params.encoder_bwd)
+        g_emb = encode_backward(cache, g_H, g_final)
+        grads = [p.grad.copy() for _, p in cells]
+        params.zero_grad()
+        assert not H[~valid].any() and not g_emb[~valid].any()
+        for b, n in enumerate(lengths):
+            want_H, want_final, want_cache = one_row_encode(emb[b, :n], params.encoder_fwd,
+                                                            params.encoder_bwd)
+            want_emb = one_row_encode_backward(want_cache, g_H[b, :n], g_final[b])
+            np.testing.assert_allclose(H[b, :n], want_H, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(h_final[b], want_final, atol=1e-12, rtol=0)
+            assert np.abs(g_emb[b, :n] - want_emb).max() <= 1e-12 * np.abs(want_emb).max()
+        for mine, (name, p) in zip(grads, cells):
+            assert np.abs(mine - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), (width, name)
+
+
+def test_padded_encode_backward_matches_finite_differences():
+    """Sources of 3, 1 and 2 tokens: the pads' embeddings, which only ever
+    feed held steps, get a zero gradient, numerically and analytically."""
+    rng = np.random.default_rng(12)
+    params = ModelParams(ModelDims(vocab_size=6, d_emb=3, d_h=2), seed=12)
+    data, valid = _padded_sources(rng, [3, 1, 2], 3)
+    E = leaf(data)
+    wH, wf = rng.normal(size=valid.shape + (4,)), rng.normal(size=(3, 4))
+    named = (params.encoder_fwd.named_parameters() + params.encoder_bwd.named_parameters()
+             + [("E", E)])
+
+    def f():
+        H, h_final, cache = encode(E.data, valid, params.encoder_fwd, params.encoder_bwd)
+
+        def back(g):
+            E.grad += encode_backward(cache, g * wH, g * wf)
+
+        return ag._node((H * wH).sum() + (h_final * wf).sum(), back)
+
+    report = grad_check(f, named, h=1e-5)
+    assert report.max_rel_err <= 1e-6, repr(report)
+    assert not E.grad[~valid].any() and E.grad[valid].all()
+
+
 def test_encode_empty_source_error():
     params, vocab = tiny_model()
     with pytest.raises(ValidationError):
-        prepare_source([], params, vocab)
+        prepare_source([[]], params, vocab)
 
 
 class _Source:
@@ -186,7 +259,7 @@ def test_attend_single_state():
     params, source, states, state = _random_attend(0, n=1)
     a, ctx = _attend(params, source, states, state)
     assert a.tolist() == [1.0]
-    np.testing.assert_array_equal(ctx, states.H[0])
+    np.testing.assert_array_equal(ctx, states.H[0, 0])
 
 
 def test_attend_zero_score_vector_uniform():
@@ -194,15 +267,15 @@ def test_attend_zero_score_vector_uniform():
     params.attention.score.data[...] = 0.0
     a, ctx = _attend(params, source, states, state)
     np.testing.assert_allclose(a, np.full(5, 0.2), atol=1e-15)
-    np.testing.assert_allclose(ctx, states.H.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(ctx, states.H[0].mean(axis=0), atol=1e-12)
 
 
 def test_attend_context_is_weighted_sum():
     params, source, states, state = _random_attend(2, n=6)
     a, ctx = _attend(params, source, states, state)
-    manual = np.zeros(states.H.shape[1])
+    manual = np.zeros(states.H.shape[2])
     for i in range(6):
-        manual += a[i] * states.H[i]
+        manual += a[i] * states.H[0, i]
     np.testing.assert_allclose(ctx, manual, atol=1e-12)
 
 
@@ -212,8 +285,8 @@ def test_attend_weights_sum_to_one_and_hull():
         a, ctx = _attend(params, source, states, state)
         assert abs(a.sum() - 1.0) <= 1e-12
         assert np.all(a >= 0.0)
-        lo = states.H.min(axis=0) - 1e-12
-        hi = states.H.max(axis=0) + 1e-12
+        lo = states.H[0].min(axis=0) - 1e-12
+        hi = states.H[0].max(axis=0) + 1e-12
         assert np.all(ctx >= lo) and np.all(ctx <= hi)
 
 
@@ -229,7 +302,7 @@ def test_decoder_step_zero_weights():
     params, source, states, state = _random_attend(3, d_emb=3, d_h=2, d_s=4)  # 7+4 inputs
     for _, p in params.decoder.named_parameters():
         p.data[...] = 0.0
-    states.gates = stack_gates(params.decoder)  # the states hold a copy of the gates
+    states = hand_states(params, states.H[0], states.h_final[0])  # they hold a copy of the gates
     out, _ = step_forward([BOS], source, states, np.zeros_like(state), params)
     assert np.all(out.state == 0.0)
 
@@ -371,6 +444,6 @@ def test_views_survive_grad_check_dtype_swap():
 
 def test_bridge_shapes_and_tanh_range():
     params, vocab = tiny_model(seed=2)
-    _, _, s0, _ = prepare_source(["alpha", "beta"], params, vocab)
+    _, _, s0, _ = prepare_source([["alpha", "beta"]], params, vocab)
     assert s0.shape == (1, 16)  # one row [hidden | cell]
     assert np.all(np.abs(s0) < 1.0)

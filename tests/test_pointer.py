@@ -9,7 +9,7 @@ from paragen.gradcheck import grad_check
 from paragen.layers import LOG_FLOOR
 from paragen.model import ModelDims, ModelParams, prepare_source
 from paragen.pointer import (copy_distribution, mix, output_backward, output_forward,
-                             recur_sequence, step_forward)
+                             recur_forced, step_forward)
 from paragen.vocab import BOS, EOS, UNK, Vocabulary, encode_target
 
 from conftest import TINY_TOKENS, step_loss_node, tiny_model
@@ -116,7 +116,7 @@ def test_mix_non_finite_gate_is_a_numerical_error(gate):
 
 def _step_setup(seed, source=("alpha", "zyxxy", "beta", "zyxxy")):
     params, vocab = tiny_model(seed=seed)
-    ev, states, state, _ = prepare_source(list(source), params, vocab)
+    (ev,), states, state, _ = prepare_source([list(source)], params, vocab)
     return params, vocab, ev, states, state
 
 
@@ -171,7 +171,7 @@ def test_full_step_matches_straight_line_oracle():
     out, _ = step_forward([BOS], ev, states, state, params)
     w = model_arrays(params)
     d_s = params.dims.d_s
-    oracle = straight_line_step(w, states.H.copy(), ev.source_ids, ev.size,
+    oracle = straight_line_step(w, states.H[0].copy(), ev.source_ids, ev.size,
                                 w["embedding"][BOS], state[0, :d_s], state[0, d_s:])
     np.testing.assert_allclose(out.p[0], oracle["p"], atol=1e-12, rtol=0)
     np.testing.assert_allclose(out.state[0, :d_s], oracle["h"], atol=1e-12, rtol=0)
@@ -200,7 +200,7 @@ def test_step_rows_match_single_row_and_oracle():
         d_s = params.dims.d_s
         for r, prev_id in enumerate(prev):
             one, _ = step_forward([prev_id], ev, states, rows[r:r + 1], params)
-            oracle = straight_line_step(w, states.H, ev.source_ids, ev.size,
+            oracle = straight_line_step(w, states.H[0], ev.source_ids, ev.size,
                                         w["embedding"][prev_id if prev_id < vocab.size else UNK],
                                         rows[r, :d_s], rows[r, d_s:])
             for mine, single, theirs in ((out.p[r], one.p[0], oracle["p"]),
@@ -219,7 +219,8 @@ def test_step_backward_matches_finite_differences():
     # step, so every parameter, the encoder states and the incoming state
     # get checked
     params, vocab = tiny_model(seed=13, width=3)
-    ev, states, state, _ = prepare_source(["alpha", "zyxxy", "beta", "zyxxy"], params, vocab)
+    (ev,), states, state, _ = prepare_source([["alpha", "zyxxy", "beta", "zyxxy"]], params,
+                                             vocab)
     rng = np.random.default_rng(13)
     prev = [ev.lookup("zyxxy"), vocab.lookup("beta")]
     node, named = step_loss_node(params, ev, states, state + rng.normal(
@@ -238,10 +239,11 @@ def _gold_only_equals_dense(params, vocab, src, tgt, floored=()):
     block of vocabulary rows, which a BLAS need not round as it rounds those
     rows of one whole product, so it is held to 1e-12 of its largest entry.
     Returns the gold ids."""
-    ev, states, state, _ = prepare_source(src, params, vocab)
+    (ev,), states, state, _ = prepare_source([src], params, vocab)
     gold = np.array(encode_target(tgt, ev) + [EOS])
     rows = np.arange(len(gold))
-    (emb, hidden, context, attn), _ = recur_sequence([BOS, *gold[:-1]], states, state, params)
+    steps, *_ = recur_forced([[BOS, *gold[:-1]]], states, state, params)
+    emb, hidden, context, attn = (column[0] for column in steps)
     (p, _, p_copy, _), cache = output_forward(emb, hidden, context, attn, ev.source_ids, ev.size,
                                               params)
     p_gold = p[rows, gold]

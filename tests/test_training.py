@@ -3,7 +3,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,17 +255,19 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
     differences of nearly cancelling sums over later updates; the weights are
     then held bit for bit to Adam stepping train's own gradients. The clip is
     the median norm of an unclipped run's updates, so both the clipped and
-    the unclipped path run."""
+    the unclipped path run. Each batch is encoded once, as one EncoderStates
+    over all its pairs, and those states (the gate copies among them) are
+    the ones the weights the previous update left give."""
     pairs, _ = copy_task_corpus(10, seed=7)
     vocab = copy_task_vocab()
     cfg = TrainConfig(seed=seed, epochs=2, lr=1e-2, clip=1e6, vocab_size=60,
                       d_emb=4, d_h=4, d_s=4, d_a=4, batch_size=batch_size)
-    encoded, updates = [], []  # the decoder gates each encoding ran with; (weights, gradient)
+    encoded, updates = [], []  # (sources, EncoderStates, initial states); (weights, gradient)
 
-    def recording_prepare(*args):
-        ev, states, state, cache = prepare_source(*args)
-        encoded.append(states.gates[0].copy())
-        return ev, states, state, cache
+    def recording_prepare(sources, *args):
+        evs, states, state, cache = prepare_source(sources, *args)
+        encoded.append((sources, states, state))
+        return evs, states, state, cache
 
     def recording_step(self):
         updates.append((self.data.copy(), self.grad.copy()))
@@ -294,11 +296,18 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
     batches = [order[start:start + batch_size] for order in
                (shuffle_rng.permutation(len(pairs)) for _ in range(cfg.epochs))
                for start in range(0, len(pairs), batch_size)]
-    expected_gates, norms = [], []
-    for batch, (weights, got) in zip(batches, updates):
+    assert len(encoded) == len(updates)  # one encoding per batch
+    norms = []
+    for batch, (weights, got), (sources, states, state) in zip(batches, updates, encoded):
         np.testing.assert_array_equal(weights, stepped.flat)
         params.flat[...] = weights
-        expected_gates += [stack_gates(params.decoder)[0].copy()] * len(batch)
+        assert sources == [tokenize(pairs[idx][0]) for idx in batch]
+        _, want_states, want_state, _ = prepare_source(sources, params, vocab)
+        for got_field, want_field in zip((*astuple(states)[:4], *states.gates, state),
+                                         (*astuple(want_states)[:4], *want_states.gates,
+                                          want_state)):
+            np.testing.assert_array_equal(got_field, want_field)
+        np.testing.assert_array_equal(states.gates[0], stack_gates(params.decoder)[0])
         grads = []
         for idx in batch:
             params.zero_grad()
@@ -315,20 +324,16 @@ def test_batched_training_equals_mean_gradient_oracle(batch_size, seed, monkeypa
     np.testing.assert_array_equal(trained.flat, stepped.flat)
     assert min(norms) < cfg.clip < max(norms)  # both the clipped and the unclipped path ran
 
-    # every encoding used the gates of the weights its batch started from, and the
-    # second batch's gates are the first update's, not the initial copy
-    assert len(encoded) == len(expected_gates) == cfg.epochs * len(pairs)
-    for got, want in zip(encoded, expected_gates):
-        np.testing.assert_array_equal(got, want)
-    second = min(batch_size, len(pairs))
-    assert not np.allclose(encoded[second], encoded[0], rtol=0, atol=1e-6)
+    # the second batch's gates are the first update's, not the initial copy
+    assert not np.allclose(encoded[1][1].gates[0], encoded[0][1].gates[0], rtol=0, atol=1e-6)
 
 
 def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
-    """Memory contract: a batch holds every pair's caches until its backward,
-    so its pairs share one stacked copy of each LSTM cell's gates instead of
-    stacking three of their own. Training stores nothing on the parameters,
-    and a later encoding stacks the weights afresh."""
+    """Memory contract: a batch holds its caches until its backward, so its
+    pairs are encoded together and share one stacked copy of each LSTM
+    cell's gates instead of stacking three of their own. Training stores
+    nothing on the parameters, and a later encoding stacks the weights
+    afresh."""
     import paragen.model as model
 
     calls, encoded = [], []
@@ -337,11 +342,11 @@ def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
         calls.append(cell)
         return stack_gates(cell)
 
-    def recording_prepare(*args):
-        ev, states, state, cache = prepare_source(*args)
-        (fwd, bwd) = cache[1]  # each direction's (cell, W, ...)
-        encoded.append((states.gates, fwd[1], bwd[1]))
-        return ev, states, state, cache
+    def recording_prepare(sources, *args):
+        evs, states, state, cache = prepare_source(sources, *args)
+        _, _, W_f, W_b, *_ = cache[1]  # the encode cache holds each direction's stacked W
+        encoded.append((len(sources), states.gates, W_f, W_b))
+        return evs, states, state, cache
 
     monkeypatch.setattr(model, "stack_gates", counting)
     monkeypatch.setattr("paragen.training.prepare_source", recording_prepare)
@@ -351,11 +356,9 @@ def test_gates_are_stacked_once_per_cell_per_batch(monkeypatch):
     params, _ = train(pairs, cfg, vocab=copy_task_vocab())
     assert len(calls) == 3 * 3 * cfg.epochs  # three cells, three batches, two epochs
     assert calls[:3] == [params.encoder_fwd, params.encoder_bwd, params.decoder]
-    batches = [encoded[a:b] for a, b in ((0, 4), (4, 8), (8, 10), (10, 14), (14, 18), (18, 20))]
-    for batch in batches:
-        for gates, fwd, bwd in batch:
-            assert gates is batch[0][0] and fwd is batch[0][1] and bwd is batch[0][2]
-    assert len({id(batch[0][0]) for batch in batches}) == len(batches)
+    assert [n for n, *_ in encoded] == [4, 4, 2] * cfg.epochs  # one encoding per batch
+    for k in range(1, 4):  # each batch stacked its own copies
+        assert len({id(stacked[k]) for stacked in encoded}) == len(encoded)
     assert vars(params).keys() == vars(ModelParams(params.dims, seed=3)).keys()
 
     calls.clear()
@@ -390,6 +393,141 @@ def test_batch_gradient_equals_sum_of_pair_gradients_at_v10k():
     for (name, p), theirs in zip(params.named_parameters(), want):
         scale = largest if name.startswith("attention.") else np.abs(theirs).max()
         assert np.abs(p.grad - theirs).max() <= 1e-12 * scale, name
+
+
+BATCH_WORDS = ["w0", "w1", "w2", "w3", "w4", "w5", "oa", "ob"]  # the last two are OOV
+
+
+def _batch_model(width, seed):
+    vocab = Vocabulary(BATCH_WORDS[:6])
+    return ModelParams(ModelDims(vocab_size=vocab.size, d_emb=width, d_h=width, d_s=width,
+                                 d_a=width), seed=seed), vocab
+
+
+@st.composite
+def _token_pair(draw):
+    """A source of 1-12 tokens with repeats and OOVs, and a target of 1-6
+    tokens drawn from the source (so OOVs are copied, with gold ids past V),
+    the vocabulary and an OOV absent from the source (gold UNK)."""
+    src = draw(st.lists(st.sampled_from(BATCH_WORDS), min_size=1, max_size=12))
+    tgt = draw(st.lists(st.sampled_from(src + BATCH_WORDS[:3] + ["unseenx"]),
+                        min_size=1, max_size=6))
+    return src, tgt
+
+
+def _batch_grads(run, pairs, params, vocab):
+    """``run`` (a teacher-forced loss of token pairs) and its backward from
+    zeroed gradients: (loss, nlls, correct, gold ids, gates, gradients)."""
+    params.zero_grad()
+    loss, nlls, correct, golds, gates = run(pairs, params, vocab)
+    backward(loss)
+    return (float(loss.data), nlls, correct, golds, gates,
+            {name: p.grad.copy() for name, p in params.named_parameters()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pairs=st.lists(_token_pair(), min_size=1, max_size=8), width=st.integers(1, 4),
+       seed=st.integers(0, 3))
+def test_padded_batch_equals_per_pair_oracle(pairs, width, seed):
+    """One padded, masked recurrence over the batch against the per-pair
+    path it replaced: the batch loss and each pair's NLL to 1e-12 relative,
+    every gradient tensor to 1e-12 of its largest entry, the greedy-match
+    count and the gold ids exactly, and the gates to 1e-12. The gates are
+    not held bit for bit: the oracle's one-row products go through gemv,
+    which rounds apart from the batch's gemm."""
+    from oracles import per_pair_teacher_forced
+    from paragen.training import _teacher_forced
+
+    params, vocab = _batch_model(width, seed)
+    loss, nlls, correct, golds, gates, grads = _batch_grads(_teacher_forced, pairs, params, vocab)
+    want_loss, want_nlls, want_correct, want_golds, want_gates, want = _batch_grads(
+        per_pair_teacher_forced, pairs, params, vocab)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for nll, want_nll in zip(nlls, want_nlls, strict=True):
+        assert abs(nll - want_nll) <= 1e-12 * abs(want_nll)
+    assert (correct, golds) == (want_correct, want_golds)
+    np.testing.assert_allclose(gates, want_gates, rtol=0, atol=1e-12)
+    for name, theirs in want.items():
+        assert np.abs(grads[name] - theirs).max() <= 1e-12 * np.abs(theirs).max(), name
+
+
+def test_a_pair_does_not_depend_on_its_batch():
+    """A pair shuffled into batches whose other pairs have shorter and longer
+    sources and targets: its NLL, and its share of the batch gradient (the
+    batch's gradient less that of the batch without it), equal the pair's
+    own to 1e-12 of each tensor's largest entry."""
+    from paragen.training import _teacher_forced
+
+    params, vocab = _batch_model(4, 2)
+    pair = (["w1", "oa", "w2", "oa", "w3"], ["oa", "w2", "w1"])
+    others = [(["w4"], ["w4", "w4", "w4", "w4", "w5"]), (["ob", "w0"], ["ob"]),
+              (["w5", "w4", "w3", "w2", "w1", "w0", "oa", "ob", "w0", "w1", "w2", "w3"], ["w0"])]
+    _, (alone,), *_, own = _batch_grads(_teacher_forced, [pair], params, vocab)
+    for at, companions in ((0, others), (1, others[:1]), (2, others[::-1]), (1, others[2:])):
+        batch = companions[:at] + [pair] + companions[at:]
+        _, nlls, *_, with_pair = _batch_grads(_teacher_forced, batch, params, vocab)
+        *_, without = _batch_grads(_teacher_forced, companions, params, vocab)
+        assert abs(nlls[at] - alone) <= 1e-12 * alone
+        for name, theirs in own.items():
+            share = with_pair[name] - without[name]
+            assert np.abs(share - theirs).max() <= 1e-12 * np.abs(theirs).max(), (at, name)
+
+
+def test_pads_get_no_attention_and_no_gradient():
+    """Sources of 1, 12 and 5 tokens and targets of 6, 1 and 3: at every
+    step each row weighs its source's pads exactly 0.0, and the batch's
+    gradient reaches no pad embedding (PAD's row stays exactly zero)."""
+    from paragen.pointer import recur_forced
+    from paragen.training import _teacher_forced
+    from paragen.vocab import BOS, PAD
+
+    params, vocab = _batch_model(3, 1)
+    pairs = [(["oa"], ["oa", "w1", "w1", "w2", "oa", "w0"]),
+             (BATCH_WORDS + BATCH_WORDS[:4], ["ob"]),
+             (["w3", "w3", "ob", "w4", "w3"], ["w3", "ob", "unseenx"])]
+    _, states, state, _ = prepare_source([src for src, _ in pairs], params, vocab)
+    assert states.valid.sum(axis=1).tolist() == [1, 12, 5]
+    (_, _, _, attn), *_ = recur_forced(np.full((3, 6), BOS), states, state, params)
+    assert np.all(attn.transpose(1, 0, 2)[:, ~states.valid] == 0.0)
+    assert np.all(attn[states.valid[:, None, :].repeat(6, axis=1)] > 0.0)
+    *_, grads = _batch_grads(_teacher_forced, pairs, params, vocab)
+    assert not grads["embedding"][PAD].any() and grads["embedding"].any()
+
+
+def test_short_source_beside_a_long_one_decodes_as_alone():
+    """A one-token source next to a twelve-token one: fed the same ids, its
+    row's states, attention and context, and its loss, are those of the
+    source alone."""
+    from paragen.pointer import recur_forced
+    from paragen.training import _teacher_forced
+
+    params, vocab = _batch_model(4, 3)
+    short, long = (["oa"], ["oa", "w2", "oa"]), (BATCH_WORDS + ["w0"] * 4, ["w5"])
+    prev = np.array([[2, 8, 4, 8, 0, 1]])  # BOS, the copied OOV, w0, OOV, PAD, UNK
+    runs = []
+    for batch in ([short], [short, long]):
+        _, states, state, _ = prepare_source([src for src, _ in batch], params, vocab)
+        steps, *_ = recur_forced(prev.repeat(len(batch), axis=0), states, state, params)
+        runs.append((*(column[0] for column in steps[:3]), steps[3][0, :, :1],
+                     _teacher_forced(batch, params, vocab)[1][0]))
+    for alone, beside in zip(*runs):
+        np.testing.assert_allclose(beside, alone, rtol=1e-12, atol=0)
+
+
+def test_padded_batch_gradient_matches_finite_differences():
+    """Every parameter of a tiny model through a batch of three pairs of
+    different source and target lengths (pads, masked rows, a copied OOV).
+    Some gradients are as small as 1e-8, where the central difference's own
+    error at h=1e-5 reaches a few 1e-6 of them; c1 allows 1e-4."""
+    from paragen.gradcheck import grad_check
+    from paragen.training import _teacher_forced
+
+    params, vocab = _batch_model(2, 5)
+    pairs = [(["oa", "w1"], ["oa", "w1", "oa"]), (["w2", "w3", "w2", "ob"], ["ob"]),
+             (["w4"], ["w4", "unseenx"])]
+    report = grad_check(lambda: _teacher_forced(pairs, params, vocab)[0],
+                        params.named_parameters(), h=1e-5)
+    assert report.max_rel_err <= 1e-5, repr(report)
 
 
 def test_non_finite_gradient_raises_before_the_step(tmp_path, monkeypatch):

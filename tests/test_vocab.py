@@ -185,7 +185,7 @@ def test_encode_source_empty_error():
     v = Vocabulary(["x"])
     params = ModelParams(ModelDims(vocab_size=v.size, d_emb=2, d_h=2, d_s=2, d_a=2), seed=0)
     with pytest.raises(ValidationError):
-        prepare_source([], params, v)
+        prepare_source([[]], params, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,11 +256,11 @@ def test_embedding_lookup_rows():
     from paragen.pointer import step_forward
 
     params = ModelParams(ModelDims(vocab_size=6, d_emb=4, d_h=2, d_s=2, d_a=2), seed=1)
-    ev, states, state, _ = prepare_source(["a", "oov"], params, Vocabulary(["a", "b"]))
+    (ev,), states, state, _ = prepare_source([["a", "oov"]], params, Vocabulary(["a", "b"]))
     rows = np.repeat(state, 3, axis=0)
     out, _ = step_forward([3, 17, UNK], ev, states, rows, params)
     z = np.concatenate([params.embedding.data[3], out.context[0], rows[0, :2]])
-    W, b = states.gates
+    W, b, _ = states.gates
     h, c, _ = lstm_cell(z[None] @ W.T + b, rows[:1, 2:])
     np.testing.assert_allclose(out.state[0], np.concatenate([h[0], c[0]]), atol=1e-15, rtol=0)
     np.testing.assert_allclose(out.state[1], out.state[2], atol=1e-15, rtol=0)
