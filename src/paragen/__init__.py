@@ -12,7 +12,7 @@ from .errors import DimensionError, NumericalError, ValidationError
 from .gradcheck import grad_check
 from .metrics import BleuReport, bleu, token_accuracy
 from .miner import (Document, InvertedIndex, MineConfig, SentencePair, SentenceRecord,
-                    align, build_index, ingest, query_similar, segment)
+                    align, build_index, load_documents, query_similar, segment)
 from .model import (EncoderStates, ModelDims, ModelParams, ParamGroup, encode, parameter_layout,
                     prepare_source, source_backward)
 from .pointer import (StepOutputs, copy_distribution, mix, output_backward, output_forward,

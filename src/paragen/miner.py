@@ -7,16 +7,11 @@ the lower bound drops unrelated sentences, the upper bound drops verbatim
 syndicated copies.
 """
 
-import html.parser
 import json
 import logging
 import math
 import os
 import re
-import time
-import urllib.parse
-import urllib.request
-import urllib.robotparser
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -327,24 +322,13 @@ def write_pairs(pairs, tsv_path, sidecar_path):
 # ingestion
 
 
-def ingest(source):
-    """Load documents from a local directory of JSON files or a URL list.
-
-    A string argument is a directory path; a list of URLs switches to fetch
-    mode. Items that cannot be read or parsed are logged and skipped.
-    """
-    if isinstance(source, (list, tuple)):
-        return fetch_documents(list(source))
-    return load_documents(source)
-
-
 def load_documents(directory):
     """Read one JSON document per file: {id, source, title, body, timestamp}."""
     docs = []
     try:
         names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
     except OSError as exc:
-        raise ValidationError(f"ingest: cannot list {directory}: {exc}") from exc
+        raise ValidationError(f"load_documents: cannot list {directory}: {exc}") from exc
     for name in names:
         path = os.path.join(directory, name)
         try:
@@ -356,88 +340,5 @@ def load_documents(directory):
                 timestamp=str(raw.get("timestamp", ""))))
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             log.warning("skipping %s: %s", path, exc)
-    docs.sort(key=lambda d: d.id)
-    return docs
-
-
-class _TextExtractor(html.parser.HTMLParser):
-    BLOCK_TAGS = {"p", "div", "br", "li", "tr", "h1", "h2", "h3", "h4", "h5", "h6",
-                  "section", "article", "blockquote"}
-    SKIP_TAGS = {"script", "style", "noscript"}
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.parts = []
-        self.title_parts = []
-        self._skip = 0
-        self._in_title = False
-
-    def handle_starttag(self, tag, attrs):
-        if tag in self.SKIP_TAGS:
-            self._skip += 1
-        elif tag in self.BLOCK_TAGS:
-            self.parts.append("\n")
-        elif tag == "title":
-            self._in_title = True
-
-    def handle_endtag(self, tag):
-        if tag in self.SKIP_TAGS and self._skip:
-            self._skip -= 1
-        elif tag in self.BLOCK_TAGS:
-            self.parts.append("\n")
-        elif tag == "title":
-            self._in_title = False
-
-    def handle_data(self, data):
-        if not self._skip:
-            (self.title_parts if self._in_title else self.parts).append(data)
-
-
-def _extract_text(markup):
-    parser = _TextExtractor()
-    parser.feed(markup)
-    parser.close()
-    lines = [" ".join(chunk.split()) for chunk in "".join(parser.parts).split("\n")]
-    text = "\n".join(line for line in lines if line)
-    title = " ".join("".join(parser.title_parts).split())
-    return text, title
-
-
-def strip_html(markup):
-    """Markup to plain text: block boundaries become newlines, tags vanish."""
-    return _extract_text(markup)[0]
-
-
-def fetch_documents(urls, delay=1.0, timeout=10.0):
-    """Fetch URLs politely: robots exclusion honored, one request/sec/host."""
-    robots, last_hit, docs = {}, {}, []
-    for url in urls:
-        host = urllib.parse.urlsplit(url).netloc
-        try:
-            rp = robots.get(host)
-            if rp is None:
-                rp = urllib.robotparser.RobotFileParser()
-                rp.set_url(urllib.parse.urljoin(url, "/robots.txt"))
-                try:
-                    rp.read()
-                except OSError:
-                    rp.allow_all = True
-                robots[host] = rp
-            if not rp.can_fetch("paragen", url):
-                log.warning("skipping %s: disallowed by robots.txt", url)
-                continue
-            # a host's first request never waits
-            wait = last_hit.get(host, -math.inf) + delay - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            last_hit[host] = time.monotonic()
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
-                markup = resp.read().decode("utf-8", errors="replace")
-            body, title = _extract_text(markup)
-            docs.append(Document(
-                id=url, source=host, title=title, body=body,
-                timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z")))
-        except Exception as exc:  # noqa: BLE001 - any per-item failure is a skip
-            log.warning("skipping %s: %s", url, exc)
     docs.sort(key=lambda d: d.id)
     return docs

@@ -244,11 +244,10 @@ def source_backward(params, cache, states, state, g_H, g_state):
               encode_backward(encode_cache, g_H, g_final)[states.valid])
 
 
-def params_from_payload(dims, payload):
-    """ModelParams whose ``flat`` is a copy of little-endian float64 ``payload``.
-
-    Draws nothing; the caller checks len(payload) == 8 * dims.parameter_count().
-    """
+def params_from_payload(dims, flat):
+    """ModelParams whose ``flat`` is ``flat`` itself, a float64 vector of
+    dims.parameter_count() values such as a checkpoint's payload: no copy is
+    made and nothing is drawn."""
     params = ModelParams.__new__(ModelParams)  # skips the random init
-    params._bind(dims, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    params._bind(dims, flat)
     return params

@@ -3,8 +3,9 @@ vocabulary softmax, copy distribution, generation gate and their mixture.
 
 Training and decoding share one step, its rows attending over the padded
 sources of an ``EncoderStates``. ``recur_forward`` (attention and the LSTM
-update) carries the state; ``recur_forced`` runs it over T steps, the
-embedding third of the gates one product for all. The output layer reads a
+update) carries the state; ``step_forward`` runs it once, with the output
+layer, for decoding, and ``recur_forced`` over T steps, the embedding third
+of the gates one product for all. The output layer reads a
 step's rows. Its vocabulary half (``vocab_forward``) has independent rows,
 always V wide, so training runs it once per batch on the real rows; its copy
 half (``copy_distribution``, ``mix``) reads each row's source. Going back,
@@ -177,30 +178,39 @@ def recur_grads(params, states, pieces):
 
 
 def step_forward(prev_ids, ev, states, state, params, force_p_gen=None):
-    """One decoder step for B rows, ``recur_forced`` then ``output_forward``
-    (force_p_gen overrides the gate): (StepOutputs, (recur cache, output cache))."""
-    (emb, hidden, context, attn), new_state, (recur_cache,) = recur_forced(
-        np.asarray(prev_ids)[:, None], states, state, params)
+    """One decoder step for B rows fed ``prev_ids``, ``recur_forward`` then
+    ``output_forward`` (force_p_gen overrides the gate):
+    (StepOutputs, (recur cache, output cache))."""
+    emb_ids, emb, x = _gate_inputs(prev_ids, states, params)
+    (attn, context, new_state), recur_cache = recur_forward(emb_ids, emb, x, states, state, params)
     (p, p_vocab, p_copy, p_gen), out_cache = output_forward(
-        emb[:, 0], hidden[:, 0], context[:, 0], attn[:, 0], ev.source_ids, ev.size, params,
+        emb, new_state[:, :params.dims.d_s], context, attn, ev.source_ids, ev.size, params,
         force_p_gen)
-    return (StepOutputs(attn[:, 0], context[:, 0], p_vocab, p_copy, p_gen, p, new_state),
+    return (StepOutputs(attn, context, p_vocab, p_copy, p_gen, p, new_state),
             (recur_cache, out_cache))
+
+
+def _gate_inputs(prev_ids, states, params):
+    """For previous ids of any shape: the embedding row each reads
+    (``embedding_rows``), those rows, and their gate term emb·W_eᵀ + b, one
+    product for all."""
+    prev_ids = np.asarray(prev_ids, dtype=np.intp)
+    if prev_ids.size and prev_ids.min() < 0:
+        raise ValidationError(f"step: negative previous id in {prev_ids}")
+    emb_ids = params.embedding_rows(prev_ids)
+    emb = params.embedding.data[emb_ids]
+    e, (_, b, W_T) = emb.shape[-1], states.gates
+    x = row_product(emb.reshape(-1, e), W_T[:e]) + b
+    return emb_ids, emb, x.reshape(*prev_ids.shape, -1)
 
 
 def recur_forced(prev_ids, states, state, params):
     """``recur_forward`` over T steps from ``state`` (B x 2*d_s), row b fed the
     ids prev_ids[b] (B x T, read by ``embedding_rows``), all gate terms in one
     product: ((emb, hidden, context, attn) each B x T x ..., last state, caches)."""
-    prev_ids = np.asarray(prev_ids, dtype=np.intp)
-    if prev_ids.size and prev_ids.min() < 0:
-        raise ValidationError(f"step: negative previous id in {prev_ids}")
-    emb_ids = params.embedding_rows(prev_ids)
-    emb = params.embedding.data[emb_ids]
-    e, (_, b, W_T) = emb.shape[2], states.gates
-    x = (row_product(emb.reshape(-1, e), W_T[:e]) + b).reshape(*prev_ids.shape, -1)
+    emb_ids, emb, x = _gate_inputs(prev_ids, states, params)
     rows, caches = [], []
-    for t in range(prev_ids.shape[1]):
+    for t in range(emb_ids.shape[1]):
         (attn, context, state), cache = recur_forward(emb_ids[:, t], emb[:, t], x[:, t], states,
                                                       state, params)
         rows.append((state[:, :params.dims.d_s], context, attn))

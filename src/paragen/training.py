@@ -12,7 +12,9 @@ once. The whole loop is a pure function of (dataset, config, seed).
 import json
 import logging
 import math
+import os
 import struct
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -391,39 +393,48 @@ def save_checkpoint(params, path, vocab):
 def load_checkpoint(path, expected_dims=None, expected_vocab=None):
     """Load a checkpoint; returns (ModelParams, vocab_fingerprint bytes).
 
-    Every failure, a NaN or infinite weight included, raises a CheckpointError.
+    The header is read and checked first, and the payload's length against
+    the file's size and the widths; only then is ``flat`` allocated, once,
+    and the payload read straight into it. Every failure, a NaN or infinite
+    weight included, raises a CheckpointError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < CHECKPOINT_HEADER.size or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CorruptCheckpointError(f"{path}: not a model checkpoint")
-    _, version, *widths, fingerprint, payload_len = CHECKPOINT_HEADER.unpack_from(blob)
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
-    dims = ModelDims(*widths)
-    if min(widths) < 1:
-        raise CorruptCheckpointError(f"{path}: widths {dims} include one below 1")
-    if expected_dims is not None:
-        for f, got, want in zip(fields(ModelDims), widths, astuple(expected_dims)):
-            if want != got:
-                raise WidthMismatchError(
-                    f"{path}: checkpoint {f.name}={got}, run expects {f.name}={want}")
-    if expected_vocab is not None and expected_vocab.fingerprint() != fingerprint:
-        raise VocabMismatchError(f"{path}: checkpoint was trained with a different vocabulary")
-    if expected_vocab is not None and dims.vocab_size != expected_vocab.size:
-        raise VocabMismatchError(f"{path}: checkpoint vocab_size={dims.vocab_size}, "
-                                 f"the vocabulary holds {expected_vocab.size} ids")
-    payload = memoryview(blob)[CHECKPOINT_HEADER.size:]
-    if len(payload) != payload_len:
-        raise CorruptCheckpointError(
-            f"{path}: payload is {len(payload)} bytes, header declares {payload_len}")
-    # checked before any tensor is allocated, since a corrupt width may make one enormous
-    if 8 * dims.parameter_count() != payload_len:
-        raise CorruptCheckpointError(
-            f"{path}: widths {dims} need {8 * dims.parameter_count()} payload bytes, "
-            f"header declares {payload_len}")
-    params = params_from_payload(dims, payload)
-    if not np.isfinite(params.flat).all():
+        header = fh.read(CHECKPOINT_HEADER.size)
+        if len(header) < CHECKPOINT_HEADER.size or not header.startswith(CHECKPOINT_MAGIC):
+            raise CorruptCheckpointError(f"{path}: not a model checkpoint")
+        _, version, *widths, fingerprint, payload_len = CHECKPOINT_HEADER.unpack(header)
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatchError(
+                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
+        dims = ModelDims(*widths)
+        if min(widths) < 1:
+            raise CorruptCheckpointError(f"{path}: widths {dims} include one below 1")
+        if expected_dims is not None:
+            for f, got, want in zip(fields(ModelDims), widths, astuple(expected_dims)):
+                if want != got:
+                    raise WidthMismatchError(
+                        f"{path}: checkpoint {f.name}={got}, run expects {f.name}={want}")
+        if expected_vocab is not None and expected_vocab.fingerprint() != fingerprint:
+            raise VocabMismatchError(
+                f"{path}: checkpoint was trained with a different vocabulary")
+        if expected_vocab is not None and dims.vocab_size != expected_vocab.size:
+            raise VocabMismatchError(f"{path}: checkpoint vocab_size={dims.vocab_size}, "
+                                     f"the vocabulary holds {expected_vocab.size} ids")
+        size = os.fstat(fh.fileno()).st_size - CHECKPOINT_HEADER.size
+        if size != payload_len:
+            raise CorruptCheckpointError(
+                f"{path}: payload is {size} bytes, header declares {payload_len}")
+        # checked before any tensor is allocated, since a corrupt width may make one enormous
+        if 8 * dims.parameter_count() != payload_len:
+            raise CorruptCheckpointError(
+                f"{path}: widths {dims} need {8 * dims.parameter_count()} payload bytes, "
+                f"header declares {payload_len}")
+        flat = np.empty(dims.parameter_count())
+        if fh.readinto(flat) != payload_len or fh.read(1):  # the file changed since fstat
+            raise CorruptCheckpointError(
+                f"{path}: the payload read is not the {payload_len} bytes the header declares")
+    if sys.byteorder == "big":
+        flat.byteswap(inplace=True)  # the payload is little-endian
+    if not np.isfinite(flat).all():
         raise CorruptCheckpointError(f"{path}: payload holds a non-finite value")
-    return params, fingerprint
+    return params_from_payload(dims, flat), fingerprint

@@ -398,6 +398,21 @@ def recur_sequence(prev_ids, states, state, params):
     return tuple(np.concatenate(column) for column in zip(*rows)), caches
 
 
+def forced_step(prev_ids, ev, states, state, params, force_p_gen=None):
+    """The decoder step as ``pointer.recur_forced`` at T = 1 followed by
+    ``output_forward``, the path ``step_forward`` took before it called
+    ``recur_forward`` directly: (StepOutputs, (recur cache, output cache))."""
+    from paragen.pointer import StepOutputs, output_forward, recur_forced
+
+    (emb, hidden, context, attn), new_state, (recur_cache,) = recur_forced(
+        np.asarray(prev_ids)[:, None], states, state, params)
+    (p, p_vocab, p_copy, p_gen), out_cache = output_forward(
+        emb[:, 0], hidden[:, 0], context[:, 0], attn[:, 0], ev.source_ids, ev.size, params,
+        force_p_gen)
+    return (StepOutputs(attn[:, 0], context[:, 0], p_vocab, p_copy, p_gen, p, new_state),
+            (recur_cache, out_cache))
+
+
 def per_pair_teacher_forced(pairs, params, vocab):
     """``training._teacher_forced`` as it ran before a batch became one
     padded recurrence: per pair, ``one_source`` and ``recur_sequence``; the

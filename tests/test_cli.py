@@ -549,3 +549,16 @@ def test_text_inputs_split_on_lf_only(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("eval", "--hyp", str(src), "--ref", str(ref)) == 0
     assert json.loads(capsys.readouterr().out)["token_accuracy"] == 1.0
+
+
+def test_import_loads_no_web_stack():
+    # every command pays for `import paragen`; nothing in it fetches from the web
+    src = str(Path(paragen.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import json, sys, paragen, paragen.cli; print(json.dumps(sorted("
+             "{name.partition('.')[0] for name in sys.modules}"
+             " & {'email', 'html', 'http', 'ssl'})))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []

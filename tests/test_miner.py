@@ -1,11 +1,8 @@
 import copy
 import dataclasses
-import io
 import json
 import logging
 import math
-import urllib.error
-import urllib.parse
 
 import numpy as np
 import pytest
@@ -15,9 +12,8 @@ from hypothesis import strategies as st
 from paragen import miner
 from paragen.errors import ValidationError
 from paragen.miner import (DEFAULT_ABBREVIATIONS, Document, InvertedIndex, MineConfig,
-                           SentenceRecord, align, build_index, fetch_documents, ingest,
-                           load_documents, query_similar, segment, sentence_records, strip_html,
-                           write_pairs)
+                           SentenceRecord, align, build_index, load_documents, query_similar,
+                           segment, sentence_records, write_pairs)
 from paragen.vocab import PUNCTUATION, tokenize
 
 from conftest import (planted_paraphrase_docs, random_sentence_docs, three_source_docs,
@@ -495,7 +491,7 @@ def test_write_pairs_outputs(tmp_path, three_source_docs):
 
 def test_ingest_local_documents(tmp_path, three_source_docs):
     doc_dir = write_doc_fixture(tmp_path, three_source_docs)
-    docs = ingest(str(doc_dir))
+    docs = load_documents(str(doc_dir))
     assert [d.id for d in docs] == ["a1", "b1", "c1"]
     assert docs[0].source == "siteA"
 
@@ -512,84 +508,3 @@ def test_ingest_skips_malformed_json(tmp_path, three_source_docs, caplog):
 def test_ingest_missing_directory():
     with pytest.raises(ValidationError):
         load_documents("/definitely/not/here")
-
-
-def test_strip_html_blocks():
-    assert strip_html("<p>A.</p><p>B.</p>") == "A.\nB."
-
-
-def test_strip_html_drops_scripts_and_entities():
-    markup = "<html><script>var x = 1;</script><p>Fish &amp; chips.</p></html>"
-    assert strip_html(markup) == "Fish & chips."
-
-
-class _FakeWeb:
-    """Stands in for urllib.request.urlopen (which RobotFileParser.read calls too),
-    time.sleep and time.monotonic: pages and robots.txt come from dicts, and the
-    clock moves only when the code sleeps."""
-
-    def __init__(self, pages, robots, clock):
-        self.pages, self.robots, self.clock = pages, robots, clock
-        self.fetched, self.sleeps = [], []
-
-    def urlopen(self, url, timeout=None):
-        parts = urllib.parse.urlsplit(url)
-        if parts.path == "/robots.txt":
-            if parts.netloc not in self.robots:
-                raise urllib.error.URLError("host unreachable")
-            return io.BytesIO(self.robots[parts.netloc].encode("utf-8"))
-        self.fetched.append((url, self.clock))
-        page = self.pages[url]
-        if isinstance(page, Exception):
-            raise page
-        return io.BytesIO(page.encode("utf-8"))
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.clock += seconds
-
-    def monotonic(self):
-        return self.clock
-
-
-def _fake_web(monkeypatch, pages, robots=None, clock=0.5):
-    web = _FakeWeb(pages, robots or {}, clock)
-    monkeypatch.setattr("urllib.request.urlopen", web.urlopen)
-    monkeypatch.setattr("time.sleep", web.sleep)
-    monkeypatch.setattr("time.monotonic", web.monotonic)
-    return web
-
-
-def _page(text):
-    return f"<html><body><p>{text}</p></body></html>"
-
-
-def test_fetch_documents_honours_robots_and_skips_failures(monkeypatch):
-    pages = {"http://b.test/2": _page("Two."), "http://a.test/private/x": _page("Secret."),
-             "http://a.test/1": _page("One."), "http://b.test/broken": OSError("reset")}
-    web = _fake_web(monkeypatch, pages,
-                    robots={"a.test": "User-agent: *\nDisallow: /private\n"})
-    docs = ingest(list(pages))  # b.test has no reachable robots.txt: all allowed
-    assert [(d.id, d.source, d.body) for d in docs] == [
-        ("http://a.test/1", "a.test", "One."), ("http://b.test/2", "b.test", "Two.")]
-    assert "http://a.test/private/x" not in [url for url, _ in web.fetched]
-    assert "http://b.test/broken" in [url for url, _ in web.fetched]
-
-
-def test_fetch_documents_spaces_requests_per_host(monkeypatch):
-    urls = ["http://a.test/1", "http://b.test/1", "http://a.test/2", "http://a.test/3"]
-    web = _fake_web(monkeypatch, {u: _page("Text.") for u in urls}, clock=0.5)
-    assert len(fetch_documents(urls, delay=2.0)) == 4
-    # a host's first request never waits, even while the clock reads below the delay
-    assert web.fetched == [("http://a.test/1", 0.5), ("http://b.test/1", 0.5),
-                           ("http://a.test/2", 2.5), ("http://a.test/3", 4.5)]
-    assert web.sleeps == [2.0, 2.0]
-
-
-def test_fetch_documents_extracts_title_and_body(monkeypatch):
-    markup = ("<html><head><title> The  Title </title><style>p {color: red}</style></head>"
-              "<body><p>First   line.</p><script>var x = 1;</script><div>Second.</div>"
-              "</body></html>")
-    _fake_web(monkeypatch, {"http://a.test/p": markup})
-    (doc,) = fetch_documents(["http://a.test/p"])
-    assert (doc.title, doc.body) == ("The Title", "First line.\nSecond.")

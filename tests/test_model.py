@@ -418,7 +418,7 @@ def _assert_flat_views(params):
 def test_tensors_are_views_of_flat_buffers():
     dims = ModelDims(vocab_size=7, d_emb=2, d_h=3, d_s=4, d_a=5)
     params = ModelParams(dims, seed=0)
-    _assert_flat_views(params_from_payload(dims, params.flat.tobytes()))
+    _assert_flat_views(params_from_payload(dims, params.flat.copy()))
     _assert_flat_views(params)
     params.zero_grad()
     assert not any(p.grad.any() for _, p in params.named_parameters())

@@ -13,7 +13,8 @@ from paragen.pointer import (copy_distribution, mix, output_backward, output_for
 from paragen.vocab import BOS, EOS, UNK, Vocabulary, encode_target
 
 from conftest import TINY_TOKENS, step_loss_node, tiny_model
-from oracles import dense_output_backward, model_arrays, sigmoid_scalar, straight_line_step
+from oracles import (dense_output_backward, forced_step, model_arrays, sigmoid_scalar,
+                     straight_line_step)
 
 
 def test_copy_distribution_accumulates_repeats():
@@ -184,6 +185,38 @@ def test_full_step_prev_extended_id_uses_unk_embedding():
     o_oov, _ = step_forward([oov_id], ev, states, state, params)
     o_unk, _ = step_forward([UNK], ev, states, state, params)
     np.testing.assert_array_equal(o_oov.p, o_unk.p)
+
+
+def _assert_same_bits(mine, theirs, where="step"):
+    """Equal arrays, bit for bit, through nested tuples and dataclasses."""
+    if isinstance(mine, np.ndarray):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), where
+    elif isinstance(mine, (tuple, list)):
+        assert len(mine) == len(theirs), where
+        for i, (a, b) in enumerate(zip(mine, theirs)):
+            _assert_same_bits(a, b, f"{where}[{i}]")
+    elif hasattr(mine, "__dataclass_fields__"):
+        for name in mine.__dataclass_fields__:
+            _assert_same_bits(getattr(mine, name), getattr(theirs, name), f"{where}.{name}")
+    else:
+        assert mine is theirs or mine == theirs, where
+
+
+@pytest.mark.parametrize("force_p_gen", [None, 0.3])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_step_forward_equals_forced_step_oracle(rows, force_p_gen):
+    # the direct step and recur_forced at T = 1: the same outputs and caches, bit
+    # for bit, on a source with a repeated in-vocabulary id and a repeated OOV
+    rng = np.random.default_rng(rows)
+    for seed in range(5):
+        params, vocab, ev, states, state = _step_setup(seed, source=(
+            "alpha", "zyxxy", "beta", "zyxxy", "qwerty", "alpha"))
+        choices = [BOS, UNK, vocab.lookup("alpha"), vocab.lookup("gamma"), ev.lookup("zyxxy"),
+                   ev.lookup("qwerty"), EOS]
+        prev = rng.choice(choices, size=rows)
+        start = state + rng.normal(scale=0.3, size=(rows, state.shape[1]))
+        _assert_same_bits(step_forward(prev, ev, states, start, params, force_p_gen),
+                          forced_step(prev, ev, states, start, params, force_p_gen))
 
 
 def test_step_rows_match_single_row_and_oracle():

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import math
 import tempfile
 import time
+import tracemalloc
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paragen.autograd import backward
+from paragen import training
 from paragen.errors import NumericalError, ValidationError
 from paragen.layers import stack_gates
 from paragen.model import ModelDims, ModelParams, prepare_source
@@ -645,6 +648,66 @@ def test_checkpoint_truncated_is_corrupt(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_trailing_byte_is_corrupt(tmp_path):
+    params, vocab = tiny_model(seed=9)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00")
+    with pytest.raises(CorruptCheckpointError, match="payload is"):
+        load_checkpoint(path)
+
+
+class _ShortRead(io.BufferedReader):
+    """A reader whose payload read comes up 8 bytes short."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+
+class _GrowsWhileRead(io.BufferedReader):
+    """A reader whose file gains a byte after its size was checked."""
+
+    def readinto(self, buffer):
+        with open(self.name, "ab") as fh:
+            fh.write(b"\x00")
+        return super().readinto(buffer)
+
+
+@pytest.mark.parametrize("reader", [_ShortRead, _GrowsWhileRead])
+def test_checkpoint_payload_read_must_be_whole_and_last(reader, tmp_path, monkeypatch):
+    params, vocab = tiny_model(seed=9)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    monkeypatch.setattr(training, "open", lambda name, mode: reader(io.FileIO(name, mode)),
+                        raising=False)
+    with pytest.raises(CorruptCheckpointError, match="payload read"):
+        load_checkpoint(path, expected_vocab=vocab)
+
+
+def test_checkpoint_load_holds_the_payload_once(tmp_path):
+    vocab = Vocabulary([f"w{i}" for i in range(1996)])
+    params = ModelParams(ModelDims(vocab_size=vocab.size), seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, path, vocab)
+    payload = 8 * params.dims.parameter_count()
+    del params
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded, _ = load_checkpoint(path, expected_vocab=vocab)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # the zeroed gradient vector is counted whole, though no page of it is
+    # touched before a gradient is written; what is left is the payload's copies
+    assert loaded.flat.nbytes == payload
+    assert peak - loaded.grad.nbytes <= 1.25 * payload, peak / payload
 
 
 def test_parameter_count_matches_model():
